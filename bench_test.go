@@ -476,20 +476,47 @@ func (p echoProto) Deliver(env *sim.Env, node int, m sim.Message) {
 	env.Send(node, m.From, sim.Message{From: node, To: m.From, Kind: 1})
 }
 
+// walkProto walks eight tokens up and down a path, turning at the ends —
+// the message load of eight pipelined requesters on a list, with no
+// protocol logic on top. Eight messages move per round whatever the path's
+// length, so ns/round at two sizes shows whether a round costs what it
+// carries or what the network holds. A is the token's direction.
+type walkProto struct{}
+
+func (walkProto) Start(env *sim.Env, node int) {
+	for k := 1; k <= 8; k++ {
+		if node == k*env.N()/9 {
+			env.Send(node, node+1, sim.Message{Kind: 1, A: 1})
+		}
+	}
+}
+
+func (walkProto) Deliver(env *sim.Env, node int, m sim.Message) {
+	dir := m.A
+	if next := node + dir; next < 0 || next >= env.N() {
+		dir = -dir
+	}
+	env.Send(node, node+dir, sim.Message{Kind: 1, A: dir})
+}
+
 func BenchmarkSimEngineStep(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
-		n     int
+		g     *graph.Graph
+		proto sim.Protocol
+		cap   int
+		msgs  int // messages moved per round
 		delay sim.DelayModel
 	}{
-		{"star9-unit", 9, nil},
-		{"star9-jitter3", 9, sim.JitterDelay{Seed: 1, Max: 3}},
-		{"star33-unit", 33, nil},
+		{"star9-unit", graph.Star(9), echoProto{hub: 0}, 8, 16, nil},
+		{"star9-jitter3", graph.Star(9), echoProto{hub: 0}, 8, 16, sim.JitterDelay{Seed: 1, Max: 3}},
+		{"star33-unit", graph.Star(33), echoProto{hub: 0}, 32, 64, nil},
+		{"list64-sparse8", graph.Path(64), walkProto{}, 1, 8, nil},
+		{"list4096-sparse8", graph.Path(4096), walkProto{}, 1, 8, nil},
 	} {
 		bc := bc
 		b.Run(bc.name, func(b *testing.B) {
-			g := graph.Star(bc.n)
-			nw := sim.New(sim.Config{Graph: g, Capacity: bc.n - 1, Delay: bc.delay}, echoProto{hub: 0})
+			nw := sim.New(sim.Config{Graph: bc.g, Capacity: bc.cap, Delay: bc.delay}, bc.proto)
 			if err := nw.Begin(); err != nil {
 				b.Fatal(err)
 			}
@@ -503,7 +530,7 @@ func BenchmarkSimEngineStep(b *testing.B) {
 			secs := b.Elapsed().Seconds()
 			if secs > 0 {
 				b.ReportMetric(float64(b.N)/secs, "rounds/sec")
-				b.ReportMetric(float64(2*(bc.n-1))*float64(b.N)/secs, "msgs/sec")
+				b.ReportMetric(float64(bc.msgs)*float64(b.N)/secs, "msgs/sec")
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/countq"
 	"repro/internal/sim"
@@ -25,6 +26,22 @@ func newTestBridge(t *testing.T, topo string, nodes int, delay sim.DelayModel) *
 	}
 	t.Cleanup(func() { b.Close() })
 	return b
+}
+
+// settledSimStats reads the bridge's simulated rounds and messages once
+// they have stopped moving: the pump publishes them after each round, a
+// moment after that round's grants reach the sessions, so a caller that
+// reads straight after its grant can still see the round before.
+func settledSimStats(b *sim.Bridge) (rounds, msgs int64) {
+	rounds, msgs = b.SimStats()
+	for {
+		time.Sleep(100 * time.Microsecond)
+		r, m := b.SimStats()
+		if r == rounds && m == msgs {
+			return r, m
+		}
+		rounds, msgs = r, m
+	}
 }
 
 // TestBridgeQueueOrder drives concurrent sessions through the arrow
@@ -103,7 +120,7 @@ func TestBridgeQueueLocalTail(t *testing.T) {
 	if pred, err := sess.Enqueue(ctx, 1); err != nil || pred != countq.Head {
 		t.Fatalf("first enqueue: pred=%d err=%v, want Head", pred, err)
 	}
-	_, msgsAfterFirst := b.SimStats()
+	_, msgsAfterFirst := settledSimStats(b)
 	// Subsequent ops from the same node hold the tail: predecessor chains
 	// locally and no protocol message is sent.
 	for i := int64(2); i <= 10; i++ {
@@ -115,7 +132,7 @@ func TestBridgeQueueLocalTail(t *testing.T) {
 			t.Fatalf("op %d: pred=%d, want %d (local tail chain)", i, pred, i-1)
 		}
 	}
-	if _, msgs := b.SimStats(); msgs != msgsAfterFirst {
+	if _, msgs := settledSimStats(b); msgs != msgsAfterFirst {
 		t.Errorf("local-tail ops sent %d messages, want 0 (fast path routes nothing)", msgs-msgsAfterFirst)
 	}
 }
@@ -133,7 +150,7 @@ func TestBridgeQueueSimStats(t *testing.T) {
 	if _, err := sess.Enqueue(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	rounds, msgs := b.SimStats()
+	rounds, msgs := settledSimStats(b)
 	if rounds < 1 || msgs < 1 {
 		t.Errorf("SimStats = (%d rounds, %d msgs) after a routed op, want both ≥ 1", rounds, msgs)
 	}

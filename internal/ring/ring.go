@@ -79,16 +79,20 @@ func (r *SPSC[T]) Push(v T) bool {
 }
 
 // Pop removes and returns the oldest entry, zeroing its slot so the ring
-// never pins consumed references. Consumer-side only.
+// never pins consumed references. Consumer-side only. Like DrainTo it
+// reads the cursors before it declares anything slot-sized: the zero value
+// used to clear a slot belongs to the non-empty path, so polling an empty
+// ring of a large T costs two loads, not a stack clear as well.
 //
 //countq:hotpath
 //countq:role=consumer
 func (r *SPSC[T]) Pop() (T, bool) {
-	var zero T
 	h := r.head.Load()
 	if h == r.tail.Load() {
+		var zero T
 		return zero, false
 	}
+	var zero T
 	v := r.buf[h&r.mask]
 	r.buf[h&r.mask] = zero
 	r.head.Store(h + 1)
@@ -103,15 +107,16 @@ func (r *SPSC[T]) Pop() (T, bool) {
 //countq:hotpath
 //countq:role=consumer
 func (r *SPSC[T]) DrainTo(buf []T) []T {
-	var zero T
 	h, t := r.head.Load(), r.tail.Load()
+	if h == t {
+		return buf
+	}
+	var zero T
 	for i := h; i < t; i++ {
 		buf = append(buf, r.buf[i&r.mask])
 		r.buf[i&r.mask] = zero
 	}
-	if t != h {
-		r.head.Store(t)
-	}
+	r.head.Store(t)
 	return buf
 }
 
@@ -121,6 +126,16 @@ func (r *SPSC[T]) DrainTo(buf []T) []T {
 //countq:hotpath
 func (r *SPSC[T]) Len() int {
 	return int(r.tail.Load() - r.head.Load())
+}
+
+// Empty reports whether nothing is buffered: two cursor loads and nothing
+// else, which is what a consumer sweeping many idle lanes should pay per
+// lane. Racy like Len; a false "empty" only defers the entry to the next
+// sweep.
+//
+//countq:hotpath
+func (r *SPSC[T]) Empty() bool {
+	return r.head.Load() == r.tail.Load()
 }
 
 // Cap reports the logical capacity.

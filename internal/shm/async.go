@@ -102,6 +102,9 @@ func (c *combineCore) sweep() {
 	for c.pending.Load() > 0 {
 		c.scratch = c.scratch[:0]
 		for _, lane := range c.lanes.Snapshot() {
+			if lane.Empty() {
+				continue
+			}
 			c.scratch = lane.DrainTo(c.scratch)
 		}
 		if len(c.scratch) == 0 {

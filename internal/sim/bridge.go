@@ -69,14 +69,54 @@ const syncSpin = 128
 // pumpIdleSpin is how many scheduler yields an idle pump spends polling
 // its lanes before parking — back-to-back sync ops from a spinning
 // session land within the budget, so neither side pays a wakeup.
+//
+// The yields are counted, not timed, so the idle loop's phase against a
+// spinning sync session is set by what one iteration costs: any change to
+// the sweep's cost moves it. The cautionary measurement (star9, one sync
+// session, 2 vCPUs; the parent read 0.91-0.97 M ops/s): making the sweep
+// of an empty lane two loads instead of a 112-byte stack clear read
+// 0.94-1.03 M as built, but 0.85 M with two counters added to this loop
+// and 0.86-0.90 M with a re-poll too short to catch anything in front of
+// it — three costs a few nanoseconds apart, a 15 % spread. (All three with
+// the free-running pump still yielding every 64 rounds on every P; see
+// freeRunYield. Without that yield the build reads 1.14-1.17 M.) Treat any
+// edit to inject, pollLanes or this loop as a change to star9-sync-counter.
 const pumpIdleSpin = 128
 
+// pumpIdlePoll is how many lane checks (≈ 1.3 ns each) a pump that has
+// just gone idle spends re-polling, without yielding, before its first
+// runtime.Gosched: long enough to cover a spinning sync session's
+// turnaround from grant to next submit, so in that steady state the pump
+// never yields between operations and the phase above stops mattering.
+// Measured on the same host: 64 checks caught 2 % of next operations (and
+// cost what they took), 256 caught 92 %, 512 and up 99 %, with p90 falling
+// 1.6 → 1.05 µs. The poll only helps if a session can run meanwhile; on
+// one P it is pure delay (+85 ns per sync op at 64 checks, +650 at 512),
+// so NewBridge enables it only when GOMAXPROCS > 1.
+const pumpIdlePoll = 512
+
 // freeRunYield is how many back-to-back rounds a free-running (hoplat=0)
-// pump steps before yielding the processor once. Short grant chains
-// (a few rounds) never yield mid-chain, which is what makes the spinning
-// round trip two switches total on one core; a protocol that withholds a
-// grant for many rounds still lets waiters run every freeRunYield rounds
-// instead of starving them until the runtime preempts.
+// pump steps before yielding the processor once, when there is one P.
+// Short grant chains (a few rounds) never yield mid-chain, which is what
+// makes the spinning round trip two switches total on one core; a protocol
+// that withholds a grant for many rounds still lets waiters run every
+// freeRunYield rounds instead of starving them until the runtime preempts.
+//
+// With more than one P the free-running pump does not yield between rounds
+// (yieldEvery stays 0; the runtime's 10 ms preemption is the backstop). A
+// waiter whose grant landed is started on another P by the send that
+// readied it, so a yield buys it nothing, and runtime.Gosched is not free
+// there: it ends in wakep, which with an idle P is a futex wake of a
+// thread that finds nothing to run and sleeps again (5-8 µs of system time
+// on the pump, on the 2-vCPU build VM), and it leaves the pump on the
+// global run queue for whichever thread takes it next. A counted yield
+// also comes round more often the cheaper a round is. Measured on
+// list64-pipe-tree (8 operations per 456-round cycle): yielding every 64
+// rounds, 81-101 k ops/s from one 100 ms window to the next, 0.27-0.49
+// thread sleeps per operation, 35 % of the pump's time in the kernel, and
+// 150-160 k while the kernel had both threads on one vCPU; every 4096
+// rounds, 120-125 k with dips to 113 k; never, 125-126 k (97-104 k on one
+// vCPU), one sleep per cycle, exactly 57 rounds per operation.
 const freeRunYield = 64
 
 // Grants is the completion sink a BridgeProtocol resolves operations
@@ -103,9 +143,13 @@ type BridgeProtocol interface {
 	Deliver(env *Env, node int, m Message)
 }
 
-// BridgeTicker is an optional BridgeProtocol extension mirroring Ticker:
-// Tick runs for every node after each round's receive phase — combining
-// protocols use it to flush batches once per round.
+// BridgeTicker is an optional BridgeProtocol extension mirroring
+// WakeTicker: after each round's receive phase Tick runs, in ascending node
+// order, for exactly the nodes that had a Deliver this round or an
+// Env.Wake since their last Tick — the bridge wakes a node after each
+// Issue there. Combining protocols use it to flush batches once per round;
+// a Tick must have nothing to do at a node nobody touched (a protocol that
+// arms a timer at a node wakes that node itself).
 type BridgeTicker interface {
 	Tick(env *Env, node int)
 }
@@ -155,6 +199,8 @@ type Bridge struct {
 	// eventcount when everything is idle.
 	sub        *ring.Lanes[bridgeOp]
 	scratch    []bridgeOp    // pump-owned sweep buffer, reused across rounds
+	idlePoll   int           // lane checks an idle pump spends before its first yield
+	yieldEvery int           // free-running rounds between yields; 0 never yields
 	spinRounds int           // pump-owned: free-running rounds since last yield
 	done       chan struct{} // closed by Close: stop accepting, drain, exit
 	pumpExit   chan struct{} // closed when the pump has exited
@@ -339,6 +385,12 @@ func NewBridge(cfg BridgeConfig) (*Bridge, error) {
 		pumpExit: make(chan struct{}),
 		leaves:   leaves,
 	}
+	// Read once: the call takes the scheduler lock.
+	if runtime.GOMAXPROCS(0) > 1 {
+		b.idlePoll = pumpIdlePoll
+	} else {
+		b.yieldEvery = freeRunYield
+	}
 	table := &grantTable{}
 	var bp BridgeProtocol
 	if cfg.Proto != nil {
@@ -372,6 +424,10 @@ type bridgeNetProtoTick struct {
 }
 
 func (a bridgeNetProtoTick) Tick(env *Env, node int) { a.t.Tick(env, node) }
+
+// TicksOnWake makes the adapter a WakeTicker: that is BridgeTicker's
+// contract.
+func (bridgeNetProtoTick) TicksOnWake() {}
 
 // SimStats reports the simulated rounds stepped and protocol messages
 // sent so far — the simulated-time cost behind the wall-clock latencies,
@@ -459,13 +515,39 @@ func (b *Bridge) pump(nw *Network, bp BridgeProtocol, table *grantTable) {
 func (b *Bridge) inject(env *Env, bp BridgeProtocol, table *grantTable) int {
 	injected := 0
 	for _, lane := range b.sub.Snapshot() {
+		if lane.Empty() {
+			continue
+		}
 		b.scratch = lane.DrainTo(b.scratch[:0])
 		for i := range b.scratch {
-			bp.Issue(env, b.scratch[i].node, table.add(b.scratch[i]), b.scratch[i].op)
+			o := &b.scratch[i]
+			bp.Issue(env, o.node, table.add(*o), o.op)
+			env.Wake(o.node)
 		}
 		injected += len(b.scratch)
 	}
 	return injected
+}
+
+// pollLanes sweeps the session lanes for a submission until it finds one
+// or has spent about checks lane checks — two cursor loads each and no
+// other memory traffic, so the pump can afford it without yielding.
+//
+//countq:hotpath
+//countq:role=consumer
+func (b *Bridge) pollLanes(checks int) bool {
+	lanes := b.sub.Snapshot()
+	if len(lanes) == 0 {
+		return false
+	}
+	for ; checks > 0; checks -= len(lanes) {
+		for _, lane := range lanes {
+			if !lane.Empty() {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // pumpLoop is the pump's steady state: allocation-free once the grant
@@ -506,13 +588,17 @@ func (b *Bridge) pumpLoop(nw *Network, bp BridgeProtocol, table *grantTable) {
 				idle = 0
 				continue
 			}
-			// Idle: spin a little (a spinning sync session's next op lands
-			// within the budget), then park on the eventcount.
+			// Idle: re-poll without yielding once, spin-yield a little (a
+			// spinning sync session's next op lands within the budgets),
+			// then park on the eventcount.
 			select {
 			case <-b.done:
 				closing = true
 				continue
 			default:
+			}
+			if idle == 0 && b.pollLanes(b.idlePoll) {
+				continue
 			}
 			if idle < pumpIdleSpin {
 				idle++
@@ -594,11 +680,12 @@ func (b *Bridge) fail(table *grantTable, err error) {
 }
 
 // sleepHop spends one hop latency of wall time. Zero latency spends
-// nearly nothing — the pump runs rounds back to back, yielding only
-// every freeRunYield rounds, which on a loaded single-core box is what
+// nearly nothing — the pump runs rounds back to back, on one P yielding
+// only every yieldEvery rounds, which on a loaded single-core box is what
 // lets a spinning session's short round trip finish in two scheduler
 // switches while still letting waiters run under a grant the protocol
-// holds across many rounds. Short latencies spin with Gosched
+// holds across many rounds (with more Ps it does not yield here; see
+// freeRunYield). Short latencies spin with Gosched
 // (time.Sleep's timer floor would inflate sub-50µs hops by an order of
 // magnitude); long ones sleep.
 //
@@ -607,8 +694,11 @@ func (b *Bridge) sleepHop() {
 	d := b.cfg.HopLat
 	switch {
 	case d <= 0:
+		if b.yieldEvery == 0 {
+			return
+		}
 		b.spinRounds++
-		if b.spinRounds >= freeRunYield {
+		if b.spinRounds >= b.yieldEvery {
 			b.spinRounds = 0
 			runtime.Gosched()
 		}

@@ -22,11 +22,15 @@
 // send time (so deliverPhase never sorts), per-directed-link FIFO clamps
 // read a dense CSR-indexed array instead of a map (and are skipped
 // entirely under unit delays, where they can never bind), and quiescence
-// is three counters rather than a scan. See DESIGN.md "Engine v2".
+// is three counters rather than a scan. A round costs what it carries:
+// the receive, tick and send phases walk per-node bitmaps (active sets)
+// instead of scanning all n nodes, so an idle node costs 1/64 of a word
+// test. See DESIGN.md "Engine v2".
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -58,6 +62,18 @@ type Protocol interface {
 // the receive phase, for protocols that act on timeouts rather than messages.
 type Ticker interface {
 	Tick(env *Env, node int)
+}
+
+// WakeTicker is a Ticker that declares itself idle at untouched nodes: its
+// Tick is a no-op at any node that had no Deliver this round and no
+// Env.Wake since its last Tick. The engine then ticks only those nodes, in
+// ascending node order, so a round's tick pass costs the nodes that have
+// work rather than n. A protocol whose Tick acts on the passage of time
+// alone (a timeout, a schedule) must stay a plain Ticker — or Wake itself.
+type WakeTicker interface {
+	Ticker
+	// TicksOnWake is the declaration; it is never called.
+	TicksOnWake()
 }
 
 // Scheduler is an optional extension for long-lived protocols that inject
@@ -98,6 +114,11 @@ type Stats struct {
 	MessagesSent     int
 	MaxInboxBacklog  int // worst queue behind the receive capacity
 	MaxOutboxBacklog int // worst queue behind the send capacity
+	// Visited counts receive-phase node visits: nodes whose inbox the
+	// engine looked at, whether or not anything in it had arrived. It is
+	// what a round costs the engine beyond the messages themselves, so
+	// tests hold it against messages delivered instead of timing Step.
+	Visited int
 	// Received counts messages delivered per node — the load profile
 	// that exposes hot spots (e.g. the star hub, a counting root).
 	// Populated only when Config.TrackPerNode is set.
@@ -134,6 +155,17 @@ type Env struct {
 
 	inbox  []msgQueue
 	outbox []msgQueue
+
+	// Active sets, one bit per node in ascending node order: inActive[v]
+	// is set while inbox[v] is non-empty (arrived or not), outActive[v]
+	// while outbox[v] is, and wake[v] when node v is due a Tick. Bits are
+	// set where messages are pushed and cleared where a queue drains; the
+	// phases walk set bits with TrailingZeros64 in ascending node order,
+	// the order sequence numbers, Stats and the golden traces are defined
+	// by.
+	inActive  []uint64
+	outActive []uint64
+	wake      []uint64
 
 	// Per-inbox sort floor for the unit-delay direct-delivery path: the
 	// seq back-scan may only reorder messages inserted for the upcoming
@@ -199,6 +231,10 @@ func (q *msgQueue) pop() (Message, bool) {
 
 func (q *msgQueue) len() int { return len(q.buf) - q.head }
 
+// setBit and clearBit mark node v in an active set.
+func setBit(set []uint64, v int)   { set[v>>6] |= 1 << (uint(v) & 63) }
+func clearBit(set []uint64, v int) { set[v>>6] &^= 1 << (uint(v) & 63) }
+
 // initialWheel is the starting wheel size; it covers every delay the
 // bundled models produce at their defaults and doubles on demand.
 const initialWheel = 16
@@ -223,6 +259,11 @@ func New(cfg Config, p Protocol) *Network {
 	}
 	_, unit := delay.(UnitDelay)
 	n := cfg.Graph.N()
+	// One backing array per element type: the four per-node int columns
+	// and the three active-set bitmaps are carved from it.
+	ints := make([]int, 4*n)
+	words := (n + 63) / 64
+	sets := make([]uint64, 3*words)
 	nw := &Network{
 		proto:     p,
 		maxRounds: maxRounds,
@@ -235,10 +276,13 @@ func New(cfg Config, p Protocol) *Network {
 			unitDelay: unit,
 			inbox:     make([]msgQueue, n),
 			outbox:    make([]msgQueue, n),
-			inFloor:   make([]int, n),
-			inStamp:   make([]int, n),
-			sendUsed:  make([]int, n),
-			sendStamp: make([]int, n),
+			inActive:  sets[0*words : 1*words : 1*words],
+			outActive: sets[1*words : 2*words : 2*words],
+			wake:      sets[2*words : 3*words : 3*words],
+			inFloor:   ints[0*n : 1*n : 1*n],
+			inStamp:   ints[1*n : 2*n : 2*n],
+			sendUsed:  ints[2*n : 3*n : 3*n],
+			sendStamp: ints[3*n : 4*n : 4*n],
 			wheel:     make([][]Message, initialWheel),
 			wheelMask: initialWheel - 1,
 		},
@@ -260,6 +304,14 @@ func New(cfg Config, p Protocol) *Network {
 	}
 	nw.ticker, _ = p.(Ticker)
 	nw.sched, _ = p.(Scheduler)
+	_, nw.wakeTicks = p.(WakeTicker)
+	if nw.ticker != nil && !nw.wakeTicks {
+		// A plain Ticker is every node, every round: fill the wake set once
+		// and never clear it, so one loop in Step serves both contracts.
+		for v := 0; v < n; v++ {
+			setBit(nw.env.wake, v)
+		}
+	}
 	return nw
 }
 
@@ -270,6 +322,7 @@ func New(cfg Config, p Protocol) *Network {
 type Network struct {
 	proto     Protocol
 	ticker    Ticker    // proto's Ticker view, nil if not implemented
+	wakeTicks bool      // proto is a WakeTicker: the tick pass consumes the wake set
 	sched     Scheduler // proto's Scheduler view, nil if not implemented
 	maxRounds int
 	env       Env
@@ -290,7 +343,7 @@ func (nw *Network) Stats() Stats { return nw.env.stats }
 // it once before the first Step.
 func (nw *Network) Begin() error {
 	e := &nw.env
-	for v := 0; v < e.g.N(); v++ {
+	for v := 0; v < e.n; v++ {
 		nw.proto.Start(e, v)
 		if e.err != nil {
 			return e.err
@@ -309,71 +362,96 @@ func (nw *Network) Begin() error {
 //countq:hotpath
 func (nw *Network) Step() error {
 	e := &nw.env
-	n := e.n
 	e.round++
 	e.stats.Rounds = e.round
 	if !e.unitDelay {
 		e.deliverPhase()
 	}
-	// Receive phase: each node handles up to capacity messages that have
-	// arrived. Under unit delay Send inserts next-round messages directly
-	// into inboxes mid-phase, so eligibility is capped at the floor —
-	// entries above it arrive next round. The inbox is drained in place;
-	// handlers can only append (via Send), never consume.
-	for v := 0; v < n; v++ {
-		q := &e.inbox[v]
-		avail := q.len()
-		if e.inStamp[v] == e.round+1 {
-			avail = e.inFloor[v] - q.head
-		}
-		take := avail
-		if take > e.capacity {
-			take = e.capacity
-		}
-		if e.stats.Received != nil && take > 0 {
-			e.stats.Received[v] += take
-		}
-		for k := 0; k < take; k++ {
-			m := q.buf[q.head]
-			q.head++
-			nw.proto.Deliver(e, v, m)
-			if e.err != nil {
-				if e.stats.Received != nil {
-					e.stats.Received[v] -= take - k - 1
-				}
-				e.queuedIn -= k + 1
-				return e.err
-			}
-		}
-		e.queuedIn -= take
-		if q.head == len(q.buf) {
-			q.buf = q.buf[:0]
-			q.head = 0
-		} else if q.head > 32 && q.head*2 >= len(q.buf) {
-			// The consumed prefix can't be reclaimed by the drained-queue
-			// reset when direct inserts keep the tail non-empty; slide the
-			// live region down once the dead prefix dominates.
-			h := q.head
-			live := copy(q.buf, q.buf[h:])
-			q.buf = q.buf[:live]
-			q.head = 0
+	// Receive phase: each node with a non-empty inbox handles up to
+	// capacity messages that have arrived. Under unit delay Send inserts
+	// next-round messages directly into inboxes mid-phase, so eligibility
+	// is capped at the floor — entries above it arrive next round. The
+	// inbox is drained in place; handlers can only append (via Send), never
+	// consume. Each word of the active set is read once, before its nodes
+	// run: a bit a handler sets in it meanwhile is a next-round arrival,
+	// which the floor guard would skip anyway (in a later word it costs one
+	// visit that takes nothing). Under non-unit delay handlers never touch
+	// an inbox.
+	for w, word := range e.inActive {
+		for word != 0 {
+			v := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			e.stats.Visited++
+			q := &e.inbox[v]
+			avail := q.len()
 			if e.inStamp[v] == e.round+1 {
-				e.inFloor[v] -= h
+				avail = e.inFloor[v] - q.head
 			}
-		}
-		if backlog := avail - take; backlog > e.stats.MaxInboxBacklog {
-			e.stats.MaxInboxBacklog = backlog
-			if e.strict {
-				e.strictViolation("inbox", v, backlog)
-				return e.err
+			take := avail
+			if take > e.capacity {
+				take = e.capacity
+			}
+			if take > 0 {
+				if e.stats.Received != nil {
+					e.stats.Received[v] += take
+				}
+				setBit(e.wake, v)
+			}
+			for k := 0; k < take; k++ {
+				m := q.buf[q.head]
+				q.head++
+				nw.proto.Deliver(e, v, m)
+				if e.err != nil {
+					if e.stats.Received != nil {
+						e.stats.Received[v] -= take - k - 1
+					}
+					e.queuedIn -= k + 1
+					return e.err
+				}
+			}
+			e.queuedIn -= take
+			if q.head == len(q.buf) {
+				q.buf = q.buf[:0]
+				q.head = 0
+				clearBit(e.inActive, v)
+			} else if q.head > 32 && q.head*2 >= len(q.buf) {
+				// The consumed prefix can't be reclaimed by the drained-queue
+				// reset when direct inserts keep the tail non-empty; slide the
+				// live region down once the dead prefix dominates.
+				h := q.head
+				live := copy(q.buf, q.buf[h:])
+				q.buf = q.buf[:live]
+				q.head = 0
+				if e.inStamp[v] == e.round+1 {
+					e.inFloor[v] -= h
+				}
+			}
+			if backlog := avail - take; backlog > e.stats.MaxInboxBacklog {
+				e.stats.MaxInboxBacklog = backlog
+				if e.strict {
+					e.strictViolation("inbox", v, backlog)
+					return e.err
+				}
 			}
 		}
 	}
+	// Tick pass: every node for a plain Ticker (the wake set is all ones
+	// and stays so), and for a WakeTicker the nodes that had a Deliver
+	// above or an Env.Wake since their last Tick — their bits are consumed
+	// here, a word at a time, so a Wake from inside a Tick is kept for a
+	// later pass, never lost.
 	if nw.ticker != nil {
-		for v := 0; v < n; v++ {
-			nw.ticker.Tick(e, v)
-			if e.err != nil {
-				return e.err
+		for w, word := range e.wake {
+			if nw.wakeTicks {
+				e.wake[w] = 0
+			}
+			for word != 0 {
+				v := w<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				nw.ticker.Tick(e, v)
+				if e.err != nil {
+					return e.err
+				}
 			}
 		}
 	}
@@ -430,6 +508,7 @@ func (e *Env) deliverPhase() {
 	}
 	for i := range due {
 		e.inbox[due[i].To].push(due[i])
+		setBit(e.inActive, due[i].To)
 	}
 	e.queuedIn += len(due)
 	e.flying -= len(due)
@@ -448,30 +527,40 @@ func (e *Env) sendPhase() {
 		e.sendPhaseUnit()
 		return
 	}
-	for v := range e.outbox {
-		for k := 0; k < e.capacity; k++ {
-			m, ok := e.outbox[v].pop()
-			if !ok {
-				break
+	// Nothing below pushes to an outbox, so the active set only shrinks
+	// while it is walked.
+	for w, word := range e.outActive {
+		for word != 0 {
+			v := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			for k := 0; k < e.capacity; k++ {
+				m, ok := e.outbox[v].pop()
+				if !ok {
+					break
+				}
+				e.queuedOut--
+				m.sentAt = e.round
+				at := e.round + 1
+				if d := e.delay.Delay(m.From, m.To, m.seq); d > 1 {
+					at = e.round + d
+				}
+				idx := e.edgeOff[m.From] + edgeRank(e.adj[m.From], m.To)
+				if prev := e.edgeLast[idx]; at < prev {
+					at = prev // preserve per-link FIFO
+				}
+				e.edgeLast[idx] = at
+				e.schedule(m, at)
+				e.stats.MessagesSent++
 			}
-			e.queuedOut--
-			m.sentAt = e.round
-			at := e.round + 1
-			if d := e.delay.Delay(m.From, m.To, m.seq); d > 1 {
-				at = e.round + d
+			backlog := e.outbox[v].len()
+			if backlog == 0 {
+				clearBit(e.outActive, v)
 			}
-			idx := e.edgeOff[m.From] + edgeRank(e.adj[m.From], m.To)
-			if prev := e.edgeLast[idx]; at < prev {
-				at = prev // preserve per-link FIFO
-			}
-			e.edgeLast[idx] = at
-			e.schedule(m, at)
-			e.stats.MessagesSent++
-		}
-		if backlog := e.outbox[v].len(); backlog > e.stats.MaxOutboxBacklog {
-			e.stats.MaxOutboxBacklog = backlog
-			if e.strict {
-				e.strictViolation("outbox", v, backlog)
+			if backlog > e.stats.MaxOutboxBacklog {
+				e.stats.MaxOutboxBacklog = backlog
+				if e.strict {
+					e.strictViolation("outbox", v, backlog)
+				}
 			}
 		}
 	}
@@ -485,35 +574,37 @@ func (e *Env) sendPhase() {
 //
 //countq:hotpath
 func (e *Env) sendPhaseUnit() {
-	for v := range e.outbox {
-		q := &e.outbox[v]
-		if q.len() == 0 {
-			continue
-		}
-		budget := e.capacity
-		if e.sendStamp[v] == e.round {
-			budget -= e.sendUsed[v]
-		}
-		take := q.len()
-		if take > budget {
-			take = budget
-		}
-		for k := 0; k < take; k++ {
-			m := q.buf[q.head]
-			q.head++
-			m.sentAt = e.round
-			e.insertNextRound(m)
-		}
-		e.queuedOut -= take
-		e.stats.MessagesSent += take
-		if q.head == len(q.buf) {
-			q.buf = q.buf[:0]
-			q.head = 0
-		}
-		if backlog := q.len(); backlog > e.stats.MaxOutboxBacklog {
-			e.stats.MaxOutboxBacklog = backlog
-			if e.strict {
-				e.strictViolation("outbox", v, backlog)
+	for w, word := range e.outActive {
+		for word != 0 {
+			v := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			q := &e.outbox[v]
+			budget := e.capacity
+			if e.sendStamp[v] == e.round {
+				budget -= e.sendUsed[v]
+			}
+			take := q.len()
+			if take > budget {
+				take = budget
+			}
+			for k := 0; k < take; k++ {
+				m := q.buf[q.head]
+				q.head++
+				m.sentAt = e.round
+				e.insertNextRound(m)
+			}
+			e.queuedOut -= take
+			e.stats.MessagesSent += take
+			if q.head == len(q.buf) {
+				q.buf = q.buf[:0]
+				q.head = 0
+				clearBit(e.outActive, v)
+			}
+			if backlog := q.len(); backlog > e.stats.MaxOutboxBacklog {
+				e.stats.MaxOutboxBacklog = backlog
+				if e.strict {
+					e.strictViolation("outbox", v, backlog)
+				}
 			}
 		}
 	}
@@ -610,6 +701,7 @@ func (e *Env) Send(from, to int, m Message) {
 		}
 	}
 	e.outbox[from].push(m)
+	setBit(e.outActive, from)
 	e.queuedOut++
 }
 
@@ -633,6 +725,7 @@ func (e *Env) insertNextRound(m Message) {
 		s[i-1], s[i] = s[i], s[i-1]
 	}
 	in.buf = s
+	setBit(e.inActive, m.To)
 	e.queuedIn++
 }
 
@@ -640,8 +733,16 @@ func (e *Env) insertNextRound(m Message) {
 // deliveries happen in round 1.
 func (e *Env) Round() int { return e.round }
 
+// Wake marks node as due a Tick in the next tick pass — for a WakeTicker
+// protocol whose state at node changed outside Deliver (the bridge wakes a
+// node after each Issue). Under a plain Ticker every node ticks anyway and
+// Wake changes nothing.
+//
+//countq:hotpath
+func (e *Env) Wake(node int) { setBit(e.wake, node) }
+
 // N reports the number of nodes.
-func (e *Env) N() int { return e.g.N() }
+func (e *Env) N() int { return e.n }
 
 // Graph exposes the communication graph.
 func (e *Env) Graph() *graph.Graph { return e.g }
