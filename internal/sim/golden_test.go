@@ -24,6 +24,7 @@ import (
 	"repro/internal/arrow"
 	"repro/internal/counting"
 	"repro/internal/graph"
+	"repro/internal/raymond"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -213,6 +214,85 @@ func TestGoldenTraces(t *testing.T) {
 				for op := range reqs {
 					fmt.Fprintf(buf, "value[%d]=%d done=%d\n", op, p.ValueOf(op), p.CompletedAt(op))
 				}
+			})
+		}},
+		// The unit-delay scheduled forms below repeat a node within a round
+		// (ops issue in slice order), schedule ops at the root, and overlap
+		// bursts so batches combine while an earlier batch is in flight.
+		{"arrowll-path8-unit", func(t *testing.T) []byte {
+			g := graph.Path(8)
+			tr := mustBFS(t, g)
+			reqs := make([]arrow.Request, 24)
+			for i := range reqs {
+				reqs[i] = arrow.Request{Node: (i/2*3 + 1) % 8, Time: i / 4}
+			}
+			p, err := arrow.NewLongLived(tr, 0, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sim.Config{Graph: g, TrackPerNode: true}
+			return runTraced(t, cfg, p, func(buf *bytes.Buffer) {
+				for op := range reqs {
+					fmt.Fprintf(buf, "pred[%d]=%d done=%d\n", op, p.Pred(op), p.CompletedAt(op))
+				}
+				fmt.Fprintf(buf, "rt-ok=%v\n", p.VerifyRealTimeOrder() == nil)
+			})
+		}},
+		{"combining-list16-unit", func(t *testing.T) []byte {
+			g := graph.Path(16)
+			tr := mustBFS(t, g)
+			reqs := make([]counting.Request, 40)
+			for i := range reqs {
+				reqs[i] = counting.Request{Node: (i / 2 * 7) % 16, Time: i / 5}
+			}
+			p, err := counting.NewCombining(tr, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sim.Config{Graph: g, TrackPerNode: true}
+			return runTraced(t, cfg, p, func(buf *bytes.Buffer) {
+				for op := range reqs {
+					fmt.Fprintf(buf, "value[%d]=%d done=%d\n", op, p.ValueOf(op), p.CompletedAt(op))
+				}
+				fmt.Fprintf(buf, "valid=%v\n", p.Validate() == nil)
+			})
+		}},
+		{"adder-star9-unit", func(t *testing.T) []byte {
+			g := star9()
+			tr := mustBFS(t, g)
+			reqs := make([]counting.AddRequest, 30)
+			for i := range reqs {
+				reqs[i] = counting.AddRequest{Node: (i / 2 * 5) % 9, Time: i / 4, Amount: 1 + i%4}
+			}
+			p, err := counting.NewAdder(tr, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sim.Config{Graph: g, TrackPerNode: true}
+			return runTraced(t, cfg, p, func(buf *bytes.Buffer) {
+				for op := range reqs {
+					fmt.Fprintf(buf, "value[%d]=%d done=%d\n", op, p.ValueOf(op), p.CompletedAt(op))
+				}
+				fmt.Fprintf(buf, "sums-ok=%v\n", p.ValidateSums() == nil)
+			})
+		}},
+		{"raymond-mesh9-unit", func(t *testing.T) []byte {
+			g := mesh9()
+			tr := mustBFS(t, g)
+			reqs := make([]raymond.Request, 18)
+			for i := range reqs {
+				reqs[i] = raymond.Request{Node: (i / 2 * 4) % 9, Time: i / 3 * 2}
+			}
+			p, err := raymond.New(tr, 4, 2, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sim.Config{Graph: g, TrackPerNode: true}
+			return runTraced(t, cfg, p, func(buf *bytes.Buffer) {
+				for op := range reqs {
+					fmt.Fprintf(buf, "acquired[%d]=%d released=%d\n", op, p.Acquired(op), p.Released(op))
+				}
+				fmt.Fprintf(buf, "verify-ok=%v\n", p.Verify() == nil)
 			})
 		}},
 	}
