@@ -11,25 +11,27 @@
 // reversing each one it crosses; when it reaches a node whose arrow points
 // to itself, the operation is queued behind that node's last operation.
 //
-// One-shot operation identifiers are the originating node ids. The delay of
-// an operation is, by default, the round in which its queue message
-// terminates (the accounting used by Theorem 4.1); with WithResponse set,
-// an explicit response message is routed back over the tree and the delay is
-// its delivery round.
+// The protocol is written once, as core: a sim.BridgeProtocol whose
+// operations arrive through Issue and whose predecessors resolve into a
+// sim.Grants sink. Protocol runs it one-shot (operation identifiers are the
+// originating node ids, all issued at time zero), LongLived runs it from an
+// arrival schedule, and the sim-arrow-queue structure runs it live behind
+// the sim bridge. The delay of an operation is the round in which its queue
+// message terminates (the accounting used by Theorem 4.1).
 package arrow
 
 import (
 	"fmt"
 
+	"repro/countq"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
-// Message kinds.
-const (
-	kindQueue    = iota + 1 // A = operation id (origin node)
-	kindResponse            // A = operation id, B = predecessor op id
-)
+// kindQueue is the protocol's one message, the chase: A = operation token.
+// The terminating node reads the predecessor locally, so the chase carries
+// nothing else.
+const kindQueue = 1
 
 // Head is the pseudo-identifier of the queue head: the predecessor reported
 // to the first operation in the total order.
@@ -38,125 +40,129 @@ const Head = -1
 // None marks a node with no completed operation.
 const None = -2
 
-// Protocol is the arrow protocol state for one one-shot execution.
-// Construct with New, run it under sim.New, then inspect Pred/Delay.
-type Protocol struct {
-	tree        *tree.Tree
-	router      *tree.Router
-	initialTail int
-	requests    []bool
-	withResp    bool
+// core is the arrow state machine, open to operations issued at any node at
+// any time.
+type core struct {
+	grants sim.Grants
+	link   []int   // arrow pointers: self at a sink, else the next hop tailward
+	lastID []int64 // lastID[v] = id of the last operation issued at v (Head at the initial tail); read only at a sink
+}
 
-	link  []int
-	id    []int
+// newCore points every arrow toward tail along t (initialization is free,
+// per the paper's model) and queues the head pseudo-operation there.
+func newCore(t *tree.Tree, tail int, grants sim.Grants) (core, error) {
+	n := t.N()
+	if tail < 0 || tail >= n {
+		return core{}, fmt.Errorf("arrow: initial tail %d out of range", tail)
+	}
+	c := core{grants: grants, link: make([]int, n), lastID: make([]int64, n)}
+	for v := 0; v < n; v++ {
+		c.link[v] = t.Parent(v)
+		c.lastID[v] = countq.Head
+	}
+	// Every arrow points rootward; the ones on the root–tail path turn round.
+	c.link[tail] = tail
+	for v := tail; v != t.Root(); v = t.Parent(v) {
+		c.link[t.Parent(v)] = v
+	}
+	return c, nil
+}
+
+func (c *core) Start(*sim.Env, int) {}
+
+// Issue performs the atomic arrow issuance step for the operation at node:
+// flip the local arrow to self and chase the old target. If the node already
+// holds the tail (initially, or because its own previous operation is the
+// current tail) the predecessor is local and the operation completes without
+// a single message — the protocol's fast path, which no central protocol can
+// offer.
+//
+//countq:hotpath
+func (c *core) Issue(env *sim.Env, node int, token int, op countq.Op) {
+	target := c.link[node]
+	prev := c.lastID[node]
+	c.lastID[node] = op.ID
+	if target == node {
+		c.grants.Grant(token, prev)
+		return
+	}
+	c.link[node] = node
+	env.Send(node, target, sim.Message{Kind: kindQueue, A: token})
+}
+
+// Deliver handles a chasing message: reverse the local arrow toward the
+// sender; a sink terminates the chase and grants the operation the id of the
+// tail recorded there.
+//
+//countq:hotpath
+func (c *core) Deliver(env *sim.Env, node int, m sim.Message) {
+	if m.Kind != kindQueue {
+		failKind(env, m.Kind)
+		return
+	}
+	old := c.link[node]
+	c.link[node] = m.From
+	if old == node {
+		c.grants.Grant(m.A, c.lastID[node])
+		return
+	}
+	env.Send(node, old, sim.Message{Kind: kindQueue, A: m.A})
+}
+
+// failKind aborts the simulation on a foreign message kind — out of line so
+// the annotated Deliver stays free of cold fmt work.
+func failKind(env *sim.Env, kind int) {
+	env.Fail(fmt.Errorf("arrow: unexpected message kind %d", kind))
+}
+
+// Protocol is one one-shot arrow execution: every requesting node issues at
+// time zero, under its node id. Construct with New, run it under sim.New,
+// then inspect Pred/Delay.
+type Protocol struct {
+	core     // embedded, so the engine's Deliver reaches it without a forwarding call
+	env      *sim.Env
+	requests []bool
+
 	pred  []int // pred[v] = predecessor of v's op; None if absent/incomplete
 	delay []int // delay[v] = completion round of v's op; -1 if incomplete
 }
 
-// Option configures a Protocol.
-type Option func(*Protocol)
-
-// WithResponse makes the terminating node route an explicit response back
-// to the operation's origin; delays then include the return path and its
-// contention. Theorem 4.1's accounting (the default) charges only the
-// queue-message path.
-func WithResponse() Option { return func(p *Protocol) { p.withResp = true } }
-
 // New prepares a one-shot arrow execution on spanning tree t with the given
 // initial tail node and request set (requests[v] reports whether v issues a
 // queuing operation at time zero).
-func New(t *tree.Tree, initialTail int, requests []bool, opts ...Option) (*Protocol, error) {
+func New(t *tree.Tree, initialTail int, requests []bool) (*Protocol, error) {
 	n := t.N()
 	if len(requests) != n {
 		return nil, fmt.Errorf("arrow: request vector has %d entries, want %d", len(requests), n)
 	}
-	if initialTail < 0 || initialTail >= n {
-		return nil, fmt.Errorf("arrow: initial tail %d out of range", initialTail)
-	}
 	p := &Protocol{
-		tree:        t,
-		router:      t.NewRouter(),
-		initialTail: initialTail,
-		requests:    append([]bool(nil), requests...),
-		link:        make([]int, n),
-		id:          make([]int, n),
-		pred:        make([]int, n),
-		delay:       make([]int, n),
+		requests: append([]bool(nil), requests...),
+		pred:     make([]int, n),
+		delay:    make([]int, n),
 	}
-	for _, o := range opts {
-		o(p)
+	var err error
+	if p.core, err = newCore(t, initialTail, p); err != nil {
+		return nil, err
 	}
-	// Initialization (free, per the paper's model): arrows point toward
-	// the initial tail; id(v) is None everywhere except the tail, which
-	// holds the queue-head pseudo-operation.
 	for v := 0; v < n; v++ {
-		if v == initialTail {
-			p.link[v] = v
-		} else {
-			p.link[v] = p.router.NextHop(v, initialTail)
-		}
-		p.id[v] = None
 		p.pred[v] = None
 		p.delay[v] = -1
 	}
-	p.id[initialTail] = Head
 	return p, nil
 }
 
 // Start issues node's queuing operation at time zero.
 func (p *Protocol) Start(env *sim.Env, node int) {
-	if !p.requests[node] {
-		return
-	}
-	target := p.link[node]
-	prev := p.id[node] // Head iff node is the initial tail
-	p.id[node] = node
-	if target == node {
-		// The node holds the tail: its operation queues behind the
-		// head pseudo-operation instantly, with zero delay.
-		p.complete(env, node, node, prev)
-		return
-	}
-	p.link[node] = node
-	env.Send(node, target, sim.Message{Kind: kindQueue, A: node})
-}
-
-// Deliver handles queue and response messages.
-func (p *Protocol) Deliver(env *sim.Env, node int, m sim.Message) {
-	switch m.Kind {
-	case kindQueue:
-		op := m.A
-		old := p.link[node]
-		p.link[node] = m.From
-		if old == node {
-			// Terminated: op is queued behind id(node).
-			p.complete(env, node, op, p.id[node])
-			return
-		}
-		env.Send(node, old, sim.Message{Kind: kindQueue, A: op})
-	case kindResponse:
-		if m.B == None {
-			env.Fail(fmt.Errorf("arrow: response with no predecessor"))
-			return
-		}
-		if node != m.A {
-			// Route onward toward the origin.
-			env.Send(node, p.router.NextHop(node, m.A), m)
-			return
-		}
-		p.pred[node] = m.B
-		p.delay[node] = env.Round()
+	p.env = env
+	if p.requests[node] {
+		p.Issue(env, node, node, countq.Op{Kind: countq.OpEnqueue, ID: int64(node)})
 	}
 }
 
-// complete records that op's predecessor was determined at node `at`.
-func (p *Protocol) complete(env *sim.Env, at, op, pred int) {
-	if !p.withResp || at == op {
-		p.pred[op] = pred
-		p.delay[op] = env.Round()
-		return
-	}
-	env.Send(at, p.router.NextHop(at, op), sim.Message{Kind: kindResponse, A: op, B: pred})
+// Grant implements sim.Grants: node token's operation found its predecessor.
+func (p *Protocol) Grant(token int, value int64) {
+	p.pred[token] = int(value)
+	p.delay[token] = p.env.Round()
 }
 
 // Pred returns the predecessor operation of node v's operation (Head for
@@ -191,28 +197,30 @@ func (p *Protocol) MaxDelay() int {
 
 // Order reconstructs the total order of operations from the predecessor
 // pointers, starting at the queue head.
-func (p *Protocol) Order() ([]int, error) {
+func (p *Protocol) Order() ([]int, error) { return chain(p.pred, p.requests) }
+
+// chain follows predecessor pointers from the queue head into the total
+// order they encode, over the operations marked live (all of them if live is
+// nil). It fails unless the pointers form exactly one chain.
+func chain(pred []int, live []bool) ([]int, error) {
 	succ := make(map[int]int)
 	count := 0
-	for v, req := range p.requests {
-		if !req {
+	for op, pr := range pred {
+		if live != nil && !live[op] {
 			continue
 		}
 		count++
-		pr := p.pred[v]
 		if pr == None {
-			return nil, fmt.Errorf("arrow: operation %d incomplete", v)
+			return nil, fmt.Errorf("arrow: operation %d incomplete", op)
 		}
 		if _, dup := succ[pr]; dup {
 			return nil, fmt.Errorf("arrow: two operations claim predecessor %d", pr)
 		}
-		succ[pr] = v
+		succ[pr] = op
 	}
 	order := make([]int, 0, count)
-	cur, ok := succ[Head]
-	for ok {
+	for cur, ok := succ[Head]; ok; cur, ok = succ[cur] {
 		order = append(order, cur)
-		cur, ok = succ[cur]
 	}
 	if len(order) != count {
 		return nil, fmt.Errorf("arrow: predecessor chain covers %d of %d operations", len(order), count)

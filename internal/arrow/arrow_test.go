@@ -139,31 +139,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestWithResponseDominatesDefault(t *testing.T) {
-	g, tr := pathSetup(t, 16)
-	req := reqSet(16, 2, 5, 9, 15)
-	base, err := RunOneShot(g, tr, 0, req, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := RunOneShot(g, tr, 0, req, 1, WithResponse())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.TotalDelay < base.TotalDelay {
-		t.Errorf("response-mode delay %d below base %d", resp.TotalDelay, base.TotalDelay)
-	}
-	// Orders must agree: the response only reports, never reorders.
-	if len(resp.Order) != len(base.Order) {
-		t.Fatalf("order lengths differ")
-	}
-	for i := range base.Order {
-		if base.Order[i] != resp.Order[i] {
-			t.Errorf("orders diverge at %d", i)
-		}
-	}
-}
-
 func TestPerfectBinaryTreeOrderValid(t *testing.T) {
 	g := graph.PerfectMAryTree(2, 5)
 	tr, err := tree.BFSTree(g, 0)

@@ -18,7 +18,7 @@ func newTestBridge(t *testing.T, topo string, nodes int, delay sim.DelayModel) *
 		Topo:  topo,
 		Nodes: nodes,
 		Queue: true,
-		Proto: newQueueBridge,
+		Proto: newBridgeCore,
 		Delay: delay,
 	})
 	if err != nil {

@@ -46,27 +46,6 @@ func TestOneShotUnderJitterOrderValid(t *testing.T) {
 	}
 }
 
-func TestWithResponseDelayIncludesReturnPath(t *testing.T) {
-	// Single remote requester: default delay = dist(v, tail); response
-	// mode = 2×dist (request there, response back).
-	g, tr := pathSetup(t, 12)
-	req := reqSet(12, 11)
-	base, err := RunOneShot(g, tr, 0, req, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := RunOneShot(g, tr, 0, req, 1, WithResponse())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.TotalDelay != 11 {
-		t.Errorf("base delay = %d, want 11", base.TotalDelay)
-	}
-	if resp.TotalDelay != 22 {
-		t.Errorf("response delay = %d, want 22", resp.TotalDelay)
-	}
-}
-
 func TestJitterSlowsButPreservesTotalOrderSemantics(t *testing.T) {
 	g, tr := pathSetup(t, 24)
 	req := reqAll(24)

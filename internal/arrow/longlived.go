@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/countq"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -11,27 +12,20 @@ import (
 // Request is one queuing operation in a long-lived execution: node Node
 // issues an operation at round Time. Operation identifiers are indices into
 // the request slice.
-type Request struct {
-	Node, Time int
-}
+type Request = sim.Arrival
 
 // LongLived runs the arrow protocol in the long-lived setting analyzed by
 // Kuhn & Wattenhofer (SPAA 2004, reference [8] of the paper): queuing
 // requests arrive over time rather than all at time zero. Path reversal
-// needs no modification — this type exists to schedule issuance, keep
-// per-operation bookkeeping when nodes issue repeatedly, and verify the
+// needs no modification — this type issues the schedule into the core, keeps
+// per-operation bookkeeping when nodes issue repeatedly, and verifies the
 // real-time consistency of the resulting order.
 type LongLived struct {
-	tree        *tree.Tree
-	router      *tree.Router
-	initialTail int
-	reqs        []Request
+	core
+	sched sim.Schedule
+	env   *sim.Env
+	reqs  []Request
 
-	byTime map[int][]int // issue round → op ids
-	lastT  int
-
-	link []int
-	id   []int // id[v] = last op id originated at v (or Head at tail)
 	pred []int // per op
 	done []int // per op: completion round, -1 until then
 }
@@ -40,99 +34,44 @@ type LongLived struct {
 // Requests may share nodes and times; issuance at one node in one round is
 // processed in slice order.
 func NewLongLived(t *tree.Tree, initialTail int, reqs []Request) (*LongLived, error) {
-	n := t.N()
-	if initialTail < 0 || initialTail >= n {
-		return nil, fmt.Errorf("arrow: initial tail %d out of range", initialTail)
-	}
 	p := &LongLived{
-		tree:        t,
-		router:      t.NewRouter(),
-		initialTail: initialTail,
-		reqs:        append([]Request(nil), reqs...),
-		byTime:      make(map[int][]int),
-		link:        make([]int, n),
-		id:          make([]int, n),
-		pred:        make([]int, len(reqs)),
-		done:        make([]int, len(reqs)),
+		reqs: append([]Request(nil), reqs...),
+		pred: make([]int, len(reqs)),
+		done: make([]int, len(reqs)),
 	}
-	for op, r := range p.reqs {
-		if r.Node < 0 || r.Node >= n {
-			return nil, fmt.Errorf("arrow: request %d node %d out of range", op, r.Node)
-		}
-		if r.Time < 0 {
-			return nil, fmt.Errorf("arrow: request %d time %d negative", op, r.Time)
-		}
-		p.byTime[r.Time] = append(p.byTime[r.Time], op)
-		if r.Time > p.lastT {
-			p.lastT = r.Time
-		}
+	var err error
+	if p.core, err = newCore(t, initialTail, p); err != nil {
+		return nil, err
+	}
+	if p.sched, err = sim.NewSchedule(t.N(), p.reqs); err != nil {
+		return nil, fmt.Errorf("arrow: %w", err)
+	}
+	for op := range p.reqs {
 		p.pred[op] = None
 		p.done[op] = -1
 	}
-	for v := 0; v < n; v++ {
-		if v == initialTail {
-			p.link[v] = v
-		} else {
-			p.link[v] = p.router.NextHop(v, initialTail)
-		}
-		p.id[v] = None
-	}
-	p.id[initialTail] = Head
 	return p, nil
 }
 
 // PendingUntil implements sim.Scheduler.
-func (p *LongLived) PendingUntil() int { return p.lastT }
+func (p *LongLived) PendingUntil() int { return p.sched.PendingUntil() }
 
 // Start issues the requests scheduled for round zero.
-func (p *LongLived) Start(env *sim.Env, node int) {
-	p.issueDue(env, node)
-}
+func (p *LongLived) Start(env *sim.Env, node int) { p.Tick(env, node) }
 
-// Tick issues the requests scheduled for the current round.
+// Tick issues the requests scheduled at node for the current round, each
+// under its index in the request slice.
 func (p *LongLived) Tick(env *sim.Env, node int) {
-	p.issueDue(env, node)
-}
-
-func (p *LongLived) issueDue(env *sim.Env, node int) {
-	for _, op := range p.byTime[env.Round()] {
-		if p.reqs[op].Node == node {
-			p.issue(env, node, op)
-		}
+	p.env = env
+	for _, op := range p.sched.Due(env.Round(), node) {
+		p.Issue(env, node, op, countq.Op{Kind: countq.OpEnqueue, ID: int64(op)})
 	}
 }
 
-// issue performs the atomic arrow issuance step for op at node.
-func (p *LongLived) issue(env *sim.Env, node, op int) {
-	target := p.link[node]
-	prev := p.id[node]
-	p.id[node] = op
-	if target == node {
-		// The node holds the tail pointer (initially, or because its
-		// own previous operation is the current tail).
-		p.pred[op] = prev
-		p.done[op] = env.Round()
-		return
-	}
-	p.link[node] = node
-	env.Send(node, target, sim.Message{Kind: kindQueue, A: op})
-}
-
-// Deliver handles chasing queue messages exactly as in the one-shot case.
-func (p *LongLived) Deliver(env *sim.Env, node int, m sim.Message) {
-	if m.Kind != kindQueue {
-		env.Fail(fmt.Errorf("arrow: long-lived got unexpected kind %d", m.Kind))
-		return
-	}
-	op := m.A
-	old := p.link[node]
-	p.link[node] = m.From
-	if old == node {
-		p.pred[op] = p.id[node]
-		p.done[op] = env.Round()
-		return
-	}
-	env.Send(node, old, sim.Message{Kind: kindQueue, A: op})
+// Grant implements sim.Grants: operation token found its predecessor.
+func (p *LongLived) Grant(token int, value int64) {
+	p.pred[token] = int(value)
+	p.done[token] = p.env.Round()
 }
 
 // Pred returns the predecessor op of op (Head for the first), or None.
@@ -160,27 +99,7 @@ func (p *LongLived) TotalLatency() int {
 
 // Order reconstructs the total order of operation ids from the predecessor
 // pointers.
-func (p *LongLived) Order() ([]int, error) {
-	succ := make(map[int]int, len(p.reqs))
-	for op := range p.reqs {
-		pr := p.pred[op]
-		if pr == None {
-			return nil, fmt.Errorf("arrow: op %d incomplete", op)
-		}
-		if _, dup := succ[pr]; dup {
-			return nil, fmt.Errorf("arrow: two ops claim predecessor %d", pr)
-		}
-		succ[pr] = op
-	}
-	order := make([]int, 0, len(p.reqs))
-	for cur, ok := succ[Head]; ok; cur, ok = succ[cur] {
-		order = append(order, cur)
-	}
-	if len(order) != len(p.reqs) {
-		return nil, fmt.Errorf("arrow: chain covers %d of %d ops", len(order), len(p.reqs))
-	}
-	return order, nil
-}
+func (p *LongLived) Order() ([]int, error) { return chain(p.pred, nil) }
 
 // VerifyRealTimeOrder checks the real-time guarantee distributed queuing
 // actually provides: ordering is preserved across *quiescent points*. If at

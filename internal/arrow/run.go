@@ -18,14 +18,14 @@ type Result struct {
 // the given initial tail and request set, under the model's per-round
 // send/receive capacity (0 means 1; pass t.MaxDegree() for the paper's
 // "expanded time step" accounting used by Theorem 4.1).
-func RunOneShot(g *graph.Graph, t *tree.Tree, tail int, requests []bool, capacity int, opts ...Option) (*Result, error) {
-	return RunOneShotConfig(g, t, tail, requests, sim.Config{Capacity: capacity}, opts...)
+func RunOneShot(g *graph.Graph, t *tree.Tree, tail int, requests []bool, capacity int) (*Result, error) {
+	return RunOneShotConfig(g, t, tail, requests, sim.Config{Capacity: capacity})
 }
 
 // RunOneShotConfig is RunOneShot with full simulator configuration (link
 // delay models, strict mode, round bounds); cfg.Graph is overridden by g.
-func RunOneShotConfig(g *graph.Graph, t *tree.Tree, tail int, requests []bool, cfg sim.Config, opts ...Option) (*Result, error) {
-	p, err := New(t, tail, requests, opts...)
+func RunOneShotConfig(g *graph.Graph, t *tree.Tree, tail int, requests []bool, cfg sim.Config) (*Result, error) {
+	p, err := New(t, tail, requests)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ func newTestCounterBridge(t *testing.T, topo string, nodes int, delay sim.DelayM
 	b, err := sim.NewBridge(sim.BridgeConfig{
 		Topo:  topo,
 		Nodes: nodes,
-		Proto: newCounterBridge,
+		Proto: newBridgeCombiner,
 		Delay: delay,
 	})
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 	"repro/internal/tree"
 )
 
-// The bridge ticks counterBridge only at woken nodes (sim.BridgeTicker's
-// contract). This test is the proof that nothing is lost by it: the same
+// The combining core declares sim.WakeTicker, so the engine ticks it only at
+// woken nodes. This test is the proof that nothing is lost by it: the same
 // seeded schedule of Issues is driven through sim.Network twice, once
 // ticking every node every round and once ticking woken nodes only, and
 // the two runs must grant the same values to the same tokens in the same
@@ -35,38 +35,30 @@ func (g *grantLog) Grant(token int, value int64) {
 	g.log = append(g.log, granted{g.env.Round(), token, value})
 }
 
-// everyTick runs counterBridge's Tick at every node, every round.
-type everyTick struct{ p *counterBridge }
+// everyTick hides the core's TicksOnWake behind a named field, which makes
+// it a plain sim.Ticker: Tick at every node, every round.
+type everyTick struct{ p *combiner }
 
 func (a everyTick) Start(env *sim.Env, node int)                  { a.p.Start(env, node) }
 func (a everyTick) Deliver(env *sim.Env, node int, m sim.Message) { a.p.Deliver(env, node, m) }
 func (a everyTick) Tick(env *sim.Env, node int)                   { a.p.Tick(env, node) }
 
-// wokenTick is everyTick declared idle at untouched nodes, which is what
-// the bridge's own adapter declares.
-type wokenTick struct{ everyTick }
-
-func (wokenTick) TicksOnWake() {}
-
-// driveCounterBridge issues a seeded random schedule — bursts of one to
+// driveCombiner issues a seeded random schedule — bursts of one to
 // five operations of width one to three at random non-root nodes, about one
 // round in three, for 300 rounds — waking each node it issues at as the
 // bridge does, then steps until every token is granted.
-func driveCounterBridge(t *testing.T, g *graph.Graph, seed int64, woken bool) ([]granted, sim.Stats) {
+func driveCombiner(t *testing.T, g *graph.Graph, seed int64, woken bool) ([]granted, sim.Stats) {
 	t.Helper()
 	tr, err := tree.BFSTree(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	grants := &grantLog{}
-	made, err := newCounterBridge(g, tr, grants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp := made.(*counterBridge)
+	core := newCombiner(tr, grants)
+	bp := &core
 	var proto sim.Protocol = everyTick{bp}
 	if woken {
-		proto = wokenTick{everyTick{bp}}
+		proto = bp
 	}
 	nw := sim.New(sim.Config{Graph: g}, proto)
 	env := nw.Env()
@@ -106,8 +98,8 @@ func TestCounterBridgeWokenTicksMatchEveryTick(t *testing.T) {
 	} {
 		for seed := int64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
-				every, everyStats := driveCounterBridge(t, tc.g, seed, false)
-				woken, wokenStats := driveCounterBridge(t, tc.g, seed, true)
+				every, everyStats := driveCombiner(t, tc.g, seed, false)
+				woken, wokenStats := driveCombiner(t, tc.g, seed, true)
 				if len(every) == 0 {
 					t.Fatal("schedule issued nothing")
 				}

@@ -3,30 +3,24 @@ package counting
 import (
 	"fmt"
 
+	"repro/countq"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
-// Message kinds shared by the routed protocols in this package.
-const (
-	kindRequest = iota + 1 // A = origin
-	kindGrant              // A = origin, B = count
-	kindUp                 // A = subtree request count
-	kindDown               // A = first rank for the receiving subtree
-	kindToken              // A = origin, B = layer, C = wire
-)
-
-// Central is the naive counting protocol: every request is routed over a
-// spanning tree to a central node, which assigns consecutive counts and
-// routes a grant back. On the star graph this realizes the Θ(n²) behavior
-// discussed in the paper's conclusions; on low-congestion trees it is
-// bottlenecked by the root's receive capacity.
+// Central is the naive counting protocol, one-shot: every request is routed
+// over a spanning tree to a central node, which assigns consecutive counts
+// and routes a grant back. On the star graph this realizes the Θ(n²)
+// behavior discussed in the paper's conclusions; on low-congestion trees it
+// is bottlenecked by the root's receive capacity. The state machine is
+// sim.Central, the one the bridge routes live as sim-counter; this type
+// issues the request set at time zero, each operation under its node id, and
+// records the grants.
 type Central struct {
-	tree     *tree.Tree
-	router   *tree.Router
-	requests []bool
+	sim.Central // embedded, so the engine's Deliver reaches it without a forwarding call
+	env         *sim.Env
+	requests    []bool
 
-	next  int
 	count []int
 	delay []int
 }
@@ -38,12 +32,11 @@ func NewCentral(t *tree.Tree, requests []bool) (*Central, error) {
 		return nil, fmt.Errorf("counting: request vector has %d entries, want %d", len(requests), t.N())
 	}
 	c := &Central{
-		tree:     t,
-		router:   t.NewRouter(),
 		requests: append([]bool(nil), requests...),
 		count:    make([]int, t.N()),
 		delay:    make([]int, t.N()),
 	}
+	c.Central = sim.NewCentral(t, false, c, t.N())
 	for i := range c.delay {
 		c.delay[i] = -1
 	}
@@ -52,40 +45,16 @@ func NewCentral(t *tree.Tree, requests []bool) (*Central, error) {
 
 // Start issues node's counting operation at time zero.
 func (c *Central) Start(env *sim.Env, node int) {
-	if !c.requests[node] {
-		return
+	c.env = env
+	if c.requests[node] {
+		c.Issue(env, node, node, countq.Op{Kind: countq.OpInc})
 	}
-	root := c.tree.Root()
-	if node == root {
-		c.next++
-		c.count[node] = c.next
-		c.delay[node] = 0
-		return
-	}
-	env.Send(node, c.router.NextHop(node, root), sim.Message{Kind: kindRequest, A: node})
 }
 
-// Deliver routes requests rootward and grants back to their origins.
-func (c *Central) Deliver(env *sim.Env, node int, m sim.Message) {
-	root := c.tree.Root()
-	switch m.Kind {
-	case kindRequest:
-		if node != root {
-			env.Send(node, c.router.NextHop(node, root), m)
-			return
-		}
-		c.next++
-		env.Send(node, c.router.NextHop(node, m.A), sim.Message{Kind: kindGrant, A: m.A, B: c.next})
-	case kindGrant:
-		if node != m.A {
-			env.Send(node, c.router.NextHop(node, m.A), m)
-			return
-		}
-		c.count[node] = m.B
-		c.delay[node] = env.Round()
-	default:
-		env.Fail(fmt.Errorf("counting: central got unexpected kind %d", m.Kind))
-	}
+// Grant implements sim.Grants: node token received its count.
+func (c *Central) Grant(token int, value int64) {
+	c.count[token] = int(value)
+	c.delay[token] = c.env.Round()
 }
 
 // Count implements Results.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/countq"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -11,9 +12,7 @@ import (
 // Request is one counting operation in a long-lived execution: node Node
 // asks for a count at round Time. Operation identifiers are indices into
 // the request slice.
-type Request struct {
-	Node, Time int
-}
+type Request = sim.Arrival
 
 // AddRequest is one fetch-and-add operation: node Node adds Amount (≥ 1)
 // to the shared accumulator at round Time and receives the inclusive prefix
@@ -24,42 +23,188 @@ type AddRequest struct {
 	Node, Time, Amount int
 }
 
-// Combining is a long-lived combining-tree counter on a rooted spanning
-// tree: the authoritative counter lives at the root; nodes batch their own
-// pending operations together with their children's combined demands into a
-// single upstream request, and split the granted interval back down in
-// batch order. Each node keeps at most one request in flight toward the
-// root (Raymond-style), so link bandwidth stays within the model's budget
-// while concurrent bursts still combine.
+// combiner is the combining-tree counter on a rooted spanning tree, written
+// once as a sim.BridgeProtocol: the authoritative counter lives at the
+// root; nodes batch their own pending operations together with their
+// children's combined demands into a single upstream request per round, and
+// split the granted interval back down in batch order. Each node keeps at
+// most one request in flight toward the root (Raymond-style), so link
+// bandwidth stays within the model's budget while concurrent bursts still
+// combine: under bursts the root serves O(children) messages per round
+// regardless of the operation rate — counting's classic escape from the hot
+// spot, which has no queuing analogue (the paper's point).
 //
-// This is the message-passing form of software combining (the counting
-// side's classic scalability technique), and the natural long-lived
-// opponent for the long-lived arrow protocol.
+// This is the message-passing form of software combining, and the natural
+// long-lived opponent for the long-lived arrow protocol. Combining runs it
+// from an arrival schedule; the sim-tree-counter structure runs it live
+// behind the sim bridge. Per-node batches are double-buffered (pending
+// accumulates while sent is in flight) so the steady-state op path recycles
+// entry storage.
+type combiner struct {
+	tr     *tree.Tree
+	grants sim.Grants
+	root   int
+
+	pending  [][]centry // batch accumulating at each node
+	demand   []int      // total amount in pending
+	inFlight []bool     // an UP is out and its DOWN has not returned
+	sent     [][]centry // composition of the in-flight batch
+	sum      int        // root's accumulator
+}
+
+// centry is one component of a batch: a locally issued operation
+// (child == -1) or a child's combined request.
+type centry struct {
+	child  int // -1 for a local operation
+	token  int
+	amount int
+}
+
+func newCombiner(tr *tree.Tree, grants sim.Grants) combiner {
+	n := tr.N()
+	return combiner{
+		tr:       tr,
+		grants:   grants,
+		root:     tr.Root(),
+		pending:  make([][]centry, n),
+		demand:   make([]int, n),
+		inFlight: make([]bool, n),
+		sent:     make([][]centry, n),
+	}
+}
+
+func (p *combiner) Start(*sim.Env, int) {}
+
+// TicksOnWake declares the core a sim.WakeTicker: Tick acts only where
+// demand is non-zero, which changes only in Issue (the bridge wakes the
+// node) and Deliver.
+func (p *combiner) TicksOnWake() {}
+
+// Issue records the operation — a block of op.N counts, at least one — in
+// its node's accumulating batch; the next Tick flushes it upward, combined
+// with everything else that gathered.
+//
+//countq:hotpath
+func (p *combiner) Issue(env *sim.Env, node int, token int, op countq.Op) {
+	amt := int(op.N)
+	if amt < 1 {
+		amt = 1
+	}
+	p.pending[node] = append(p.pending[node], centry{child: -1, token: token, amount: amt})
+	p.demand[node] += amt
+}
+
+// Deliver handles combined requests from children and interval grants from
+// the parent.
+//
+//countq:hotpath
+func (p *combiner) Deliver(env *sim.Env, node int, m sim.Message) {
+	switch m.Kind {
+	case kindUp:
+		p.pending[node] = append(p.pending[node], centry{child: m.From, amount: m.A})
+		p.demand[node] += m.A
+		// Flushed by this round's Tick, so same-round arrivals combine.
+	case kindDown:
+		p.distribute(env, node, m.A, m.B)
+	default:
+		failKind(env, m.Kind)
+	}
+}
+
+// Tick runs after the round's deliveries: each node flushes its
+// accumulated batch — the root serves it, others send one combined UP if
+// no batch of theirs is already in flight. Locally issued operations and
+// children's demands thus batch into a single upstream message per node per
+// round, at no latency cost (Tick precedes the send phase).
+//
+//countq:hotpath
+func (p *combiner) Tick(env *sim.Env, node int) {
+	if p.demand[node] == 0 {
+		return
+	}
+	if node == p.root {
+		batch := p.pending[node]
+		p.pending[node] = batch[:0]
+		p.demand[node] = 0
+		p.sum = p.assign(env, node, p.sum, batch)
+		return
+	}
+	if p.inFlight[node] {
+		return // will flush when the grant returns
+	}
+	p.inFlight[node] = true
+	amount := p.demand[node]
+	// Double-buffer swap: the previous sent batch was fully distributed,
+	// so its storage backs the next accumulation.
+	p.sent[node], p.pending[node] = p.pending[node], p.sent[node][:0]
+	p.demand[node] = 0
+	env.Send(node, p.tr.Parent(node), sim.Message{Kind: kindUp, A: amount})
+}
+
+// assign walks a batch with the exclusive running sum start, granting
+// local operations the first value of their block and children
+// sub-intervals; it returns the running sum after the batch.
+//
+//countq:hotpath
+func (p *combiner) assign(env *sim.Env, node, start int, batch []centry) int {
+	running := start
+	for _, e := range batch {
+		if e.child == -1 {
+			p.grants.Grant(e.token, int64(running+1))
+		} else {
+			env.Send(node, e.child, sim.Message{Kind: kindDown, A: running, B: e.amount})
+		}
+		running += e.amount
+	}
+	return running
+}
+
+// distribute splits a granted interval (start, start+width] over the
+// node's in-flight batch.
+//
+//countq:hotpath
+func (p *combiner) distribute(env *sim.Env, node, start, width int) {
+	batch := p.sent[node]
+	p.inFlight[node] = false
+	total := 0
+	for _, e := range batch {
+		total += e.amount
+	}
+	if total != width {
+		failGrant(env, node, width, total)
+		return
+	}
+	p.assign(env, node, start, batch)
+	// Demand accumulated while the batch was in flight is flushed by this
+	// round's Tick (Deliver precedes Tick within the round).
+}
+
+// failKind aborts the simulation on a foreign message kind — out of line so
+// the annotated Deliver stays free of cold fmt work.
+func failKind(env *sim.Env, kind int) {
+	env.Fail(fmt.Errorf("counting: combining tree got unexpected message kind %d", kind))
+}
+
+// failGrant aborts on an interval that does not match the in-flight
+// batch — a protocol invariant violation, never expected.
+func failGrant(env *sim.Env, node, got, want int) {
+	env.Fail(fmt.Errorf("counting: node %d granted %d for in-flight batch of %d", node, got, want))
+}
+
+// Combining runs the combining tree from an arrival schedule, each
+// operation issued under its index in the request slice.
 type Combining struct {
-	tree    *tree.Tree
+	// core is a named field, not embedded: it is a sim.WakeTicker, and this
+	// type acts on the passage of time, so it must stay a plain sim.Ticker
+	// or scheduled issues at untouched nodes would be skipped.
+	core    combiner
+	sched   sim.Schedule
+	env     *sim.Env
 	reqs    []Request
 	amounts []int // per-op addend; all ones for pure counting
 
-	byTime map[int][]int
-	lastT  int
-
-	// Per-node batching state.
-	pending   [][]entry // composition of the batch being accumulated
-	demand    []int     // total amount in pending
-	inFlight  []bool    // an UP has been sent and no grant received yet
-	sentBatch [][]entry // composition of the in-flight batch
-
-	sum   int // root's accumulator
 	value []int
 	done  []int
-}
-
-// entry is one component of a batch: either amount ops issued locally
-// (child == -1, ops listed) or a child's combined request.
-type entry struct {
-	child  int // -1 for local operations
-	amount int
-	ops    []int // local op ids (child == -1)
 }
 
 // NewCombining prepares a combining-counter run for the given request
@@ -69,7 +214,7 @@ func NewCombining(t *tree.Tree, reqs []Request) (*Combining, error) {
 	for i := range amounts {
 		amounts[i] = 1
 	}
-	return newCombining(t, reqs, amounts)
+	return newCombining(t, append([]Request(nil), reqs...), amounts)
 }
 
 // NewAdder prepares a combining fetch-and-add run: a distributed addition
@@ -88,156 +233,50 @@ func NewAdder(t *tree.Tree, reqs []AddRequest) (*Combining, error) {
 	return newCombining(t, plain, amounts)
 }
 
+// newCombining takes ownership of both slices.
 func newCombining(t *tree.Tree, reqs []Request, amounts []int) (*Combining, error) {
-	n := t.N()
 	c := &Combining{
-		tree:      t,
-		reqs:      append([]Request(nil), reqs...),
-		amounts:   amounts,
-		byTime:    make(map[int][]int),
-		pending:   make([][]entry, n),
-		demand:    make([]int, n),
-		inFlight:  make([]bool, n),
-		sentBatch: make([][]entry, n),
-		value:     make([]int, len(reqs)),
-		done:      make([]int, len(reqs)),
+		reqs:    reqs,
+		amounts: amounts,
+		value:   make([]int, len(reqs)),
+		done:    make([]int, len(reqs)),
 	}
-	for op, r := range c.reqs {
-		if r.Node < 0 || r.Node >= n {
-			return nil, fmt.Errorf("counting: request %d node %d out of range", op, r.Node)
-		}
-		if r.Time < 0 {
-			return nil, fmt.Errorf("counting: request %d time %d negative", op, r.Time)
-		}
-		c.byTime[r.Time] = append(c.byTime[r.Time], op)
-		if r.Time > c.lastT {
-			c.lastT = r.Time
-		}
+	c.core = newCombiner(t, c)
+	var err error
+	if c.sched, err = sim.NewSchedule(t.N(), reqs); err != nil {
+		return nil, fmt.Errorf("counting: %w", err)
+	}
+	for op := range c.done {
 		c.done[op] = -1
 	}
 	return c, nil
 }
 
 // PendingUntil implements sim.Scheduler.
-func (c *Combining) PendingUntil() int { return c.lastT }
+func (c *Combining) PendingUntil() int { return c.sched.PendingUntil() }
 
 // Start issues round-zero requests and flushes them (round 0 has no Tick).
-func (c *Combining) Start(env *sim.Env, node int) {
-	c.issueDue(env, node)
-	c.flush(env, node)
-}
+func (c *Combining) Start(env *sim.Env, node int) { c.Tick(env, node) }
 
-// Tick runs after the round's deliveries: it issues the requests scheduled
-// for this round and flushes everything that accumulated — locally issued
-// operations and children's combined demands batch into a single upstream
-// message per node per round, at no latency cost (Tick precedes the send
-// phase).
+// Tick issues the requests scheduled at node for this round, then lets the
+// core flush everything that accumulated there.
 func (c *Combining) Tick(env *sim.Env, node int) {
-	c.issueDue(env, node)
-	c.flush(env, node)
+	c.env = env
+	for _, op := range c.sched.Due(env.Round(), node) {
+		c.core.Issue(env, node, op, countq.Op{Kind: countq.OpInc, N: int64(c.amounts[op])})
+	}
+	c.core.Tick(env, node)
 }
 
-func (c *Combining) issueDue(env *sim.Env, node int) {
-	for _, op := range c.byTime[env.Round()] {
-		if c.reqs[op].Node == node {
-			c.addLocal(node, op)
-		}
-	}
-}
+// Deliver hands the message to the core.
+func (c *Combining) Deliver(env *sim.Env, node int, m sim.Message) { c.core.Deliver(env, node, m) }
 
-// addLocal records a locally issued operation in the accumulating batch.
-func (c *Combining) addLocal(node, op int) {
-	amt := c.amounts[op]
-	// Merge into an existing local entry if the batch tail is local.
-	if k := len(c.pending[node]); k > 0 && c.pending[node][k-1].child == -1 {
-		c.pending[node][k-1].amount += amt
-		c.pending[node][k-1].ops = append(c.pending[node][k-1].ops, op)
-	} else {
-		c.pending[node] = append(c.pending[node], entry{child: -1, amount: amt, ops: []int{op}})
-	}
-	c.demand[node] += amt
-}
-
-// flush sends the pending batch upward (or serves it, at the root) when
-// allowed: the root serves immediately; other nodes need a free slot.
-func (c *Combining) flush(env *sim.Env, node int) {
-	if c.demand[node] == 0 {
-		return
-	}
-	if node == c.tree.Root() {
-		batch := c.pending[node]
-		c.pending[node] = nil
-		c.demand[node] = 0
-		c.serve(env, node, batch)
-		return
-	}
-	if c.inFlight[node] {
-		return // will flush when the grant returns
-	}
-	c.inFlight[node] = true
-	c.sentBatch[node] = c.pending[node]
-	amount := c.demand[node]
-	c.pending[node] = nil
-	c.demand[node] = 0
-	env.Send(node, c.tree.Parent(node), sim.Message{Kind: kindUp, A: amount})
-}
-
-// serve hands out sums starting at the root's accumulator to a batch.
-func (c *Combining) serve(env *sim.Env, node int, batch []entry) {
-	c.sum = c.assign(env, node, c.sum, batch)
-}
-
-// assign walks a batch, giving local operations their inclusive prefix sums
-// and children sub-intervals; start is the exclusive running sum before the
-// batch. It returns the running sum after the batch.
-func (c *Combining) assign(env *sim.Env, node, start int, batch []entry) int {
-	running := start
-	for _, e := range batch {
-		if e.child == -1 {
-			for _, op := range e.ops {
-				running += c.amounts[op]
-				c.value[op] = running
-				c.done[op] = env.Round()
-			}
-			continue
-		}
-		env.Send(node, e.child, sim.Message{Kind: kindDown, A: running, B: e.amount})
-		running += e.amount
-	}
-	return running
-}
-
-// distribute splits a granted sum interval (start, start+k] over the node's
-// in-flight batch.
-func (c *Combining) distribute(env *sim.Env, node, start, k int) {
-	batch := c.sentBatch[node]
-	c.sentBatch[node] = nil
-	c.inFlight[node] = false
-	total := 0
-	for _, e := range batch {
-		total += e.amount
-	}
-	if total != k {
-		env.Fail(fmt.Errorf("counting: node %d granted %d for batch of %d", node, k, total))
-		return
-	}
-	c.assign(env, node, start, batch)
-	// Demand accumulated while the batch was in flight is flushed by this
-	// round's Tick.
-}
-
-// Deliver handles combined requests from children and grants from parents.
-func (c *Combining) Deliver(env *sim.Env, node int, m sim.Message) {
-	switch m.Kind {
-	case kindUp:
-		c.pending[node] = append(c.pending[node], entry{child: m.From, amount: m.A})
-		c.demand[node] += m.A
-		// Flushed by this round's Tick, so same-round arrivals combine.
-	case kindDown:
-		c.distribute(env, node, m.A, m.B)
-	default:
-		env.Fail(fmt.Errorf("counting: combining got unexpected kind %d", m.Kind))
-	}
+// Grant implements sim.Grants. The core grants the first value of the
+// operation's block; fetch-and-add returns the last — the accumulator after
+// the addend took effect.
+func (c *Combining) Grant(token int, value int64) {
+	c.value[token] = int(value) + c.amounts[token] - 1
+	c.done[token] = c.env.Round()
 }
 
 // CountOf returns the count granted to op (1-based), or 0. For adder runs

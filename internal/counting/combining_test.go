@@ -48,7 +48,7 @@ func TestCombiningBurstCombines(t *testing.T) {
 	// All ops at one leaf in one round: they travel as ONE message pair.
 	g := graph.Path(5)
 	tr := identityPathTree(t, 5)
-	reqs := []Request{{4, 0}, {4, 0}, {4, 0}, {4, 0}}
+	reqs := []Request{{Node: 4}, {Node: 4}, {Node: 4}, {Node: 4}}
 	c, err := NewCombining(tr, reqs)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,15 @@ package counting
 
 import "fmt"
 
+// Message kinds of the protocols in this package. Kind 1 is the request of
+// the central protocol (sim.Central), whose grant is kind 2 as well.
+const (
+	kindGrant = iota + 2 // A = origin, B = count
+	kindUp               // A = subtree request count, or combined amount
+	kindDown             // A = first rank for the receiving subtree, or exclusive start of its interval; B = the interval's width
+	kindToken            // A = origin, B = layer, C = wire
+)
+
 // Results is the read-side of a finished counting protocol run.
 type Results interface {
 	// Count returns the count received by v's operation, or 0 if v did

@@ -53,6 +53,9 @@ func TestCentralAllOnPath(t *testing.T) {
 	if res.TotalDelay <= 0 {
 		t.Error("no delay recorded")
 	}
+	if _, err := NewCentral(tr, reqAll(n-1)); err == nil {
+		t.Error("short request vector accepted")
+	}
 }
 
 func TestCentralStarQuadratic(t *testing.T) {

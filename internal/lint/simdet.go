@@ -13,8 +13,8 @@ import (
 // scheduler. Roots are Network.Step (when analyzing internal/sim itself)
 // and every method of an in-package type implementing the protocol
 // surfaces — sim.Protocol/Ticker Start/Deliver/Tick and
-// sim.BridgeProtocol/BridgeTicker Start/Issue/Deliver/Tick — so each
-// protocol package is audited where its code lives. Traversal follows
+// sim.BridgeProtocol's Issue — so each protocol package is audited where
+// its code lives. Traversal follows
 // the CHA call graph and stops at //countq:role-annotated functions:
 // the role annotation marks the boundary where the deterministic core
 // hands a result to the concurrent transport (grant rings, completion
@@ -47,8 +47,7 @@ var simRootSpecs = []struct {
 	{"Protocol", []string{"Start", "Deliver"}},
 	{"Ticker", []string{"Tick"}},
 	{"Scheduler", []string{"PendingUntil"}},
-	{"BridgeProtocol", []string{"Start", "Issue", "Deliver"}},
-	{"BridgeTicker", []string{"Tick"}},
+	{"BridgeProtocol", []string{"Issue"}},
 }
 
 func runSimDet(pass *Pass) error {

@@ -3,7 +3,9 @@
 // to a shared identifier, option parsing delegated to a local closure, a
 // variadic validation helper whose keys appear at the call site, and the
 // kind-gate — a queue-only structure whose sessions happen to implement
-// BatchSession need not (must not) declare CapBatch.
+// BatchSession need not (must not) declare CapBatch — and a registration
+// helper that takes name, kinds and caps as parameters, whose Params are
+// still checked but whose Caps have no constant to check against.
 package good
 
 import (
@@ -115,5 +117,20 @@ func registerMulti() {
 		},
 		Caps: countq.CapBatch | countq.CapAsync,
 		New:  newMulti,
+	})
+}
+
+// registerVia is the registration-helper idiom (sim.RegisterBridge): the
+// declaration's name, kinds and caps arrive as parameters.
+func registerVia(name string, kinds countq.Kind, caps countq.Caps) {
+	countq.RegisterStructure(countq.StructureInfo{
+		Name:   name,
+		Kinds:  kinds,
+		Params: []countq.ParamInfo{{Name: "width", Default: "4", Doc: "fanout"}},
+		Caps:   caps,
+		New: func(o countq.Options) (countq.Structure, error) {
+			_ = o.Int("width", 4)
+			return queueStructure{}, o.Err()
+		},
 	})
 }

@@ -28,9 +28,7 @@ const (
 
 // Request asks for one critical section at node Node starting no earlier
 // than round Time.
-type Request struct {
-	Node, Time int
-}
+type Request = sim.Arrival
 
 // Protocol is one Raymond execution. Construct with New and run under
 // sim.New; then read Acquired/Released per request.
@@ -39,8 +37,7 @@ type Protocol struct {
 	reqs     []Request
 	csRounds int
 
-	byTime map[int][]int
-	lastT  int
+	sched sim.Schedule
 
 	holder []int
 	asked  []bool
@@ -72,7 +69,6 @@ func New(t *tree.Tree, tokenAt, csRounds int, reqs []Request) (*Protocol, error)
 		tree:       t,
 		reqs:       append([]Request(nil), reqs...),
 		csRounds:   csRounds,
-		byTime:     make(map[int][]int),
 		holder:     make([]int, n),
 		asked:      make([]bool, n),
 		queue:      make([][]int, n),
@@ -83,17 +79,11 @@ func New(t *tree.Tree, tokenAt, csRounds int, reqs []Request) (*Protocol, error)
 		acquired:   make([]int, len(reqs)),
 		released:   make([]int, len(reqs)),
 	}
-	for op, r := range p.reqs {
-		if r.Node < 0 || r.Node >= n {
-			return nil, fmt.Errorf("raymond: request %d node %d out of range", op, r.Node)
-		}
-		if r.Time < 0 {
-			return nil, fmt.Errorf("raymond: request %d time negative", op)
-		}
-		p.byTime[r.Time] = append(p.byTime[r.Time], op)
-		if r.Time > p.lastT {
-			p.lastT = r.Time
-		}
+	var err error
+	if p.sched, err = sim.NewSchedule(n, p.reqs); err != nil {
+		return nil, fmt.Errorf("raymond: %w", err)
+	}
+	for op := range p.reqs {
 		p.acquired[op] = -1
 		p.released[op] = -1
 	}
@@ -110,10 +100,7 @@ func New(t *tree.Tree, tokenAt, csRounds int, reqs []Request) (*Protocol, error)
 // PendingUntil implements sim.Scheduler: the protocol stays live until the
 // last scheduled request and the end of any running critical section.
 func (p *Protocol) PendingUntil() int {
-	if p.timerMax > p.lastT {
-		return p.timerMax
-	}
-	return p.lastT
+	return max(p.timerMax, p.sched.PendingUntil())
 }
 
 // Start issues round-zero requests.
@@ -130,10 +117,7 @@ func (p *Protocol) Tick(env *sim.Env, node int) {
 }
 
 func (p *Protocol) issueDue(env *sim.Env, node int) {
-	for _, op := range p.byTime[env.Round()] {
-		if p.reqs[op].Node != node {
-			continue
-		}
+	for _, op := range p.sched.Due(env.Round(), node) {
 		p.pendingOps[node] = append(p.pendingOps[node], op)
 		p.queue[node] = append(p.queue[node], -1) // self entry
 		p.makeProgress(env, node)

@@ -26,9 +26,9 @@ import (
 // one campaign against the shared-memory zoo.
 //
 // The protocol behind the bridge is pluggable (BridgeProtocol): the
-// default is the naive central protocol (internal/sim/central.go), whose
-// root serializes everything — Θ(n²) hub behavior on the star. The
-// paper's good protocols register themselves through ProtoMaker:
+// default is the naive central protocol (Central), whose root serializes
+// everything — Θ(n²) hub behavior on the star. The paper's good protocols
+// register themselves through ProtoMaker:
 // internal/arrow routes queuing through distributed path reversal
 // (sim-arrow-queue) and internal/counting routes counting through the
 // combining tree (sim-tree-counter), which makes the paper's
@@ -127,31 +127,23 @@ type Grants interface {
 	Grant(token int, value int64)
 }
 
-// BridgeProtocol is a message-passing protocol routable by the bridge.
-// Implementations own all protocol state; the bridge owns sessions,
-// tokens and completion delivery. Everything runs on the single pump
-// goroutine, so no synchronization is needed. A protocol may additionally
-// implement BridgeTicker for per-round work.
+// BridgeProtocol is the one shape a routed protocol is written in: a
+// Protocol — so it is handed to New as it stands — whose operations arrive
+// through Issue and complete into a Grants sink. The same state machine then
+// runs live behind the bridge (the sink is the pump's grant table, tokens
+// are its slots), one-shot (a wrapper issues its request set in Start with
+// token = node and records grants into result arrays) and scheduled (the
+// wrapper issues from a Schedule). Implementations own all protocol state;
+// behind the bridge everything runs on the single pump goroutine, so no
+// synchronization is needed. A protocol with per-round work also implements
+// Ticker; the bridge wakes a node after each Issue there, so a live core
+// whose Tick has nothing to do at a node nobody touched declares WakeTicker.
 type BridgeProtocol interface {
-	// Start seeds per-node protocol state before the first round.
-	Start(env *Env, node int)
+	Protocol
 	// Issue injects the operation op, identified by token, at node. The
 	// protocol must eventually Grant the token (the pump keeps stepping
 	// rounds while any token is outstanding).
 	Issue(env *Env, node int, token int, op countq.Op)
-	// Deliver handles one protocol message at node.
-	Deliver(env *Env, node int, m Message)
-}
-
-// BridgeTicker is an optional BridgeProtocol extension mirroring
-// WakeTicker: after each round's receive phase Tick runs, in ascending node
-// order, for exactly the nodes that had a Deliver this round or an
-// Env.Wake since their last Tick — the bridge wakes a node after each
-// Issue there. Combining protocols use it to flush batches once per round;
-// a Tick must have nothing to do at a node nobody touched (a protocol that
-// arms a timer at a node wakes that node itself).
-type BridgeTicker interface {
-	Tick(env *Env, node int)
 }
 
 // ProtoMaker builds a BridgeProtocol for the bridge's graph and spanning
@@ -399,35 +391,13 @@ func NewBridge(cfg BridgeConfig) (*Bridge, error) {
 			return nil, fmt.Errorf("sim: bridge protocol: %w", err)
 		}
 	} else {
-		bp = newCentralProto(tr, cfg.Queue, table)
+		central := NewCentral(tr, cfg.Queue, table, 0)
+		bp = &central
 	}
-	var netp Protocol = bridgeNetProto{bp}
-	if t, ok := bp.(BridgeTicker); ok {
-		netp = bridgeNetProtoTick{bridgeNetProto{bp}, t}
-	}
-	nw := New(Config{Graph: g, Capacity: cfg.Capacity, Delay: cfg.Delay}, netp)
+	nw := New(Config{Graph: g, Capacity: cfg.Capacity, Delay: cfg.Delay}, bp)
 	go b.pump(nw, bp, table)
 	return b, nil
 }
-
-// bridgeNetProto adapts a BridgeProtocol to the engine's Protocol; the
-// Tick variant is used only when the protocol wants per-round callbacks,
-// so non-ticking protocols pay no per-node Tick loop.
-type bridgeNetProto struct{ p BridgeProtocol }
-
-func (a bridgeNetProto) Start(env *Env, node int)              { a.p.Start(env, node) }
-func (a bridgeNetProto) Deliver(env *Env, node int, m Message) { a.p.Deliver(env, node, m) }
-
-type bridgeNetProtoTick struct {
-	bridgeNetProto
-	t BridgeTicker
-}
-
-func (a bridgeNetProtoTick) Tick(env *Env, node int) { a.t.Tick(env, node) }
-
-// TicksOnWake makes the adapter a WakeTicker: that is BridgeTicker's
-// contract.
-func (bridgeNetProtoTick) TicksOnWake() {}
 
 // SimStats reports the simulated rounds stepped and protocol messages
 // sent so far — the simulated-time cost behind the wall-clock latencies,
