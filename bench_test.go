@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -573,6 +574,64 @@ func BenchmarkShmQueuers(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkValidate prices the post-run pass countq.Run makes over its
+// evidence, per entry at k = 1<<20 (well past the caches): the singles
+// path of the counts check, its block-grant path, and the order check —
+// each over evidence stored in grant order and in shuffled order, which
+// is how concurrent workers leave it. ci.yml greps the rows and holds the
+// order check to four allocations.
+func BenchmarkValidate(b *testing.B) {
+	const k = 1 << 20
+	type evidence struct {
+		counts     []int64 // a permutation of 1..k
+		singles    []int64 // with blocks, a tiling of 1..5k/2: k/2 singles and k/2 four-count blocks
+		blocks     []countq.CountRange
+		ids, preds []int64 // one chain of k operations
+	}
+	build := func(order []int) evidence {
+		ev := evidence{counts: make([]int64, k), ids: make([]int64, k), preds: make([]int64, k)}
+		for i, p := range order {
+			ev.counts[i] = int64(p) + 1
+			ev.ids[i] = int64(p)
+			ev.preds[i] = int64(p) - 1 // id 0 queues behind countq.Head, which is -1
+			if first := int64(p/2)*5 + 1; p%2 == 0 {
+				ev.singles = append(ev.singles, first)
+			} else {
+				ev.blocks = append(ev.blocks, countq.CountRange{First: first + 1, N: 4})
+			}
+		}
+		return ev
+	}
+	sorted := make([]int, k)
+	for i := range sorted {
+		sorted[i] = i
+	}
+	for _, layout := range []struct {
+		name  string
+		order []int
+	}{{"sorted", sorted}, {"shuffled", rand.New(rand.NewSource(1)).Perm(k)}} {
+		ev := build(layout.order)
+		for _, check := range []struct {
+			name string
+			run  func() error
+		}{
+			{"counts", func() error { return countq.ValidateCounts(ev.counts) }},
+			{"ranges", func() error { return countq.ValidateCountRanges(ev.singles, ev.blocks) }},
+			{"order", func() error { return countq.ValidateOrder(ev.ids, ev.preds) }},
+		} {
+			b.Run(check.name+"/"+layout.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := check.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/k, "ns/entry")
+			})
+		}
 	}
 }
 

@@ -347,7 +347,7 @@ func printMetrics(w io.Writer, m *countq.Metrics) {
 	if hasCorr {
 		fmt.Fprintln(w, "corrected p50/p99: coordinated-omission-corrected (completion vs the arrival schedule's intended start)")
 	}
-	fmt.Fprintln(w, "validated: counts distinct and gap-free, predecessors form one total order")
+	fmt.Fprintf(w, "validated in %v: counts distinct and gap-free, predecessors form one total order\n", m.ValidateElapsed.Round(time.Microsecond))
 }
 
 // latCell renders one op kind's latency quantiles, or "-" when the run

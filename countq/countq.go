@@ -69,9 +69,11 @@
 package countq
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Counter hands out distinct counts 1, 2, 3, … to concurrent callers.
@@ -149,11 +151,20 @@ func ValidateCounts(values []int64) error {
 // ValidateCountRanges checks the counting correctness condition over
 // singly granted counts plus IncN block grants: together they must tile
 // 1..total exactly, where total = len(values) + Σ blocks[i].N — every
-// count distinct, no gaps, blocks fully accounted. It runs in
-// O(k log k) time and O(k) space in the number of grants, never sizing
-// anything by the claimed totals, so malformed input from a buggy
-// implementation yields an error rather than an allocation failure.
+// count distinct, no gaps, blocks fully accounted. A rejected input is
+// reported by its lowest offending count.
+//
+// Without block grants it is one pass over a bit set of len(values) bits:
+// O(k) time and k/8 bytes, the set small enough to stay in cache beside
+// the values streaming through. With block grants every grant becomes a
+// span and the spans are sorted: O(k log k) time and 16 bytes per grant.
+// Neither path sizes anything by the claimed totals, so malformed input
+// from a buggy implementation yields an error rather than an allocation
+// failure.
 func ValidateCountRanges(values []int64, blocks []CountRange) error {
+	if len(blocks) == 0 {
+		return validateSingles(values)
+	}
 	total := int64(len(values))
 	type span struct{ lo, hi int64 } // counts [lo, hi)
 	spans := make([]span, 0, len(values)+len(blocks))
@@ -173,7 +184,7 @@ func ValidateCountRanges(values []int64, blocks []CountRange) error {
 		total += b.N
 		spans = append(spans, span{b.First, b.First + b.N})
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 	next := int64(1) // lowest count not yet accounted for
 	for _, s := range spans {
 		switch {
@@ -189,33 +200,184 @@ func ValidateCountRanges(values []int64, blocks []CountRange) error {
 	return nil
 }
 
+// validateSingles checks that values is a permutation of 1..len(values)
+// and otherwise reports what a walk over the sorted values would meet
+// first: the lowest value below 1, else the lower of the first duplicate
+// and the first gap (a gap closed only by a value past the total reports
+// that value as out of range).
+func validateSingles(values []int64) error {
+	k := int64(len(values))
+	seen := make([]uint64, (len(values)+63)/64) // bit v-1 set: count v granted
+	var (
+		below = int64(1)             // lowest value under 1
+		above = int64(math.MaxInt64) // lowest value over k
+		dup   = int64(math.MaxInt64) // lowest count granted twice
+	)
+	for _, v := range values {
+		switch {
+		case uint64(v-1) < uint64(k): // 1 ≤ v ≤ k
+			w, bit := (v-1)>>6, uint64(1)<<((v-1)&63)
+			if seen[w]&bit != 0 {
+				dup = min(dup, v)
+			}
+			seen[w] |= bit
+		case v < 1:
+			below = min(below, v)
+		case v == math.MaxInt64:
+			return fmt.Errorf("countq: count %d overflows", v)
+		default:
+			above = min(above, v)
+		}
+	}
+	if below < 1 {
+		return fmt.Errorf("countq: count %d outside 1..%d", below, k)
+	}
+	if dup == math.MaxInt64 && above == math.MaxInt64 {
+		return nil // k distinct values, all within 1..k
+	}
+	// Some value was wasted on a duplicate or past k, so a count in 1..k
+	// is missing; the padding bits past k sit above it.
+	w := 0
+	for seen[w] == ^uint64(0) {
+		w++
+	}
+	missing := int64(w)<<6 + int64(bits.TrailingZeros64(^seen[w])) + 1
+	if dup < missing {
+		return fmt.Errorf("countq: count %d duplicated", dup)
+	}
+	// The sorted walk steps from missing-1 to the next value present.
+	// seen[w] is ones below the missing count's bit, so x&(x+1) — clear
+	// the trailing ones — keeps exactly the counts above it.
+	rest := seen[w] & (seen[w] + 1)
+	for rest == 0 && w+1 < len(seen) {
+		w++
+		rest = seen[w]
+	}
+	if rest != 0 {
+		return fmt.Errorf("countq: count %d missing (gap before %d)", missing, int64(w)<<6+int64(bits.TrailingZeros64(rest))+1)
+	}
+	return fmt.Errorf("countq: count %d outside 1..%d", above, k)
+}
+
+// idIndex is an open-addressed key → index table over a slice of int64
+// keys, of which the inserted ones are distinct: at least two int32 slots
+// per key (a power of two), Fibonacci multiplicative hashing, linear
+// probing, no deletion. A slot holds 1 + the key's index, so the zeroed
+// allocation is the empty table.
+type idIndex struct {
+	keys  []int64
+	slots []int32
+	shift uint // 64 - log2(len(slots))
+}
+
+func newIDIndex(keys []int64) idIndex {
+	lg := uint(bits.Len(uint(max(2*len(keys)-1, 1))))
+	return idIndex{keys: keys, slots: make([]int32, 1<<lg), shift: 64 - lg}
+}
+
+// home is the slot a key's probe sequence starts from.
+func (t *idIndex) home(key int64) int {
+	return int(uint64(key) * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// insert adds keys[i] and returns -1, or returns the index already holding
+// an equal key and leaves the table unchanged.
+func (t *idIndex) insert(i int) int {
+	key, mask := t.keys[i], len(t.slots)-1
+	for s := t.home(key); ; s = (s + 1) & mask {
+		switch j := int(t.slots[s]) - 1; {
+		case j < 0:
+			t.slots[s] = int32(i + 1)
+			return -1
+		case t.keys[j] == key:
+			return j
+		}
+	}
+}
+
+// find returns the index of key among the inserted keys, or -1.
+func (t *idIndex) find(key int64) int {
+	mask := len(t.slots) - 1
+	for s := t.home(key); ; s = (s + 1) & mask {
+		j := int(t.slots[s]) - 1
+		if j < 0 || t.keys[j] == key {
+			return j
+		}
+	}
+}
+
 // ValidateOrder checks the queuing correctness condition on a set of
-// (id, predecessor) pairs: predecessors are distinct, exactly one operation
-// queued behind Head, and the successor chain covers every operation.
+// (id, predecessor) pairs: ids distinct and non-negative, predecessors
+// distinct, exactly one operation queued behind Head, and the successor
+// chain covers every operation. A negative id is rejected before anything
+// else is looked at: Head is negative, and an operation sharing its name
+// could not be told from the head of the queue.
+//
+// It runs in O(k) expected time over flat memory: one id → index table
+// (idIndex, 8 to 16 bytes per entry) and one successor array by index
+// (4 bytes per entry) — 12 bytes per entry when k is a power of two, 20 at
+// worst. Indices are int32, so k is limited to 2³¹-1 operations.
 func ValidateOrder(ids, preds []int64) error {
 	if len(ids) != len(preds) {
 		return fmt.Errorf("countq: %d ids but %d preds", len(ids), len(preds))
 	}
-	idSet := make(map[int64]bool, len(ids))
-	succ := make(map[int64]int64, len(ids))
-	for i, id := range ids {
-		// Distinct ids also guarantee the chain walk below terminates:
-		// with one (id, pred) pair per id, no id can be reached twice.
-		if idSet[id] {
-			return fmt.Errorf("countq: operation id %d duplicated", id)
+	if len(ids) > math.MaxInt32 {
+		return fmt.Errorf("countq: %d operations exceed the order validator's limit of %d", len(ids), math.MaxInt32)
+	}
+	for _, id := range ids {
+		if id < 0 {
+			return fmt.Errorf("countq: operation id %d is negative", id)
 		}
-		idSet[id] = true
-		p := preds[i]
-		if _, dup := succ[p]; dup {
+	}
+	// Errors are reported as a single pass over the pairs would meet them:
+	// at each index the id is checked before the predecessor. Ids are
+	// therefore indexed only up to the first duplicate, and predecessors
+	// only resolved below it.
+	byID := newIDIndex(ids)
+	limit := len(ids)
+	for i := range ids {
+		if byID.insert(i) >= 0 {
+			limit = i
+			break
+		}
+	}
+	// succ[j] and head hold 1 + the index of the operation queued behind
+	// operation j and behind Head; 0 means nobody yet.
+	succ := make([]int32, len(ids))
+	var head int32
+	// A predecessor naming no indexed operation cannot be chained, but a
+	// repeat of it must still be reported; the rejected input pays for the
+	// second table.
+	var strays idIndex
+	for i, p := range preds[:limit] {
+		behind := &head
+		if p != Head {
+			j := byID.find(p)
+			if j < 0 {
+				if strays.slots == nil {
+					strays = newIDIndex(preds)
+				}
+				if strays.insert(i) >= 0 {
+					return fmt.Errorf("countq: predecessor %d claimed twice", p)
+				}
+				continue
+			}
+			behind = &succ[j]
+		}
+		if *behind != 0 {
 			return fmt.Errorf("countq: predecessor %d claimed twice", p)
 		}
-		succ[p] = id
+		*behind = int32(i + 1)
 	}
+	if limit < len(ids) {
+		return fmt.Errorf("countq: operation id %d duplicated", ids[limit])
+	}
+	// The walk terminates: index i+1 was stored exactly once above, so no
+	// operation is reachable along two edges, and the first operation's
+	// only edge comes from Head.
 	count := 0
-	cur, ok := succ[Head]
-	for ok {
+	for cur := head; cur != 0; cur = succ[cur-1] {
 		count++
-		cur, ok = succ[cur]
 	}
 	if count != len(ids) {
 		return fmt.Errorf("countq: chain covers %d of %d operations", count, len(ids))

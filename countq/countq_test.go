@@ -2,6 +2,7 @@ package countq
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -70,6 +71,20 @@ func TestValidateOrderAdversarial(t *testing.T) {
 	// Empty histories are trivially valid.
 	if err := ValidateOrder(nil, nil); err != nil {
 		t.Errorf("empty history rejected: %v", err)
+	}
+	// A negative id is an error whatever else the input holds. An operation
+	// named Head once made the walk spin forever: succ[Head] = Head.
+	for _, c := range []struct{ ids, preds []int64 }{
+		{[]int64{-1}, []int64{-1}},
+		{[]int64{-1, 0}, []int64{Head, -1}},
+		{[]int64{-1, 0}, []int64{0, -1}},
+		{[]int64{0, math.MinInt64}, []int64{Head, 0}},
+		{[]int64{3, 3, -2}, []int64{Head, Head, 3}}, // reported ahead of the duplicate and the double head
+	} {
+		err := ValidateOrder(c.ids, c.preds)
+		if err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("ValidateOrder(%v, %v) = %v, want the negative id reported", c.ids, c.preds, err)
+		}
 	}
 }
 

@@ -41,6 +41,62 @@ func TestDriverMixedWorkload(t *testing.T) {
 		if res.NsPerOp() <= 0 {
 			t.Errorf("%v: ns/op = %v", arrival, res.NsPerOp())
 		}
+		if res.ValidateElapsed <= 0 {
+			t.Errorf("%v: validation pass unaccounted for: ValidateElapsed = %v", arrival, res.ValidateElapsed)
+		}
+	}
+}
+
+// TestEvidenceFoldsIntoReservation: the run-level evidence buffers are
+// sized once from the ops budgets, so folding ops-budget phases in copies
+// into existing room — lane after lane, order kept — and only a duration
+// phase, which promised nothing, makes the buffers grow.
+func TestEvidenceFoldsIntoReservation(t *testing.T) {
+	phases := []Phase{
+		{Goroutines: 2, Ops: 10000, Mix: 0.5},
+		{Goroutines: 2, Ops: 10000, Mix: 1, Batch: 16},
+		{Goroutines: 2, Ops: 10000, Mix: 0},
+		{Goroutines: 1, Mix: 0.5, Duration: time.Millisecond},
+	}
+	var all laneData
+	all.reserve(phases)
+	caps := [4]int{cap(all.counts), cap(all.blocks), cap(all.ids), cap(all.preds)}
+
+	next := int64(0)
+	fill := func(n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i], next = next, next+1
+		}
+		return out
+	}
+	lanesOf := func(counts, blocks, queued int) []lane {
+		lanes := make([]lane, 2)
+		for i := range lanes {
+			share := []int{3, 1}[i] // lopsided lanes
+			lanes[i].counts = fill(counts * share / 4)
+			lanes[i].blocks = make([]CountRange, blocks*share/4)
+			lanes[i].ids = fill(queued * share / 4)
+			lanes[i].preds = fill(queued * share / 4)
+		}
+		return lanes
+	}
+	all.fold(lanesOf(5152, 0, 4848)) // the mix came up 3σ off an even split
+	all.fold(lanesOf(0, 10000/16+10000/opsChunk, 0))
+	all.fold(lanesOf(0, 0, 10000))
+	if got := [4]int{cap(all.counts), cap(all.blocks), cap(all.ids), cap(all.preds)}; got != caps {
+		t.Errorf("ops-budget phases outgrew the reservation: capacities %v, reserved %v", got, caps)
+	}
+	if len(all.counts) != 5152 || len(all.ids) != 14848 || len(all.preds) != len(all.ids) {
+		t.Errorf("folded %d counts, %d ids, %d preds", len(all.counts), len(all.ids), len(all.preds))
+	}
+	all.fold(lanesOf(1<<16, 0, 1<<16))
+	for name, got := range map[string][]int64{"counts": all.counts, "ids": all.ids, "preds": all.preds} {
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("%s out of fold order at %d: %d after %d", name, i, got[i], got[i-1])
+			}
+		}
 	}
 }
 

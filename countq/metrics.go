@@ -173,9 +173,13 @@ type Metrics struct {
 	Scenario   string         `json:"scenario,omitempty"`
 	Goroutines int            `json:"goroutines"` // peak across phases
 	Seed       int64          `json:"seed"`
-	Elapsed    time.Duration  `json:"elapsed_ns"` // whole run, warmup included
+	Elapsed    time.Duration  `json:"elapsed_ns"` // every phase, warmup included; stops before validation
 	Phases     []PhaseMetrics `json:"phases"`
 	Aggregate  Aggregate      `json:"aggregate"`
+	// ValidateElapsed is the wall time of the post-run pass: draining
+	// leased counts, then the counts and order checks over the whole run's
+	// evidence. It follows Elapsed and is part of no phase.
+	ValidateElapsed time.Duration `json:"validate_ns"`
 }
 
 // NsPerOp reports average wall nanoseconds per measured operation.
