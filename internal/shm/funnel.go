@@ -2,7 +2,6 @@ package shm
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,46 +9,54 @@ import (
 
 // FunnelCounter is a combining funnel (Shavit & Zemach): operations fall
 // through layers of rendezvous slots, and when two meet in a slot one
-// captures the other — the captive parks, the captor carries the combined
+// captures the other — the captive waits, the captor carries the combined
 // increment onward. Whoever reaches the bottom applies its whole batch
 // with a single fetch-and-add and distributes sub-ranges back up the
 // capture tree. Under contention the hot word absorbs one RMW per batch.
-// The trade-off is the rendezvous wait: an operation that finds no
-// partner parks and spins in each layer before falling through, so low
-// concurrency pays latency for combining opportunities that never come —
-// the funnel earns its keep only once partners are plentiful.
+//
+// The rendezvous is lock-free (see slot) and its wait is adaptive (see
+// waitRange): every pooled operation record carries a poll budget that
+// partners raise and timeouts lower, so an operation that has been
+// meeting nobody stops parking — it still captures whoever it finds — and
+// costs a pool round trip, one load per layer and the fetch-and-add. It
+// starts parking again when that fetch-and-add collides with another.
 //
 // Unlike the counting network and the sharded counter, the funnel is
 // linearizable: a batch's fetch-and-add happens after every member of the
-// batch has started, so real-time order is preserved.
+// batch has parked, hence started, and an operation that never parked is
+// a bare fetch-and-add, so real-time order is preserved.
 type FunnelCounter struct {
-	v       atomic.Int64
-	layers  [][]funnelSlot
-	spin    int
-	entropy sync.Pool // per-P randomness for slot choice
-	ops     sync.Pool // recycled funnelOps: steady-state Inc allocates nothing
-}
-
-type funnelSlot struct {
-	mu      sync.Mutex
-	waiting *funnelOp
-	_       [40]byte // keep adjacent slots off one cache line
+	_      [64]byte
+	v      atomic.Int64
+	_      [56]byte // the hot word owns its cache line
+	layers [][]slot[funnelOp]
+	ops    sync.Pool // recycled funnelOps: steady-state Inc allocates nothing
+	waitRange
 }
 
 // funnelOp is one operation's combining record: its own increment plus
-// everything it has captured on the way down.
+// everything it has captured on the way down. Records are pooled, so the
+// slot-choice state, the wait budget and the two counts (what the tests
+// sum, and the seed of a Stats snapshot) belong to whichever goroutine
+// holds the record — single-writer, no shared write.
 type funnelOp struct {
+	got      delivery // the exclusive base of the assigned range
 	count    int64
 	children []*funnelOp
-	got      chan int64 // receives the exclusive base of the assigned range
+	rng      uint64   // xorshift state for slot choice
+	wait     int      // poll budget of the next park, in [0, spin]
+	parks    int64    // slot writes: times an operation parked
+	adds     int64    // fetch-and-adds applied to the shared word
+	_        [56]byte // two cache lines: a captor's send never lands on a neighbour
 }
 
-var funnelSeed atomic.Int64
+var funnelSeed atomic.Uint64
 
 // NewFunnelCounter builds a combining funnel. width is the top layer's
 // slot count (default max(1, GOMAXPROCS/2)); each deeper of the depth
-// layers (default 2) halves it; spin is how long an operation waits in a
-// slot for a partner before moving on (default 32).
+// layers (default 2) halves it; spin is the ceiling of the adaptive wait:
+// the most polls an operation spends in a slot waiting for a partner
+// before moving on (default 32).
 func NewFunnelCounter(width, depth, spin int) (*FunnelCounter, error) {
 	if width < 0 || depth < 0 || spin < 0 {
 		return nil, fmt.Errorf("shm: funnel parameters must be non-negative, got width=%d depth=%d spin=%d", width, depth, spin)
@@ -66,79 +73,93 @@ func NewFunnelCounter(width, depth, spin int) (*FunnelCounter, error) {
 	if spin == 0 {
 		spin = 32
 	}
-	f := &FunnelCounter{spin: spin, layers: make([][]funnelSlot, depth)}
+	f := &FunnelCounter{waitRange: waitRange{spin: spin}, layers: make([][]slot[funnelOp], depth)}
 	for l := range f.layers {
 		w := width >> uint(l)
 		if w < 1 {
 			w = 1
 		}
-		f.layers[l] = make([]funnelSlot, w)
-	}
-	f.entropy.New = func() interface{} {
-		return rand.New(rand.NewSource(funnelSeed.Add(1)))
+		f.layers[l] = make([]slot[funnelOp], w)
 	}
 	f.ops.New = func() interface{} {
-		return &funnelOp{got: make(chan int64, 1)}
+		// A record captures at most once per layer, so children never
+		// grows. A fresh record knows nothing about the load yet: it
+		// starts at the ceiling and pays log2(spin)+1 parks to find out.
+		return &funnelOp{
+			children: make([]*funnelOp, 0, depth),
+			rng:      funnelSeed.Add(1) * 0x9e3779b97f4a7c15,
+			wait:     f.spin,
+		}
 	}
 	return f, nil
 }
 
 // Inc implements Counter.
+//
+//countq:hotpath clocks=0
 func (f *FunnelCounter) Inc() int64 {
 	op := f.ops.Get().(*funnelOp)
-	op.count = 1
-	op.children = op.children[:0]
-	rng := f.entropy.Get().(*rand.Rand)
-	for l := range f.layers {
-		layer := f.layers[l]
-		slot := &layer[rng.Intn(len(layer))]
-		slot.mu.Lock()
-		if w := slot.waiting; w != nil {
-			// Capture the parked operation and carry its batch down.
-			slot.waiting = nil
-			slot.mu.Unlock()
-			op.children = append(op.children, w)
-			op.count += w.count
-			continue
-		}
-		slot.waiting = op
-		slot.mu.Unlock()
-		for i := 0; i < f.spin; i++ {
-			select {
-			case base := <-op.got:
-				f.entropy.Put(rng)
-				return f.finish(op, base)
-			default:
-				runtime.Gosched()
-			}
-		}
-		slot.mu.Lock()
-		if slot.waiting == op {
-			// No partner showed up: withdraw and keep falling.
-			slot.waiting = nil
-			slot.mu.Unlock()
-			continue
-		}
-		slot.mu.Unlock()
-		// A captor removed us between the spin and the lock; its batch
-		// will deliver our range.
-		f.entropy.Put(rng)
-		return f.finish(op, <-op.got)
-	}
-	f.entropy.Put(rng)
-	// Reached the bottom as a carrier: apply the whole batch at once.
-	base := f.v.Add(op.count) - op.count
-	return f.finish(op, base)
-}
-
-// finish distributes the batch's range and recycles the operation record.
-// The op is safe to recycle here: a captor stops touching a child the
-// moment it has sent the child's base (see deliver), and a carrier's own
-// op was withdrawn from every slot it parked in.
-func (f *FunnelCounter) finish(op *funnelOp, base int64) int64 {
-	v := op.deliver(base)
+	v := f.inc(op)
 	f.ops.Put(op)
 	return v
+}
+
+// inc runs one operation on the record op. The record is the caller's
+// again on return: a captor stops touching a child the moment it has sent
+// the child's base (see deliver), and a carrier's own record was
+// withdrawn from every slot it parked in.
+//
+//countq:hotpath clocks=0
+func (f *FunnelCounter) inc(op *funnelOp) int64 {
+	op.count = 1
+	op.children = op.children[:0]
+	for _, layer := range f.layers {
+		s := &layer[op.pick(len(layer))]
+		if w := s.capture(); w != nil {
+			// Carry the parked operation's batch down.
+			op.children = append(op.children, w)
+			op.count += w.count
+			op.wait = f.met(op.wait)
+			continue
+		}
+		if op.wait == 0 || !s.park(op) {
+			continue
+		}
+		op.parks++
+		base, met := s.wait(op, &op.got, op.wait)
+		if !met {
+			// No partner showed up: keep falling.
+			op.wait = f.missed(op.wait)
+			continue
+		}
+		// Captured: the captor's batch delivered our range.
+		op.wait = f.met(op.wait)
+		return op.deliver(base)
+	}
+	// Reached the bottom as a carrier: apply the whole batch at once. An
+	// operation that has stopped parking also checks whether anyone else
+	// moved the word between its load and its add — the one sign of
+	// company a bare fetch-and-add can see without a new shared write.
+	var before int64
+	if op.wait == 0 {
+		before = f.v.Load()
+	}
+	base := f.v.Add(op.count) - op.count
+	op.adds++
+	if op.wait == 0 && base != before {
+		op.wait = 1
+	}
+	return op.deliver(base)
+}
+
+// pick draws a slot index in [0, n) from the record's own generator.
+func (op *funnelOp) pick(n int) int {
+	x := op.rng
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	op.rng = x
+	return int((x >> 32) * uint64(n) >> 32)
 }
 
 // deliver hands the half-open count range (base, base+op.count] to the
@@ -149,7 +170,7 @@ func (op *funnelOp) deliver(base int64) int64 {
 		// Read the child's count BEFORE handing it its base: the moment the
 		// send lands, the child's owner may finish and recycle ch.
 		n := ch.count
-		ch.got <- cur
+		ch.got.send(cur)
 		cur += n
 	}
 	return base + 1

@@ -73,16 +73,14 @@ func TestNetworkCounterQuiescentButMaybeNotLinearizable(t *testing.T) {
 }
 
 func TestDiffractingCounterValiditySpans(t *testing.T) {
-	d, err := NewDiffractingCounter(8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := RecordSpans(d, 8, 300)
-	vals := make([]int64, len(spans))
-	for i, s := range spans {
-		vals[i] = s.Value
-	}
-	if err := ValidateCounts(vals); err != nil {
-		t.Fatalf("diffracting validity: %v", err)
+	for _, mode := range waitModes {
+		spans := RecordSpans(newTestDiffracting(t, 8, 16, mode.pinned), 8, 300)
+		vals := make([]int64, len(spans))
+		for i, s := range spans {
+			vals[i] = s.Value
+		}
+		if err := ValidateCounts(vals); err != nil {
+			t.Fatalf("%s diffracting validity: %v", mode.name, err)
+		}
 	}
 }

@@ -96,7 +96,7 @@ func init() {
 		Params: []countq.ParamInfo{
 			{Name: "width", Default: "GOMAXPROCS/2", Doc: "top layer's rendezvous slot count (each deeper layer halves it)"},
 			{Name: "depth", Default: "2", Doc: "number of rendezvous layers"},
-			{Name: "spin", Default: "32", Doc: "how long an operation waits in a slot for a partner"},
+			{Name: "spin", Default: "32", Doc: "ceiling of the adaptive wait: most polls an operation parks in a slot for a partner (meetings double the wait, timeouts halve it)"},
 		},
 		New: func(o countq.Options) (countq.Counter, error) {
 			width := o.Int("width", 0)
@@ -129,7 +129,7 @@ func init() {
 		Linearizable: false,
 		Params: []countq.ParamInfo{
 			{Name: "leaves", Default: "pow2 ≥ GOMAXPROCS", Doc: "leaf count (a power of two); each leaf owns a counter stripe"},
-			{Name: "spin", Default: "16", Doc: "how long a token waits at a prism for a diffraction partner"},
+			{Name: "spin", Default: "16", Doc: "ceiling of the adaptive wait: most polls a token parks at a prism for a diffraction partner (pairs double the wait, timeouts halve it)"},
 		},
 		New: func(o countq.Options) (countq.Counter, error) {
 			leaves := o.Int("leaves", 0)

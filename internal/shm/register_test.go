@@ -103,7 +103,7 @@ func TestRegistryRejectsExplicitZeroParams(t *testing.T) {
 	for _, spec := range []string{
 		"funnel?spin=0", "funnel?width=0", "funnel?depth=-1",
 		"sharded?batch=0", "sharded?shards=0",
-		"diffracting?spin=0", "diffracting?leaves=0",
+		"diffracting?spin=0", "diffracting?spin=-1", "diffracting?leaves=0",
 		"combining?pending=0", "network?width=0",
 	} {
 		if _, err := countq.NewCounter(spec); err == nil {

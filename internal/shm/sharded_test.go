@@ -228,55 +228,6 @@ func TestShardedCounterIncN(t *testing.T) {
 	c.IncN(0)
 }
 
-func TestFunnelCounterValidates(t *testing.T) {
-	for _, cfg := range []struct{ width, depth, spin int }{
-		{1, 1, 4}, {2, 2, 16}, {4, 3, 8}, {0, 0, 0},
-	} {
-		c, err := NewFunnelCounter(cfg.width, cfg.depth, cfg.spin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results := make([][]int64, 8)
-		var wg sync.WaitGroup
-		for gi := 0; gi < 8; gi++ {
-			wg.Add(1)
-			go func(gi int) {
-				defer wg.Done()
-				vals := make([]int64, 300)
-				for i := range vals {
-					vals[i] = c.Inc()
-				}
-				results[gi] = vals
-			}(gi)
-		}
-		wg.Wait()
-		var all []int64
-		for _, vs := range results {
-			all = append(all, vs...)
-		}
-		if err := ValidateCounts(all); err != nil {
-			t.Errorf("funnel %+v: %v", cfg, err)
-		}
-	}
-	if _, err := NewFunnelCounter(-1, 0, 0); err == nil {
-		t.Error("negative width accepted")
-	}
-}
-
-// TestFunnelCounterLinearizable: a batch's fetch-and-add happens after
-// every member has started, so the funnel — unlike the counting network —
-// preserves real-time order.
-func TestFunnelCounterLinearizable(t *testing.T) {
-	c, err := NewFunnelCounter(2, 2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := RecordSpans(c, 8, 300)
-	if err := CheckLinearizable(spans); err != nil {
-		t.Errorf("funnel counter: %v", err)
-	}
-}
-
 // TestShardedDefaultShards pins the constructor default: the shard array
 // sizes itself from GOMAXPROCS at construction (the `shards` param still
 // overrides), so the per-P affinity scheme has one shard per P to land on.
