@@ -209,10 +209,10 @@ func BenchmarkBitonicQuiescent(b *testing.B) {
 // without touching this file.
 
 func BenchmarkShmCounters(b *testing.B) {
-	for _, info := range countq.Counters() {
+	for _, info := range shm.SyncStructures(countq.KindCounter) {
 		info := info
 		b.Run(info.Name, func(b *testing.B) {
-			c, err := info.New(countq.Options{})
+			c, err := countq.NewCounter(info.Name)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -235,7 +235,7 @@ var tunableSpecs = shm.VariantSpecs()
 // BenchmarkShmCounterTunables sweeps the declared tunables of every
 // parameterized counter via the public spec API.
 func BenchmarkShmCounterTunables(b *testing.B) {
-	for _, info := range countq.Counters() {
+	for _, info := range shm.SyncStructures(countq.KindCounter) {
 		for _, spec := range tunableSpecs[info.Name] {
 			spec := spec
 			b.Run(spec, func(b *testing.B) {
@@ -261,17 +261,28 @@ func BenchmarkShmCounterBatch(b *testing.B) {
 		for _, n := range []int64{16, 256} {
 			n := n
 			b.Run(fmt.Sprintf("%s/n%d", name, n), func(b *testing.B) {
-				c, err := countq.NewCounter(name)
+				st, err := countq.NewStructure(name, countq.KindCounter)
 				if err != nil {
 					b.Fatal(err)
 				}
-				bi, ok := c.(countq.BatchIncrementer)
-				if !ok {
-					b.Fatalf("%s does not implement BatchIncrementer", name)
-				}
+				ctx := context.Background()
 				b.RunParallel(func(pb *testing.PB) {
+					sess, err := st.NewSession()
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					defer sess.Close()
+					bs, ok := sess.(countq.BatchSession)
+					if !ok {
+						b.Errorf("%s sessions do not implement BatchSession", name)
+						return
+					}
 					for pb.Next() {
-						bi.IncN(n)
+						if _, err := bs.IncN(ctx, n); err != nil {
+							b.Error(err)
+							return
+						}
 					}
 				})
 			})
@@ -280,9 +291,8 @@ func BenchmarkShmCounterBatch(b *testing.B) {
 }
 
 // BenchmarkSessionCounters measures the session layer's overhead over the
-// raw Counter interface: each parallel worker drives one Session (the
-// handle fast path included, where the structure has one) through the
-// context-taking v2 API.
+// direct-call view: each parallel worker drives one Session (sharded's
+// private lease included) through the context-taking API.
 func BenchmarkSessionCounters(b *testing.B) {
 	for _, name := range []string{"atomic", "sharded", "async-funnel"} {
 		name := name
@@ -559,10 +569,10 @@ func BenchmarkShmLocks(b *testing.B) {
 }
 
 func BenchmarkShmQueuers(b *testing.B) {
-	for _, info := range countq.Queues() {
+	for _, info := range shm.SyncStructures(countq.KindQueue) {
 		info := info
 		b.Run(info.Name, func(b *testing.B) {
-			q, err := info.New(countq.Options{})
+			q, err := countq.NewQueue(info.Name)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -698,7 +708,7 @@ func TestBenchJSON(t *testing.T) {
 	steady := countq.Campaign{Name: "counters-steady"}
 	rampC := countq.Campaign{Name: "counters-ramp", Base: countq.Workload{Scenario: ramp, Goroutines: gmax}}
 	batch := countq.Campaign{Name: "counters-batch", Base: countq.Workload{Batch: 64}}
-	for _, info := range countq.Counters() {
+	for _, info := range shm.SyncStructures(countq.KindCounter) {
 		if info.Name == "atomic" {
 			steady.Baseline = len(steady.Entries)
 			rampC.Baseline = len(rampC.Entries)
@@ -708,21 +718,19 @@ func TestBenchJSON(t *testing.T) {
 		for _, spec := range tunableSpecs[info.Name] {
 			steady.Entries = append(steady.Entries, countq.Entry{Counter: spec})
 		}
-		if c, err := countq.NewCounter(info.Name); err == nil {
-			if _, ok := c.(countq.BatchIncrementer); ok {
-				// Baseline index keyed to the entry actually appended, so
-				// it cannot silently drift if a structure's capability set
-				// changes.
-				if info.Name == "atomic" {
-					batch.Baseline = len(batch.Entries)
-				}
-				batch.Entries = append(batch.Entries, countq.Entry{Counter: info.Name})
+		if info.Caps.Has(countq.CapBatch) {
+			// Baseline index keyed to the entry actually appended, so it
+			// cannot silently drift if a structure's capability set
+			// changes.
+			if info.Name == "atomic" {
+				batch.Baseline = len(batch.Entries)
 			}
+			batch.Entries = append(batch.Entries, countq.Entry{Counter: info.Name})
 		}
 	}
 	queues := countq.Campaign{Name: "queues-steady"}
 	queuesRamp := countq.Campaign{Name: "queues-ramp", Base: countq.Workload{Scenario: ramp, Goroutines: gmax}}
-	for _, info := range countq.Queues() {
+	for _, info := range shm.SyncStructures(countq.KindQueue) {
 		if info.Name == "swap" {
 			queues.Baseline = len(queues.Entries)
 			queuesRamp.Baseline = len(queuesRamp.Entries)
@@ -733,8 +741,8 @@ func TestBenchJSON(t *testing.T) {
 	// The sim bridge's perf surface: the synchronous round trip as the
 	// baseline, against deepening async pipelines — recorded so the file
 	// tracks how much of the coordination round pipelining recovers. The
-	// bridge has no legacy view, so it never appears in the registry
-	// campaigns above; this one names it explicitly.
+	// bridge is async-capable, so it never appears in the synchronous
+	// rosters above; this one names it explicitly.
 	async := countq.Campaign{
 		Name: "counters-async",
 		Entries: []countq.Entry{
@@ -748,9 +756,8 @@ func TestBenchJSON(t *testing.T) {
 	// pipelined. Open (uniform) arrivals so the corrected quantiles are
 	// recorded — the async entry's claim is precisely that overlapping
 	// the combining round improves completion-vs-intended tail latency,
-	// which a closed loop cannot see. Like the sim bridge, these register
-	// through RegisterStructure only, so the legacy rosters above never
-	// pick them up.
+	// which a closed loop cannot see. Like the sim bridge, these declare
+	// CapAsync, so the synchronous rosters above never pick them up.
 	nativeAsync := countq.Campaign{
 		Name: "counters-native-async",
 		Base: countq.Workload{Arrival: countq.Uniform},

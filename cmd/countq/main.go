@@ -125,7 +125,7 @@ func listArgs(args []string) {
 	listCmd(os.Stdout, *verbose)
 }
 
-// listCmd prints the experiment suite and the protocol registries; every
+// listCmd prints the experiment suite and the structure registry; every
 // line — including the per-structure parameter documentation — is
 // generated from registry declarations, never hand-maintained.
 func listCmd(w io.Writer, verbose bool) {
@@ -133,27 +133,13 @@ func listCmd(w io.Writer, verbose bool) {
 	for _, s := range core.Experiments() {
 		fmt.Fprintf(w, "  %-4s %-70s %s\n", s.ID, s.Title, s.Ref)
 	}
-	fmt.Fprintln(w, "\ncounters (countq registry):")
-	for _, info := range countq.Counters() {
+	fmt.Fprintln(w, "\nstructures (countq registry; kind, consistency and session capabilities):")
+	for _, info := range countq.Structures() {
 		consistency := "quiescent"
 		if info.Linearizable {
 			consistency = "linearizable"
 		}
-		fmt.Fprintf(w, "  %-12s %-13s %s\n", info.Name, consistency, info.Summary)
-		if verbose {
-			listParams(w, info.Params)
-		}
-	}
-	fmt.Fprintln(w, "\nqueues (countq registry):")
-	for _, info := range countq.Queues() {
-		fmt.Fprintf(w, "  %-12s %-13s %s\n", info.Name, "linearizable", info.Summary)
-		if verbose {
-			listParams(w, info.Params)
-		}
-	}
-	fmt.Fprintln(w, "\nstructures (countq registry v3; kinds and session capabilities):")
-	for _, info := range countq.Structures() {
-		fmt.Fprintf(w, "  %-12s %-14s caps=%-14s %s\n", info.Name, info.Kinds, info.Caps, info.Summary)
+		fmt.Fprintf(w, "  %-12s %-14s %-13s caps=%-14s %s\n", info.Name, info.Kinds, consistency, info.Caps, info.Summary)
 		if verbose {
 			listParams(w, info.Params)
 		}

@@ -20,14 +20,9 @@ func TestListIsRegistryDriven(t *testing.T) {
 			t.Errorf("list output missing %q", want)
 		}
 	}
-	for _, info := range countq.Counters() {
+	for _, info := range countq.Structures() {
 		if !strings.Contains(out, info.Name) {
-			t.Errorf("registered counter %q not listed", info.Name)
-		}
-	}
-	for _, info := range countq.Queues() {
-		if !strings.Contains(out, info.Name) {
-			t.Errorf("registered queue %q not listed", info.Name)
+			t.Errorf("registered %v %q not listed", info.Kinds, info.Name)
 		}
 	}
 }
@@ -43,7 +38,7 @@ func TestListVerboseShowsParams(t *testing.T) {
 			t.Errorf("verbose list missing param %q", want)
 		}
 	}
-	for _, info := range countq.Counters() {
+	for _, info := range countq.Structures() {
 		for _, p := range info.Params {
 			if !strings.Contains(out, p.Name) || !strings.Contains(out, p.Doc) {
 				t.Errorf("verbose list missing declared param %s.%s", info.Name, p.Name)

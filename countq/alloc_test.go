@@ -17,13 +17,6 @@ import (
 // measured iteration, mirroring the pool-claim reservation that keeps
 // steady-state appends inside existing capacity.
 
-// allocCounter is the minimal legacy counter: one atomic word, batch-
-// capable, allocation-free by construction.
-type allocCounter struct{ v atomic.Int64 }
-
-func (c *allocCounter) Inc() int64         { return c.v.Add(1) }
-func (c *allocCounter) IncN(n int64) int64 { return c.v.Add(n) - n + 1 }
-
 // allocAsyncSession is the minimal AsyncSession: Submit applies the op
 // to the atomic word and completes it on the preallocated channel
 // immediately, so the gate isolates the runner's submit/reap path.
@@ -94,7 +87,7 @@ func gate(t *testing.T, name string, runs int, body func()) {
 // sampled ops (histogram + timeline event) included.
 func TestSyncCounterLoopZeroAlloc(t *testing.T) {
 	const runs = 4096
-	st := &counterStructure{c: &allocCounter{}}
+	st := &testBatchCounter{}
 	sess, err := st.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +112,7 @@ func TestSyncCounterLoopZeroAlloc(t *testing.T) {
 // TestBatchCounterLoopZeroAlloc gates the IncN block-grant path.
 func TestBatchCounterLoopZeroAlloc(t *testing.T) {
 	const runs = 2048
-	st := &counterStructure{c: &allocCounter{}}
+	st := &testBatchCounter{}
 	sess, err := st.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +159,7 @@ func TestAsyncLoopZeroAlloc(t *testing.T) {
 // histogram must not add allocations either.
 func TestOpenArrivalLoopZeroAlloc(t *testing.T) {
 	const runs = 2048
-	st := &counterStructure{c: &allocCounter{}}
+	st := &testBatchCounter{}
 	sess, err := st.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -197,10 +190,12 @@ func TestOpenArrivalLoopZeroAlloc(t *testing.T) {
 // internal allocations (timer resets, GC bookkeeping) that land in the
 // whole-process counters but amortize to well under one per op.
 func TestSteadyPhaseReportsZeroAllocs(t *testing.T) {
-	RegisterCounter(CounterInfo{
+	RegisterStructure(StructureInfo{
 		Name:    "alloc-test-atomic",
 		Summary: "test-only allocation-free counter",
-		New:     func(o Options) (Counter, error) { return &allocCounter{}, nil },
+		Kinds:   KindCounter,
+		Caps:    CapBatch,
+		New:     func(o Options) (Structure, error) { return &testBatchCounter{}, nil },
 	})
 	res, err := Run(Workload{Counter: "alloc-test-atomic", Goroutines: 2, Ops: 200000, Seed: 1})
 	if err != nil {

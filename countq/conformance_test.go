@@ -1,13 +1,15 @@
 // Conformance suite for the session API: every structure registered by
 // the real backends (the shared-memory zoo and the sim bridge) is driven
-// through the session layer — sync, handle, batch and async paths — under
-// the race detector, and its validation outcome is checked against the
-// legacy-interface path where one exists. External test package so it can
-// import the registering packages without a cycle.
+// through its sessions — sync, batch and async paths — under the race
+// detector, held to what its registry entry declares, and its validation
+// outcome is checked against the direct-call view where one exists.
+// External test package so it can import the registering packages without
+// a cycle.
 package countq_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -39,8 +41,8 @@ func conformanceSpec(info countq.StructureInfo) string {
 // TestSessionConformance drives every registered structure through the
 // workload driver's session paths. Each path ends in the driver's own
 // validation pass (counts gap-free, predecessors one total order), so a
-// pass here proves the session adapters preserve every structure's
-// correctness contract.
+// pass here proves every structure's sessions keep its correctness
+// contract.
 func TestSessionConformance(t *testing.T) {
 	for _, info := range countq.Structures() {
 		info := info
@@ -79,10 +81,10 @@ func TestSessionConformance(t *testing.T) {
 }
 
 // TestSessionMatchesLegacyValidation drives each counter structure twice
-// with the same shape — once through sessions, once through the legacy
-// Counter interface directly — and asserts the two paths reach the same
-// validation verdict. HandleMaker counters exercise their handles on the
-// legacy side, exactly as the pre-session driver did.
+// with the same shape — once through sessions, once through the
+// direct-call view (countq.NewCounter: the structure's own Inc, called
+// concurrently with no session) — and asserts the two paths reach the same
+// validation verdict. It is the concurrent test of the kept view.
 func TestSessionMatchesLegacyValidation(t *testing.T) {
 	const workers, perWorker = 4, 64
 	for _, info := range countq.Structures() {
@@ -132,49 +134,40 @@ func TestSessionMatchesLegacyValidation(t *testing.T) {
 			sessionCounts = append(sessionCounts, countq.DrainCounts(st)...)
 			sessionErr := countq.ValidateCounts(sessionCounts)
 
-			// Legacy path, when the structure has a synchronous view.
-			legacy, err := countq.NewCounter(spec)
+			// Direct-call path, when the structure has the view.
+			direct, err := countq.NewCounter(spec)
 			if err != nil {
-				// Native session structures have no legacy path; the
-				// session verdict stands alone but must be clean.
+				// Async structures have no direct-call view; the session
+				// verdict stands alone but must be clean.
 				if sessionErr != nil {
 					t.Errorf("session path failed validation: %v", sessionErr)
 				}
 				return
 			}
-			var legacyCounts []int64
+			var directCounts []int64
 			var mu sync.Mutex
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					inc := legacy.Inc
-					var closeHandle func()
-					if hm, ok := legacy.(countq.HandleMaker); ok {
-						h := hm.NewHandle()
-						inc, closeHandle = h.Inc, h.Close
-					}
 					local := make([]int64, 0, perWorker)
 					for i := 0; i < perWorker; i++ {
-						local = append(local, inc())
-					}
-					if closeHandle != nil {
-						closeHandle()
+						local = append(local, direct.Inc())
 					}
 					mu.Lock()
-					legacyCounts = append(legacyCounts, local...)
+					directCounts = append(directCounts, local...)
 					mu.Unlock()
 				}()
 			}
 			wg.Wait()
-			if d, ok := legacy.(countq.Drainer); ok {
-				legacyCounts = append(legacyCounts, d.Drain()...)
+			if d, ok := direct.(countq.Drainer); ok {
+				directCounts = append(directCounts, d.Drain()...)
 			}
-			legacyErr := countq.ValidateCounts(legacyCounts)
+			directErr := countq.ValidateCounts(directCounts)
 
-			if (sessionErr == nil) != (legacyErr == nil) {
-				t.Errorf("validation verdicts diverge: session %v, legacy %v", sessionErr, legacyErr)
+			if (sessionErr == nil) != (directErr == nil) {
+				t.Errorf("validation verdicts diverge: session %v, direct %v", sessionErr, directErr)
 			}
 			if sessionErr != nil {
 				t.Errorf("session path failed validation: %v", sessionErr)
@@ -189,10 +182,10 @@ func closeIfCloser(st countq.Structure) {
 	}
 }
 
-// TestSessionCloseSurrendersLeases pins the handle-lifting contract: a
-// HandleMaker counter driven through sessions must, after every session is
-// closed, drain to a gap-free range — the per-session lease remainder is
-// surrendered by Session.Close exactly as CounterHandle.Close did.
+// TestSessionCloseSurrendersLeases pins the lease contract: a leasing
+// counter driven through sessions must, after every session is closed,
+// drain to a gap-free range — Session.Close surrenders the per-session
+// lease remainder.
 func TestSessionCloseSurrendersLeases(t *testing.T) {
 	st, err := countq.NewStructure("sharded?shards=4&batch=16", countq.KindCounter)
 	if err != nil {
@@ -317,41 +310,51 @@ func TestSessionKindGating(t *testing.T) {
 	}
 }
 
-// TestRegistryV3Catalogue pins the registry-wide invariants the CLI and
-// the benches rely on: every legacy listing entry appears among the
-// structures with the right kind, declared caps match the probeable
-// capability interfaces, and the sim bridge is registered async-capable.
+// checkDeclaration holds one registry entry to what it declares, through
+// a real construction: the entry builds from zero Options (every param
+// has a default), and a session from NewSession implements BatchSession
+// exactly when CapBatch is declared (counter kinds; a queue's session may
+// carry an IncN it rejects) and AsyncSession exactly when CapAsync is. A
+// declared BatchSession also refuses an empty block.
+func checkDeclaration(info countq.StructureInfo) error {
+	st, err := info.New(countq.Options{})
+	if err != nil {
+		return fmt.Errorf("%s does not build at its defaults: %w", info.Name, err)
+	}
+	defer closeIfCloser(st)
+	sess, err := st.NewSession()
+	if err != nil {
+		return fmt.Errorf("%s: NewSession: %w", info.Name, err)
+	}
+	defer sess.Close()
+	bs, isBatch := sess.(countq.BatchSession)
+	if declared := info.Caps.Has(countq.CapBatch); info.Kinds.Has(countq.KindCounter) && declared != isBatch {
+		return fmt.Errorf("%s: CapBatch declared = %v, but its session is a BatchSession = %v", info.Name, declared, isBatch)
+	}
+	_, isAsync := sess.(countq.AsyncSession)
+	if declared := info.Caps.Has(countq.CapAsync); declared != isAsync {
+		return fmt.Errorf("%s: CapAsync declared = %v, but its session is an AsyncSession = %v", info.Name, declared, isAsync)
+	}
+	if info.Caps.Has(countq.CapBatch) {
+		if _, err := bs.IncN(context.Background(), 0); err == nil {
+			return fmt.Errorf("%s: IncN(0) accepted", info.Name)
+		}
+	}
+	return nil
+}
+
+// TestRegistryV3Catalogue checks every registry entry against its own
+// declaration (the job the init-time capability probe used to do for the
+// synchronous half of the zoo, now registry-wide and in both directions),
+// and pins the two catalogue facts the CLI and the benches rely on: the
+// sim bridges are async-capable, and "mutex" names a counter and a queue.
 func TestRegistryV3Catalogue(t *testing.T) {
-	for _, ci := range countq.Counters() {
-		info, ok := countq.LookupStructure(ci.Name, countq.KindCounter)
-		if !ok {
-			t.Errorf("legacy counter %q missing from the structure registry", ci.Name)
-			continue
-		}
-		c, err := ci.New(countq.Options{})
-		if err != nil {
-			t.Errorf("%s: %v", ci.Name, err)
-			continue
-		}
-		_, isBatch := c.(countq.BatchIncrementer)
-		if info.Caps.Has(countq.CapBatch) != isBatch {
-			t.Errorf("%s: CapBatch=%v but BatchIncrementer=%v", ci.Name, info.Caps.Has(countq.CapBatch), isBatch)
-		}
-		_, isHandle := c.(countq.HandleMaker)
-		if info.Caps.Has(countq.CapHandle) != isHandle {
-			t.Errorf("%s: CapHandle=%v but HandleMaker=%v", ci.Name, info.Caps.Has(countq.CapHandle), isHandle)
+	for _, info := range countq.Structures() {
+		if err := checkDeclaration(info); err != nil {
+			t.Error(err)
 		}
 	}
-	for _, qi := range countq.Queues() {
-		if _, ok := countq.LookupStructure(qi.Name, countq.KindQueue); !ok {
-			t.Errorf("legacy queue %q missing from the structure registry", qi.Name)
-		}
-	}
-	for _, name := range []string{"sim-counter", "sim-queue"} {
-		kind := countq.KindCounter
-		if name == "sim-queue" {
-			kind = countq.KindQueue
-		}
+	for name, kind := range map[string]countq.Kind{"sim-counter": countq.KindCounter, "sim-queue": countq.KindQueue} {
 		info, ok := countq.LookupStructure(name, kind)
 		if !ok {
 			t.Errorf("%s not registered", name)
@@ -367,5 +370,146 @@ func TestRegistryV3Catalogue(t *testing.T) {
 	}
 	if _, ok := countq.LookupStructure("mutex", countq.KindQueue); !ok {
 		t.Error("mutex queue not found")
+	}
+}
+
+// TestDeclarationCheckBites seeds a wrong declaration in each direction —
+// a capability the sessions have but the entry omits, and one the entry
+// claims but the sessions lack — plus a constructor with no default, and
+// requires checkDeclaration to reject every one.
+func TestDeclarationCheckBites(t *testing.T) {
+	atomic := func(countq.Options) (countq.Structure, error) { return shm.NewAtomicCounter(), nil }
+	funnel := func(countq.Options) (countq.Structure, error) { return shm.NewFunnelCounter(0, 0, 0) }
+	asyncFunnel := func(countq.Options) (countq.Structure, error) { return shm.NewAsyncFunnelCounter(8, 0) }
+	for _, bad := range []countq.StructureInfo{
+		{Name: "atomic-without-batch", Kinds: countq.KindCounter, New: atomic},
+		{Name: "funnel-with-batch", Kinds: countq.KindCounter, Caps: countq.CapBatch, New: funnel},
+		{Name: "async-funnel-without-async", Kinds: countq.KindCounter, Caps: countq.CapBatch, New: asyncFunnel},
+		{Name: "atomic-with-async", Kinds: countq.KindCounter, Caps: countq.CapBatch | countq.CapAsync, New: atomic},
+		{Name: "no-default", Kinds: countq.KindCounter, New: func(countq.Options) (countq.Structure, error) {
+			return nil, fmt.Errorf("param x is required")
+		}},
+	} {
+		if err := checkDeclaration(bad); err == nil {
+			t.Errorf("%s: wrong declaration passed the check", bad.Name)
+		}
+	}
+	// And the honest twins pass.
+	for _, good := range []countq.StructureInfo{
+		{Name: "atomic", Kinds: countq.KindCounter, Caps: countq.CapBatch, New: atomic},
+		{Name: "funnel", Kinds: countq.KindCounter, New: funnel},
+	} {
+		if err := checkDeclaration(good); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestCounterAdapterSessions pins a native counter session's contract on
+// the one that holds state: a sharded session leases privately, rejects
+// the queue operation and a cancelled context, and Close surrenders the
+// lease remainder so the drained range closes.
+func TestCounterAdapterSessions(t *testing.T) {
+	st, err := countq.NewStructure("sharded?shards=2&batch=4", countq.KindCounter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := st.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counts []int64
+	for i := 0; i < 6; i++ { // 6 is not a multiple of the lease (4)
+		v, err := sess.Inc(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts = append(counts, v)
+	}
+	if _, err := sess.Enqueue(context.Background(), 1); !errors.Is(err, countq.ErrUnsupported) {
+		t.Errorf("Enqueue on a counter session: %v", err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	counts = append(counts, countq.DrainCounts(st)...)
+	if err := countq.ValidateCounts(counts); err != nil {
+		t.Errorf("session leaked its lease: %v", err)
+	}
+	// Cancelled contexts are refused before touching the structure.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	sess2, _ := st.NewSession()
+	defer sess2.Close()
+	if _, err := sess2.Inc(cancelled); err == nil {
+		t.Error("Inc with a cancelled context accepted")
+	}
+	if left := countq.DrainCounts(st); len(left) != 0 {
+		t.Errorf("refused Inc leased %d counts", len(left))
+	}
+}
+
+// TestBatchAdapterSession pins the block-grant contract of the three
+// batching counters' sessions: a grant is a valid range and a cancelled
+// context is refused (checkDeclaration refuses the empty block).
+func TestBatchAdapterSession(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{"atomic", "mutex", "sharded"} {
+		st, err := countq.NewStructure(name, countq.KindCounter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := st.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, ok := sess.(countq.BatchSession)
+		if !ok {
+			t.Fatalf("%s session is not a BatchSession", name)
+		}
+		first, err := bs.IncN(context.Background(), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := countq.ValidateCountRanges(nil, []countq.CountRange{{First: first, N: 8}}); err != nil {
+			t.Errorf("%s: block grant invalid: %v", name, err)
+		}
+		if _, err := bs.IncN(cancelled, 8); err == nil {
+			t.Errorf("%s: IncN with a cancelled context accepted", name)
+		}
+		sess.Close()
+	}
+}
+
+// TestQueueAdapterSession pins a native queue session's contract for the
+// three synchronous queues: the first predecessor is Head, the counter
+// operation and a cancelled context are refused.
+func TestQueueAdapterSession(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{"swap", "list", "mutex"} {
+		st, err := countq.NewStructure(name, countq.KindQueue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := st.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := sess.Enqueue(context.Background(), 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr != countq.Head {
+			t.Errorf("%s: first predecessor = %d, want Head", name, pr)
+		}
+		if _, err := sess.Inc(context.Background()); !errors.Is(err, countq.ErrUnsupported) {
+			t.Errorf("%s: Inc on a queue session: %v", name, err)
+		}
+		if _, err := sess.Enqueue(cancelled, 43); err == nil {
+			t.Errorf("%s: Enqueue with a cancelled context accepted", name)
+		}
+		sess.Close()
 	}
 }

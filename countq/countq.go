@@ -2,11 +2,11 @@
 // counting and queuing structures — the two sides of Busch & Tirthapura,
 // "Concurrent counting is harder than queuing".
 //
-// It defines the Counter and Queuer interfaces, a spec-keyed registry of
-// self-registering implementations (the shared-memory structures in
+// It defines the Structure and Session interfaces, a spec-keyed registry
+// of self-registering implementations (the shared-memory structures in
 // internal/shm register themselves on import, in the manner of
 // database/sql drivers), and a phased scenario engine that runs any
-// registered counter/queuer pair under a chosen operation mix, arrival
+// registered counter/queue pair under a chosen operation mix, arrival
 // pattern, goroutine count and ops budget — as one steady phase, or as a
 // named Scenario: a self-registering sequence of Phases that ramps
 // goroutines, alternates arrival bursts, shifts the operation mix, or
@@ -20,7 +20,7 @@
 // Structures are constructed from specs: a bare registry name builds the
 // structure at its declared defaults, and a DSN-style parameter list tunes
 // the knobs that control its coordination cost. Every parameter is
-// declared by the implementation (see CounterInfo.Params); unknown keys
+// declared by the implementation (see StructureInfo.Params); unknown keys
 // and mistyped values are rejected, never silently defaulted.
 //
 // Quickstart:
@@ -31,8 +31,9 @@
 //		_ "repro/internal/shm" // register the shared-memory implementations
 //	)
 //
-//	c, err := countq.NewCounter("sharded?shards=4&batch=16")
-//	q, err := countq.NewQueue("swap")
+//	st, err := countq.NewStructure("sharded?shards=4&batch=16", countq.KindCounter)
+//	sess, err := st.NewSession() // one per worker goroutine
+//	n, err := sess.Inc(ctx)
 //
 //	m, err := countq.Run(countq.Workload{
 //		Counter:    "sharded?shards=4&batch=16",
@@ -58,10 +59,15 @@
 // and the reported numbers belong to the structure under test, not to
 // the harness.
 //
-// Counters may additionally implement two capability interfaces the
-// driver exploits when present: HandleMaker (per-goroutine handles with an
-// uncontended fast path) and BatchIncrementer (IncN block grants — a whole
-// range of counts for one coordination round).
+// Sessions may additionally implement two capability interfaces the
+// driver exploits when the registry entry declares them: BatchSession (IncN
+// block grants — a whole range of counts for one coordination round) and
+// AsyncSession (Submit/Completions — several operations in flight).
+//
+// Counter and Queuer below are the direct-call view NewCounter/NewQueue
+// return: the structure itself, callable from any goroutine with no
+// session in between. It exists for code that prices a structure alone
+// (bench/ladder.go's shm rungs); everything else drives sessions.
 //
 // Every run is validated: counts — including IncN block grants — must form
 // a gap-free set of distinct values and predecessors must chain into a
@@ -76,7 +82,8 @@ import (
 	"slices"
 )
 
-// Counter hands out distinct counts 1, 2, 3, … to concurrent callers.
+// Counter hands out distinct counts 1, 2, 3, … to concurrent callers: the
+// direct-call view of a counter structure (see NewCounter).
 type Counter interface {
 	// Inc returns the next count (1-based). Safe for concurrent use.
 	Inc() int64
@@ -102,37 +109,6 @@ type Queuer interface {
 // reconciliation point.
 type Drainer interface {
 	Drain() []int64
-}
-
-// CounterHandle is a per-goroutine session with a counter: Inc hands out
-// counts on a fast path that may hold private state (such as an unused
-// lease remainder), and Close surrenders that state back to the shared
-// structure so a subsequent Drain accounts for every leased count. A
-// handle is owned by one goroutine and is not safe for concurrent use;
-// the counter it came from remains safe for concurrent use alongside it.
-type CounterHandle interface {
-	Inc() int64
-	Close()
-}
-
-// HandleMaker is implemented by counters whose uncontended fast path lives
-// in per-goroutine handles (e.g. the sharded counter's per-worker lease).
-// The workload driver gives each worker its own handle when the interface
-// is present, and closes it when the worker finishes.
-type HandleMaker interface {
-	NewHandle() CounterHandle
-}
-
-// BatchIncrementer is implemented by counters that can grant a block of
-// counts in one coordination round — the batching escape hatch the paper's
-// per-operation lower bound does not price. The workload driver uses it
-// when Workload.Batch > 1, and ValidateCountRanges extends the gap-free
-// check to block grants.
-type BatchIncrementer interface {
-	// IncN atomically grants the n consecutive counts
-	// first, first+1, …, first+n-1 and returns first. n must be ≥ 1;
-	// IncN(1) is equivalent to Inc.
-	IncN(n int64) (first int64)
 }
 
 // CountRange records one IncN block grant: the counts

@@ -155,7 +155,7 @@ func TestDriverParameterizedSpecs(t *testing.T) {
 
 func TestDriverBatchGrants(t *testing.T) {
 	registerTestImpls()
-	// A BatchIncrementer counter with Batch > 1 takes IncN block grants;
+	// A CapBatch counter with Batch > 1 takes IncN block grants;
 	// validation proves the granted ranges tile 1..ops with no overlap.
 	res, err := Run(Workload{Counter: "test-batch", Goroutines: 4, Ops: 4096, Batch: 64})
 	if err != nil {
@@ -194,7 +194,7 @@ func TestDriverBatchGrants(t *testing.T) {
 	if err == nil {
 		t.Fatal("batch on a non-batching counter accepted")
 	}
-	if !strings.Contains(err.Error(), "BatchIncrementer") {
+	if !strings.Contains(err.Error(), "BatchSession") {
 		t.Errorf("batch error does not name the missing capability: %v", err)
 	}
 	// Batch on a pure-queue run (mix forced to 0) never touches the
@@ -206,8 +206,8 @@ func TestDriverBatchGrants(t *testing.T) {
 
 func TestDriverHandles(t *testing.T) {
 	registerTestImpls()
-	// A HandleMaker counter serves each worker through its own handle.
-	// Validation passing proves the handles' leases plus Close/Drain close
+	// A leasing counter serves each worker through its own session.
+	// Validation passing proves the sessions' leases plus Close/Drain close
 	// the range; the close count proves every worker got (and closed) one.
 	res, err := Run(Workload{Counter: "test-handle", Goroutines: 4, Ops: 1002})
 	if err != nil {

@@ -7,16 +7,12 @@ import (
 	"sync"
 )
 
-// Registry v3: one StructureInfo per implementation, with declared kinds,
-// parameters and session capabilities. Implementations register a
-// Structure constructor (RegisterStructure); legacy Counter/Queuer
-// implementations keep registering through RegisterCounter/RegisterQueue,
-// which wrap them in the session adapters and probe their capability
-// interfaces, so the whole pre-session zoo appears in the v3 registry
-// unchanged. Names are shared across kinds the way the zoo already uses
-// them ("mutex" the counter and "mutex" the queue coexist): lookups are
-// always kind-qualified, and registering two structures of overlapping
-// kind under one name panics.
+// The registry: one StructureInfo per implementation, with declared kinds,
+// parameters, consistency and session capabilities, recorded through the
+// one registration function RegisterStructure. Names are shared across
+// kinds the way the zoo already uses them ("mutex" the counter and "mutex"
+// the queue coexist): lookups are always kind-qualified, and registering
+// two structures of overlapping kind under one name panics.
 
 // StructureInfo describes one registered structure implementation.
 type StructureInfo struct {
@@ -40,13 +36,6 @@ type StructureInfo struct {
 	// New constructs a fresh instance from the given options; the zero
 	// Options means all defaults.
 	New func(Options) (Structure, error)
-
-	// Legacy constructors, set by RegisterCounter/RegisterQueue: the
-	// synchronous view NewCounter/NewQueue and the Counters()/Queues()
-	// listings serve. Nil for native v3 structures (e.g. the sim bridge),
-	// which have no synchronous call-and-return form.
-	newCounter func(Options) (Counter, error)
-	newQueue   func(Options) (Queuer, error)
 }
 
 var (
@@ -83,136 +72,23 @@ func checkInfo(kind, name string, hasNew bool, params []ParamInfo) {
 // functions; registering an empty name, a nil constructor, no kinds,
 // malformed params, or an already-taken (name, kind) pair panics.
 func RegisterStructure(info StructureInfo) {
-	registerStructure("Structure", info)
-}
-
-// registerStructure is RegisterStructure with the panic-message label the
-// legacy wrappers pass through ("Counter", "Queue").
-func registerStructure(label string, info StructureInfo) {
 	regMu.Lock()
 	defer regMu.Unlock()
-	checkInfo(label, info.Name, info.New != nil, info.Params)
+	checkInfo("Structure", info.Name, info.New != nil, info.Params)
 	if info.Kinds&(KindCounter|KindQueue) == 0 {
 		panic(fmt.Sprintf("countq: structure %q declares no operation kind", info.Name))
 	}
 	for _, prev := range structures[info.Name] {
 		if prev.Kinds&info.Kinds != 0 {
-			panic(fmt.Sprintf("countq: %s %q registered twice", strings.ToLower(label), info.Name))
+			panic(fmt.Sprintf("countq: structure %q registered twice", info.Name))
 		}
 	}
 	structures[info.Name] = append(structures[info.Name], info)
 }
 
-// RegisterCounter records a legacy counter constructor under info.Name,
-// wrapped in the session adapter. Its HandleMaker and BatchIncrementer
-// capability interfaces are probed on a throwaway default-construction and
-// declared as session caps, so pre-session implementations register
-// completely unchanged — which means a legacy constructor must build with
-// zero Options (every declared param needs a default). One that cannot
-// panics here rather than silently registering with no capabilities;
-// such an implementation should use RegisterStructure with declared Caps
-// instead. Registering an empty name, a nil constructor, malformed
-// params, or a name twice also panics.
-func RegisterCounter(info CounterInfo) {
-	nc := info.New
-	var caps Caps
-	var newFn func(Options) (Structure, error)
-	if nc != nil {
-		c, err := nc(Options{})
-		if err != nil {
-			panic(fmt.Sprintf("countq: RegisterCounter(%q): default construction failed during the capability probe: %v (legacy constructors must build with zero Options; use RegisterStructure with declared Caps instead)", info.Name, err))
-		}
-		if _, ok := c.(HandleMaker); ok {
-			caps |= CapHandle
-		}
-		if _, ok := c.(BatchIncrementer); ok {
-			caps |= CapBatch
-		}
-		if cl, ok := c.(interface{ Close() error }); ok {
-			cl.Close() // the probe instance is throwaway; release anything it holds
-		}
-		newFn = func(o Options) (Structure, error) {
-			c, err := nc(o)
-			if err != nil {
-				return nil, err
-			}
-			return &counterStructure{c: c}, nil
-		}
-	}
-	registerStructure("Counter", StructureInfo{
-		Name:         info.Name,
-		Summary:      info.Summary,
-		Kinds:        KindCounter,
-		Linearizable: info.Linearizable,
-		Params:       info.Params,
-		Caps:         caps,
-		New:          newFn,
-		newCounter:   nc,
-	})
-}
-
-// RegisterQueue records a legacy queuer constructor under info.Name,
-// wrapped in the session adapter. Registering an empty name, a nil
-// constructor, malformed params, or a name twice panics.
-func RegisterQueue(info QueueInfo) {
-	nq := info.New
-	var newFn func(Options) (Structure, error)
-	if nq != nil {
-		newFn = func(o Options) (Structure, error) {
-			q, err := nq(o)
-			if err != nil {
-				return nil, err
-			}
-			return &queueStructure{q: q}, nil
-		}
-	}
-	registerStructure("Queue", StructureInfo{
-		Name:     info.Name,
-		Summary:  info.Summary,
-		Kinds:    KindQueue,
-		Params:   info.Params,
-		New:      newFn,
-		newQueue: nq,
-	})
-}
-
-// CounterInfo describes one registered legacy counter implementation. It
-// remains the registration surface for synchronous shared-memory counters;
-// RegisterCounter lifts it into the structure registry.
-type CounterInfo struct {
-	// Name is the registry key (e.g. "atomic", "sharded").
-	Name string
-	// Summary is a one-line human-readable description.
-	Summary string
-	// Linearizable records whether the implementation guarantees
-	// real-time (linearizable) ordering of counts, as opposed to the
-	// weaker quiescent consistency of counting networks and sharded
-	// designs.
-	Linearizable bool
-	// Params declares every construction parameter the implementation
-	// accepts. Spec keys outside this set are rejected before New runs.
-	Params []ParamInfo
-	// New constructs a fresh instance from the given options; the zero
-	// Options means all defaults.
-	New func(Options) (Counter, error)
-}
-
-// QueueInfo describes one registered legacy queuer implementation.
-type QueueInfo struct {
-	// Name is the registry key (e.g. "swap").
-	Name string
-	// Summary is a one-line human-readable description.
-	Summary string
-	// Params declares every construction parameter the implementation
-	// accepts. Spec keys outside this set are rejected before New runs.
-	Params []ParamInfo
-	// New constructs a fresh instance from the given options; the zero
-	// Options means all defaults.
-	New func(Options) (Queuer, error)
-}
-
-// lookupStructure finds the registered entry serving kind under name.
-func lookupStructure(name string, kind Kind) (StructureInfo, bool) {
+// LookupStructure reports the registered structure serving kind under
+// name, and whether one exists.
+func LookupStructure(name string, kind Kind) (StructureInfo, bool) {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	for _, info := range structures[name] {
@@ -221,12 +97,6 @@ func lookupStructure(name string, kind Kind) (StructureInfo, bool) {
 		}
 	}
 	return StructureInfo{}, false
-}
-
-// LookupStructure reports the registered structure serving kind under
-// name, and whether one exists.
-func LookupStructure(name string, kind Kind) (StructureInfo, bool) {
-	return lookupStructure(name, kind)
 }
 
 // NewStructure constructs a fresh structure from a spec — a bare name
@@ -252,9 +122,9 @@ func NewStructureFromSpec(s Spec, kind Kind) (Structure, error) {
 // info alongside — the form the driver uses to validate a workload against
 // the declared capabilities.
 func newStructureFromSpec(s Spec, kind Kind) (Structure, StructureInfo, error) {
-	info, ok := lookupStructure(s.Name, kind)
+	info, ok := LookupStructure(s.Name, kind)
 	if !ok {
-		return nil, StructureInfo{}, fmt.Errorf("countq: unknown %v %q (registered: %v)", kind, s.Name, structureNames(kind))
+		return nil, StructureInfo{}, fmt.Errorf("countq: unknown %v %q (registered: %v)", kind, s.Name, StructureNames(kind))
 	}
 	if err := checkParams(kind.String(), s.Name, s.Options, info.Params); err != nil {
 		return nil, StructureInfo{}, err
@@ -266,62 +136,31 @@ func newStructureFromSpec(s Spec, kind Kind) (Structure, StructureInfo, error) {
 	return st, info, nil
 }
 
-// NewCounter constructs a fresh legacy Counter from a counter spec — a
-// bare name ("sharded") or a parameterized form
-// ("sharded?shards=64&batch=256"). It is the synchronous compatibility
-// view of the structure registry: structures registered via
-// RegisterCounter construct exactly as before, while native session
-// structures (whose coordination round is asynchronous, like the sim
-// bridge) have no synchronous form and are reported as such — drive those
-// through NewStructure and sessions, or the workload driver.
-func NewCounter(spec string) (Counter, error) {
-	s, err := ParseSpec(spec)
+// NewCounter is the direct-call view of a counter spec: it constructs the
+// structure exactly as NewStructure does and returns it as a Counter, safe
+// for concurrent Inc calls with no session in between — what a
+// micro-benchmark pricing the structure alone wants. Structures whose
+// coordination round is not a synchronous call (the sim bridges, the
+// native-async combiners) have no such view and are reported as such.
+func NewCounter(spec string) (Counter, error) { return directView[Counter](spec, KindCounter) }
+
+// NewQueue is the queue-side direct-call view (see NewCounter).
+func NewQueue(spec string) (Queuer, error) { return directView[Queuer](spec, KindQueue) }
+
+// directView builds the structure and asserts it to the view V. A
+// structure without the view is closed again — a bridge's pump goroutine
+// must not outlive the failed call — and the error says how to drive it.
+func directView[V any](spec string, kind Kind) (V, error) {
+	var none V
+	st, err := NewStructure(spec, kind)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
-	return NewCounterFromSpec(s)
-}
-
-// NewCounterFromSpec is NewCounter for an already-parsed Spec, the form
-// sweeps use to vary one parameter programmatically (see Spec.With).
-func NewCounterFromSpec(s Spec) (Counter, error) {
-	info, ok := lookupStructure(s.Name, KindCounter)
-	if !ok {
-		return nil, fmt.Errorf("countq: unknown counter %q (registered: %v)", s.Name, CounterNames())
+	if v, ok := st.(V); ok {
+		return v, nil
 	}
-	if info.newCounter == nil {
-		return nil, fmt.Errorf("countq: structure %q has no synchronous Counter view; drive it through NewStructure(%q, KindCounter) and sessions", s.Name, s.Name)
-	}
-	if err := checkParams("counter", s.Name, s.Options, info.Params); err != nil {
-		return nil, err
-	}
-	return info.newCounter(s.Options)
-}
-
-// NewQueue constructs a fresh legacy Queuer from a queuer spec — a bare
-// name or "name?param=value&…" — the queue-side synchronous compatibility
-// view (see NewCounter).
-func NewQueue(spec string) (Queuer, error) {
-	s, err := ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return NewQueueFromSpec(s)
-}
-
-// NewQueueFromSpec is NewQueue for an already-parsed Spec.
-func NewQueueFromSpec(s Spec) (Queuer, error) {
-	info, ok := lookupStructure(s.Name, KindQueue)
-	if !ok {
-		return nil, fmt.Errorf("countq: unknown queue %q (registered: %v)", s.Name, QueueNames())
-	}
-	if info.newQueue == nil {
-		return nil, fmt.Errorf("countq: structure %q has no synchronous Queuer view; drive it through NewStructure(%q, KindQueue) and sessions", s.Name, s.Name)
-	}
-	if err := checkParams("queue", s.Name, s.Options, info.Params); err != nil {
-		return nil, err
-	}
-	return info.newQueue(s.Options)
+	closeStructure(st)
+	return none, fmt.Errorf("countq: %v %q has no synchronous view; drive it through NewStructure and sessions", kind, spec)
 }
 
 // Structures returns every registered structure, sorted by name (entries
@@ -342,9 +181,9 @@ func Structures() []StructureInfo {
 	return out
 }
 
-// StructureNames returns the names of registered structures serving kind,
+// StructureNames returns the registered structure names serving kind,
 // sorted.
-func structureNames(kind Kind) []string {
+func StructureNames(kind Kind) []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	var names []string
@@ -357,75 +196,5 @@ func structureNames(kind Kind) []string {
 		}
 	}
 	sort.Strings(names)
-	return names
-}
-
-// StructureNames returns the registered structure names serving kind,
-// sorted.
-func StructureNames(kind Kind) []string { return structureNames(kind) }
-
-// Counters returns every structure registered with a synchronous Counter
-// view, as its legacy CounterInfo, sorted by name. Native session
-// structures (no synchronous view) are not listed here — see Structures.
-func Counters() []CounterInfo {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	var out []CounterInfo
-	for _, infos := range structures {
-		for _, info := range infos {
-			if info.newCounter != nil {
-				out = append(out, CounterInfo{
-					Name:         info.Name,
-					Summary:      info.Summary,
-					Linearizable: info.Linearizable,
-					Params:       info.Params,
-					New:          info.newCounter,
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Queues returns every structure registered with a synchronous Queuer
-// view, as its legacy QueueInfo, sorted by name.
-func Queues() []QueueInfo {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	var out []QueueInfo
-	for _, infos := range structures {
-		for _, info := range infos {
-			if info.newQueue != nil {
-				out = append(out, QueueInfo{
-					Name:    info.Name,
-					Summary: info.Summary,
-					Params:  info.Params,
-					New:     info.newQueue,
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// CounterNames returns the registered legacy counter names, sorted.
-func CounterNames() []string {
-	infos := Counters()
-	names := make([]string, len(infos))
-	for i, info := range infos {
-		names[i] = info.Name
-	}
-	return names
-}
-
-// QueueNames returns the registered legacy queuer names, sorted.
-func QueueNames() []string {
-	infos := Queues()
-	names := make([]string, len(infos))
-	for i, info := range infos {
-		names[i] = info.Name
-	}
 	return names
 }

@@ -1,18 +1,93 @@
 package countq
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// testCounter and testQueue are minimal in-package implementations so the
-// registry and driver can be tested without importing internal/shm (which
-// would register its own entries and couple the tests to that set).
+// The fakes below are minimal in-package structures so the registry and
+// driver can be tested without importing internal/shm (which would
+// register its own entries and couple the tests to that set). Each keeps
+// its direct-call methods — the NewCounter/NewQueue views and DrainCounts
+// see the fake itself — and serves sessions through the one helper
+// sessionOver.
+
+// fakeSession forwards a session's operations to a fake's direct-call
+// methods; a nil inc or enq is the kind the fake does not serve.
+type fakeSession struct {
+	inc   func() int64
+	enq   func(int64) int64
+	close func()
+}
+
+func (s *fakeSession) Inc(ctx context.Context) (int64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	if s.inc == nil {
+		return 0, fmt.Errorf("fake: Inc on a queue session: %w", ErrUnsupported)
+	}
+	return s.inc(), nil
+}
+
+func (s *fakeSession) Enqueue(ctx context.Context, id int64) (int64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	if s.enq == nil {
+		return 0, fmt.Errorf("fake: Enqueue on a counter session: %w", ErrUnsupported)
+	}
+	return s.enq(id), nil
+}
+
+func (s *fakeSession) Close() error {
+	if s.close != nil {
+		s.close()
+	}
+	return nil
+}
+
+// fakeBatchSession adds IncN for fakes that have one.
+type fakeBatchSession struct {
+	fakeSession
+	incN func(int64) int64
+}
+
+func (s *fakeBatchSession) IncN(ctx context.Context, n int64) (int64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	if n < 1 {
+		return 0, fmt.Errorf("fake: IncN(%d): block size must be ≥ 1", n)
+	}
+	return s.incN(n), nil
+}
+
+// sessionOver builds a session over whichever of Inc / IncN / Enqueue the
+// fake x has.
+func sessionOver(x any) Session {
+	var s fakeSession
+	if c, ok := x.(Counter); ok {
+		s.inc = c.Inc
+	}
+	if q, ok := x.(Queuer); ok {
+		s.enq = q.Enqueue
+	}
+	if b, ok := x.(interface{ IncN(int64) int64 }); ok {
+		return &fakeBatchSession{s, b.IncN}
+	}
+	return &s
+}
+
 type testCounter struct{ v atomic.Int64 }
 
-func (c *testCounter) Inc() int64 { return c.v.Add(1) }
+func (c *testCounter) Inc() int64                   { return c.v.Add(1) }
+func (c *testCounter) NewSession() (Session, error) { return sessionOver(c), nil }
 
 // testParamCounter exercises the options path: "start" offsets the first
 // count (useful only to observe that the parameter arrived).
@@ -21,17 +96,21 @@ type testParamCounter struct {
 	v     atomic.Int64
 }
 
-func (c *testParamCounter) Inc() int64 { return c.start + c.v.Add(1) }
+func (c *testParamCounter) Inc() int64                   { return c.start + c.v.Add(1) }
+func (c *testParamCounter) NewSession() (Session, error) { return sessionOver(c), nil }
 
-// testBatchCounter implements BatchIncrementer.
+// testBatchCounter grants blocks: one atomic word, allocation-free by
+// construction (the alloc gates drive it too).
 type testBatchCounter struct{ v atomic.Int64 }
 
-func (c *testBatchCounter) Inc() int64         { return c.v.Add(1) }
-func (c *testBatchCounter) IncN(n int64) int64 { return c.v.Add(n) - n + 1 }
+func (c *testBatchCounter) Inc() int64                   { return c.v.Add(1) }
+func (c *testBatchCounter) IncN(n int64) int64           { return c.v.Add(n) - n + 1 }
+func (c *testBatchCounter) NewSession() (Session, error) { return sessionOver(c), nil }
 
-// testHandleCounter implements HandleMaker and Drainer in miniature: each
-// handle leases blocks of testLease counts off the shared high-water mark,
-// Close surrenders the remainder, Drain returns every surrendered count.
+// testHandleCounter is a leasing counter and Drainer in miniature: each
+// session leases blocks of testLease counts off the shared high-water
+// mark, Close surrenders the remainder, Drain returns every surrendered
+// count.
 type testHandleCounter struct {
 	next   atomic.Int64
 	closes atomic.Int64
@@ -43,7 +122,10 @@ const testLease = 4
 
 func (c *testHandleCounter) Inc() int64 { return c.next.Add(1) }
 
-func (c *testHandleCounter) NewHandle() CounterHandle { return &testHandle{c: c} }
+func (c *testHandleCounter) NewSession() (Session, error) {
+	h := &testHandle{c: c}
+	return &fakeSession{inc: h.Inc, close: h.Close}, nil
+}
 
 func (c *testHandleCounter) Drain() []int64 {
 	c.mu.Lock()
@@ -79,7 +161,7 @@ func (h *testHandle) Close() {
 }
 
 // lastHandleCounter is the most recent test-handle instance the registry
-// constructed, so driver tests can observe handle lifecycle counts.
+// constructed, so driver tests can observe session lifecycle counts.
 var lastHandleCounter atomic.Pointer[testHandleCounter]
 
 type testQueue struct {
@@ -95,19 +177,21 @@ func (q *testQueue) Enqueue(id int64) int64 {
 	return p
 }
 
+func (q *testQueue) NewSession() (Session, error) { return sessionOver(q), nil }
+
 var registerTestImpls = sync.OnceFunc(func() {
-	RegisterCounter(CounterInfo{
-		Name: "test-zulu", Summary: "test counter z", Linearizable: true,
-		New: func(Options) (Counter, error) { return &testCounter{}, nil },
+	RegisterStructure(StructureInfo{
+		Name: "test-zulu", Summary: "test counter z", Kinds: KindCounter, Linearizable: true,
+		New: func(Options) (Structure, error) { return &testCounter{}, nil },
 	})
-	RegisterCounter(CounterInfo{
-		Name: "test-alpha", Summary: "test counter a", Linearizable: true,
-		New: func(Options) (Counter, error) { return &testCounter{}, nil },
+	RegisterStructure(StructureInfo{
+		Name: "test-alpha", Summary: "test counter a", Kinds: KindCounter, Linearizable: true,
+		New: func(Options) (Structure, error) { return &testCounter{}, nil },
 	})
-	RegisterCounter(CounterInfo{
-		Name: "test-param", Summary: "test counter with a declared param", Linearizable: true,
+	RegisterStructure(StructureInfo{
+		Name: "test-param", Summary: "test counter with a declared param", Kinds: KindCounter, Linearizable: true,
 		Params: []ParamInfo{{Name: "start", Default: "0", Doc: "offset added to every count"}},
-		New: func(o Options) (Counter, error) {
+		New: func(o Options) (Structure, error) {
 			start := o.Int64("start", 0)
 			if err := o.Err(); err != nil {
 				return nil, err
@@ -115,21 +199,23 @@ var registerTestImpls = sync.OnceFunc(func() {
 			return &testParamCounter{start: start}, nil
 		},
 	})
-	RegisterCounter(CounterInfo{
-		Name: "test-batch", Summary: "test counter with IncN", Linearizable: true,
-		New: func(Options) (Counter, error) { return &testBatchCounter{}, nil },
+	RegisterStructure(StructureInfo{
+		Name: "test-batch", Summary: "test counter with IncN", Kinds: KindCounter, Linearizable: true,
+		Caps: CapBatch,
+		New:  func(Options) (Structure, error) { return &testBatchCounter{}, nil },
 	})
-	RegisterCounter(CounterInfo{
-		Name: "test-handle", Summary: "test counter with per-goroutine handles", Linearizable: false,
-		New: func(Options) (Counter, error) {
+	RegisterStructure(StructureInfo{
+		Name: "test-handle", Summary: "test counter with per-session leases", Kinds: KindCounter,
+		Caps: CapHandle,
+		New: func(Options) (Structure, error) {
 			c := &testHandleCounter{}
 			lastHandleCounter.Store(c)
 			return c, nil
 		},
 	})
-	RegisterQueue(QueueInfo{
-		Name: "test-queue", Summary: "test queue",
-		New: func(Options) (Queuer, error) { return &testQueue{tail: Head}, nil },
+	RegisterStructure(StructureInfo{
+		Name: "test-queue", Summary: "test queue", Kinds: KindQueue, Linearizable: true,
+		New: func(Options) (Structure, error) { return &testQueue{tail: Head}, nil },
 	})
 })
 
@@ -216,37 +302,33 @@ func TestRegistryUnknownName(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	registerTestImpls()
+	newCounter := func(Options) (Structure, error) { return &testCounter{}, nil }
 	mustPanic(t, "duplicate counter", func() {
-		RegisterCounter(CounterInfo{
-			Name: "test-alpha",
-			New:  func(Options) (Counter, error) { return &testCounter{}, nil },
-		})
+		RegisterStructure(StructureInfo{Name: "test-alpha", Kinds: KindCounter, New: newCounter})
 	})
 	mustPanic(t, "duplicate queue", func() {
-		RegisterQueue(QueueInfo{
-			Name: "test-queue",
-			New:  func(Options) (Queuer, error) { return &testQueue{}, nil },
+		RegisterStructure(StructureInfo{
+			Name: "test-queue", Kinds: KindQueue,
+			New: func(Options) (Structure, error) { return &testQueue{}, nil },
 		})
 	})
 	mustPanic(t, "empty counter name", func() {
-		RegisterCounter(CounterInfo{
-			New: func(Options) (Counter, error) { return &testCounter{}, nil },
-		})
+		RegisterStructure(StructureInfo{Kinds: KindCounter, New: newCounter})
 	})
 	mustPanic(t, "nil queue constructor", func() {
-		RegisterQueue(QueueInfo{Name: "test-nil"})
+		RegisterStructure(StructureInfo{Name: "test-nil", Kinds: KindQueue})
+	})
+	mustPanic(t, "no operation kind", func() {
+		RegisterStructure(StructureInfo{Name: "test-nokind", New: newCounter})
 	})
 	mustPanic(t, "spec metacharacter in name", func() {
-		RegisterCounter(CounterInfo{
-			Name: "test?bad",
-			New:  func(Options) (Counter, error) { return &testCounter{}, nil },
-		})
+		RegisterStructure(StructureInfo{Name: "test?bad", Kinds: KindCounter, New: newCounter})
 	})
 	mustPanic(t, "duplicate param declaration", func() {
-		RegisterCounter(CounterInfo{
-			Name:   "test-dup-param",
+		RegisterStructure(StructureInfo{
+			Name: "test-dup-param", Kinds: KindCounter,
 			Params: []ParamInfo{{Name: "x"}, {Name: "x"}},
-			New:    func(Options) (Counter, error) { return &testCounter{}, nil },
+			New:    newCounter,
 		})
 	})
 }
@@ -264,7 +346,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 func TestRegistryDeterministicOrder(t *testing.T) {
 	registerTestImpls()
 	for round := 0; round < 5; round++ {
-		names := CounterNames()
+		names := StructureNames(KindCounter)
 		for i := 1; i < len(names); i++ {
 			if names[i-1] >= names[i] {
 				t.Fatalf("counter names not sorted: %v", names)
@@ -273,7 +355,7 @@ func TestRegistryDeterministicOrder(t *testing.T) {
 	}
 	// "test-alpha" sorts before "test-zulu" regardless of registration
 	// order (zulu was registered first).
-	names := CounterNames()
+	names := StructureNames(KindCounter)
 	ai, zi := -1, -1
 	for i, n := range names {
 		switch n {
@@ -286,13 +368,14 @@ func TestRegistryDeterministicOrder(t *testing.T) {
 	if ai < 0 || zi < 0 || ai > zi {
 		t.Errorf("deterministic order violated: %v", names)
 	}
-	infos := Counters()
-	if len(infos) != len(names) {
-		t.Fatalf("Counters/CounterNames disagree: %d vs %d", len(infos), len(names))
-	}
-	for i := range infos {
-		if infos[i].Name != names[i] {
-			t.Errorf("Counters()[%d] = %q, CounterNames()[%d] = %q", i, infos[i].Name, i, names[i])
+	// Structures lists the same entries in the same order.
+	var infos []string
+	for _, info := range Structures() {
+		if info.Kinds.Has(KindCounter) {
+			infos = append(infos, info.Name)
 		}
+	}
+	if !slices.Equal(infos, names) {
+		t.Errorf("Structures and StructureNames disagree: %v vs %v", infos, names)
 	}
 }

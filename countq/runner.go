@@ -38,8 +38,8 @@ const opsChunk = 64
 // operation.
 //
 // Every operation flows through the session layer: each worker opens one
-// Session per structure and issues Inc/Enqueue through it, so legacy
-// HandleMaker counters get their per-worker fast path automatically.
+// Session per structure and issues Inc/Enqueue through it, so a structure
+// with per-worker state (sharded's private lease) serves its fast path.
 // Capabilities are demanded, not hinted: a phase with Batch > 1 requires a
 // CapBatch structure, a phase with Inflight > 1 requires CapAsync, and
 // either fails loudly when the capability is missing.
@@ -223,7 +223,7 @@ func runPhases(base Workload, scenarioSpec string, phases []Phase, cs, qs Struct
 			p.Batch = 0 // IncN(1) is Inc; keep the single-Inc path
 		}
 		if p.Batch > 1 && p.Mix > 0 && !cinfo.Caps.Has(CapBatch) {
-			return nil, fmt.Errorf("countq: phase %q sets batch=%d but counter %q lacks the batch capability (BatchIncrementer / BatchSession block grants); drop the batch or pick a batching counter", p.Name, p.Batch, base.Counter)
+			return nil, fmt.Errorf("countq: phase %q sets batch=%d but counter %q lacks the batch capability (BatchSession block grants); drop the batch or pick a batching counter", p.Name, p.Batch, base.Counter)
 		}
 		if p.Inflight == 0 {
 			p.Inflight = base.Inflight

@@ -20,7 +20,7 @@ func TestScenarioRegistryRoundTrip(t *testing.T) {
 	for _, info := range Scenarios() {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
-			// test-batch implements BatchIncrementer so the batched
+			// test-batch declares CapBatch so the batched
 			// scenario (and any future batching phase) can run.
 			base := Workload{
 				Counter:    "test-batch",
@@ -169,7 +169,7 @@ func TestScenarioBatchedRequiresCapability(t *testing.T) {
 	if err == nil {
 		t.Fatal("batched scenario on a non-batching counter accepted")
 	}
-	if !strings.Contains(err.Error(), "BatchIncrementer") {
+	if !strings.Contains(err.Error(), "BatchSession") {
 		t.Errorf("error does not name the missing capability: %v", err)
 	}
 	// On a batching counter the second phase actually batches.

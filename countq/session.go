@@ -8,16 +8,11 @@ import (
 	"time"
 )
 
-// This file is the v2 core API: per-worker Sessions with context and
-// errors, the Structure factory that makes them, and the capability
-// interfaces (BatchSession, AsyncSession) the driver exploits. The legacy
-// Counter/Queuer interfaces remain the simplest way to *implement* a
-// shared-memory structure — thin adapters below lift every legacy
-// implementation (including its HandleMaker and BatchIncrementer
-// capabilities) into the session world unchanged — but Sessions are the
-// canonical way to *drive* one, and the only way to drive backends whose
-// coordination round is not a synchronous shared-memory call (see
-// internal/sim's bridge structures).
+// This file is the core API: per-worker Sessions with context and errors,
+// the Structure factory that makes them, and the capability interfaces
+// (BatchSession, AsyncSession) the driver exploits. Sessions are the one
+// way to drive a structure — shared-memory word, combining engine or
+// simulated network alike.
 
 // Kind is the bitmask of operation kinds a structure serves. A counter
 // serves Inc, a queue serves Enqueue; a structure may declare both.
@@ -58,8 +53,8 @@ type Caps int
 
 const (
 	// CapHandle marks structures whose sessions hold per-worker fast-path
-	// state (the lifted form of the legacy HandleMaker capability).
-	// Informational: every session already has a Close.
+	// state that Close surrenders (sharded's private lease, a combining
+	// lane, a bridge grant). Informational: every session has a Close.
 	CapHandle Caps = 1 << iota
 	// CapBatch marks structures whose sessions implement BatchSession
 	// (IncN block grants — one coordination round for a range of counts).
@@ -97,7 +92,7 @@ func (c Caps) String() string {
 var ErrUnsupported = errors.New("operation not supported by this structure")
 
 // Session is a per-worker conversation with a structure: the canonical
-// operation surface of the v2 API. A session is owned by one goroutine and
+// operation surface of the API. A session is owned by one goroutine and
 // is not safe for concurrent use; the structure it came from is safe for
 // concurrent use alongside any number of its sessions. Close surrenders
 // per-session state (such as an unused lease remainder) back to the
@@ -215,128 +210,13 @@ type Structure interface {
 	NewSession() (Session, error)
 }
 
-// --- Legacy adapters -------------------------------------------------------
-//
-// The adapters below lift a legacy Counter or Queuer into a Structure so
-// that every implementation registered through RegisterCounter /
-// RegisterQueue serves sessions unchanged:
-//
-//   - HandleMaker becomes the sync special case of session-making: a
-//     session wraps a fresh CounterHandle, and Session.Close closes it.
-//   - BatchIncrementer becomes the BatchSession capability.
-//   - Drainer passes through the structure (see DrainCounts).
-
-// legacyCounter is implemented by adapter structures wrapping a
-// synchronous Counter. NewCounter and the validation drain unwrap it.
-type legacyCounter interface{ LegacyCounter() Counter }
-
-// legacyQueuer is the queue-side unwrap.
-type legacyQueuer interface{ LegacyQueuer() Queuer }
-
-// counterStructure adapts a legacy Counter (and its optional HandleMaker /
-// BatchIncrementer / Drainer capabilities) to the Structure interface.
-type counterStructure struct{ c Counter }
-
-// LegacyCounter returns the wrapped Counter.
-func (s *counterStructure) LegacyCounter() Counter { return s.c }
-
-// NewSession returns a session over the wrapped counter: handle-backed
-// when the counter is a HandleMaker, batch-capable when it is a
-// BatchIncrementer.
-func (s *counterStructure) NewSession() (Session, error) {
-	cs := counterSession{inc: s.c.Inc}
-	if hm, ok := s.c.(HandleMaker); ok {
-		h := hm.NewHandle()
-		cs.inc, cs.closeFn = h.Inc, h.Close
-	}
-	if bi, ok := s.c.(BatchIncrementer); ok {
-		return &batchCounterSession{counterSession: cs, bi: bi}, nil
-	}
-	return &cs, nil
-}
-
-// counterSession serves Inc through a legacy counter (or one of its
-// handles); Enqueue is unsupported.
-type counterSession struct {
-	inc     func() int64
-	closeFn func()
-}
-
-func (s *counterSession) Inc(ctx context.Context) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return s.inc(), nil
-}
-
-func (s *counterSession) Enqueue(ctx context.Context, id int64) (int64, error) {
-	return 0, fmt.Errorf("countq: Enqueue on a counter session: %w", ErrUnsupported)
-}
-
-func (s *counterSession) Close() error {
-	if s.closeFn != nil {
-		s.closeFn()
-	}
-	return nil
-}
-
-// batchCounterSession adds the BatchSession capability over a legacy
-// BatchIncrementer.
-type batchCounterSession struct {
-	counterSession
-	bi BatchIncrementer
-}
-
-func (s *batchCounterSession) IncN(ctx context.Context, n int64) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if n < 1 {
-		return 0, fmt.Errorf("countq: IncN(%d): block size must be ≥ 1", n)
-	}
-	return s.bi.IncN(n), nil
-}
-
-// queueStructure adapts a legacy Queuer to the Structure interface.
-type queueStructure struct{ q Queuer }
-
-// LegacyQueuer returns the wrapped Queuer.
-func (s *queueStructure) LegacyQueuer() Queuer { return s.q }
-
-// NewSession returns a session over the wrapped queuer.
-func (s *queueStructure) NewSession() (Session, error) {
-	return &queueSession{q: s.q}, nil
-}
-
-// queueSession serves Enqueue through a legacy queuer; Inc is unsupported.
-type queueSession struct{ q Queuer }
-
-func (s *queueSession) Inc(ctx context.Context) (int64, error) {
-	return 0, fmt.Errorf("countq: Inc on a queue session: %w", ErrUnsupported)
-}
-
-func (s *queueSession) Enqueue(ctx context.Context, id int64) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return s.q.Enqueue(id), nil
-}
-
-func (s *queueSession) Close() error { return nil }
-
 // DrainCounts reclaims every leased-but-unused count from a structure
-// whose implementation leases ranges (the Drainer capability), whether the
-// structure implements Drainer itself or wraps a legacy counter that does.
-// Structures without the capability drain to nothing. Call it only after
-// every session is closed, so surrendered lease remainders are included.
+// whose implementation leases ranges (the Drainer capability); structures
+// without it drain to nothing. Call it only after every session is
+// closed, so surrendered lease remainders are included.
 func DrainCounts(s Structure) []int64 {
 	if d, ok := s.(Drainer); ok {
 		return d.Drain()
-	}
-	if lc, ok := s.(legacyCounter); ok {
-		if d, ok := lc.LegacyCounter().(Drainer); ok {
-			return d.Drain()
-		}
 	}
 	return nil
 }

@@ -2,17 +2,16 @@ package countq
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// testNativeStructure is a minimal native v3 structure (no legacy view):
-// sessions serve Inc off a shared mutex-free counter via a channel-less
-// fake "async" implementation, so the registry and adapter seams can be
-// tested without internal/sim.
+// testNativeStructure is a minimal async-capable structure with no
+// direct-call view: sessions serve Inc off a shared counter and complete
+// submissions immediately, so the registry and driver seams can be tested
+// without internal/sim.
 type testNativeStructure struct {
 	mu   sync.Mutex
 	next int64
@@ -63,7 +62,7 @@ func (n *testNativeSession) Completions() <-chan Completion { return n.out }
 var registerNativeTestStructure = sync.OnceFunc(func() {
 	RegisterStructure(StructureInfo{
 		Name:    "test-native",
-		Summary: "native session structure without a legacy view",
+		Summary: "async session structure without a direct-call view",
 		Kinds:   KindCounter,
 		Caps:    CapAsync,
 		New: func(o Options) (Structure, error) {
@@ -93,14 +92,14 @@ func TestKindAndCapsStrings(t *testing.T) {
 func TestStructureRegistryLookups(t *testing.T) {
 	registerTestImpls()
 	registerNativeTestStructure()
-	// A legacy counter is visible as a structure of kind counter only.
+	// A counter is visible as a structure of kind counter only.
 	if _, ok := LookupStructure("test-alpha", KindCounter); !ok {
 		t.Error("test-alpha missing from the structure registry")
 	}
 	if _, ok := LookupStructure("test-alpha", KindQueue); ok {
 		t.Error("test-alpha wrongly serves the queue kind")
 	}
-	// Probed capabilities of the legacy registrations.
+	// Declared capabilities.
 	if info, _ := LookupStructure("test-batch", KindCounter); !info.Caps.Has(CapBatch) {
 		t.Error("test-batch does not declare CapBatch")
 	}
@@ -129,12 +128,7 @@ func TestNativeStructureHasNoLegacyView(t *testing.T) {
 	if !strings.Contains(err.Error(), "synchronous") {
 		t.Errorf("error does not explain the missing synchronous view: %v", err)
 	}
-	// And it is absent from the legacy listing but present in Structures.
-	for _, info := range Counters() {
-		if info.Name == "test-native" {
-			t.Error("native structure leaked into Counters()")
-		}
-	}
+	// It is a registered structure all the same.
 	found := false
 	for _, info := range Structures() {
 		if info.Name == "test-native" {
@@ -143,101 +137,6 @@ func TestNativeStructureHasNoLegacyView(t *testing.T) {
 	}
 	if !found {
 		t.Error("native structure missing from Structures()")
-	}
-}
-
-func TestCounterAdapterSessions(t *testing.T) {
-	registerTestImpls()
-	st, err := NewStructure("test-handle", KindCounter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := st.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var counts []int64
-	for i := 0; i < 6; i++ { // 6 is not a multiple of the test lease (4)
-		v, err := sess.Inc(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts = append(counts, v)
-	}
-	if _, err := sess.Enqueue(context.Background(), 1); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("Enqueue on a counter session: %v", err)
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	counts = append(counts, DrainCounts(st)...)
-	if err := ValidateCounts(counts); err != nil {
-		t.Errorf("handle-backed session leaked its lease: %v", err)
-	}
-	// Cancelled contexts are refused before touching the structure.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	sess2, _ := st.NewSession()
-	defer sess2.Close()
-	if _, err := sess2.Inc(cancelled); err == nil {
-		t.Error("Inc with a cancelled context accepted")
-	}
-}
-
-func TestBatchAdapterSession(t *testing.T) {
-	registerTestImpls()
-	st, err := NewStructure("test-batch", KindCounter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := st.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	bs, ok := sess.(BatchSession)
-	if !ok {
-		t.Fatal("test-batch session is not a BatchSession")
-	}
-	first, err := bs.IncN(context.Background(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateCountRanges(nil, []CountRange{{First: first, N: 8}}); err != nil {
-		t.Errorf("block grant invalid: %v", err)
-	}
-	if _, err := bs.IncN(context.Background(), 0); err == nil {
-		t.Error("IncN(0) accepted")
-	}
-	// A non-batching counter's session is not a BatchSession.
-	plain, _ := NewStructure("test-alpha", KindCounter)
-	ps, _ := plain.NewSession()
-	defer ps.Close()
-	if _, ok := ps.(BatchSession); ok {
-		t.Error("non-batching counter produced a BatchSession")
-	}
-}
-
-func TestQueueAdapterSession(t *testing.T) {
-	registerTestImpls()
-	st, err := NewStructure("test-queue", KindQueue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := st.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	pr, err := sess.Enqueue(context.Background(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr != Head {
-		t.Errorf("first predecessor = %d, want Head", pr)
-	}
-	if _, err := sess.Inc(context.Background()); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("Inc on a queue session: %v", err)
 	}
 }
 

@@ -99,9 +99,10 @@ type Workload struct {
 	Mix float64
 	// Batch, when > 1, issues counter operations as IncN(Batch) block
 	// grants — one coordination round per Batch counts — and validation
-	// covers the granted ranges. The counter must implement
-	// BatchIncrementer: a batch request against a counter without the
-	// capability is rejected, never silently downgraded to single Incs.
+	// covers the granted ranges. The counter must declare CapBatch (its
+	// sessions implement BatchSession): a batch request against a counter
+	// without the capability is rejected, never silently downgraded to
+	// single Incs.
 	Batch int
 	// Inflight, when > 1, keeps that many operations outstanding per
 	// worker through the structure's AsyncSession capability — the op

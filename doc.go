@@ -12,7 +12,7 @@
 // system inventory; `go run ./cmd/countq run all` regenerates the
 // paper-versus-measured tables.
 //
-// # Quickstart: sessions, structures, and the registry (core API v2)
+// # Quickstart: sessions, structures, and the registry
 //
 // The public package repro/countq exposes every counting and queuing
 // backend behind one registry of Structures. A Structure is a session
@@ -43,21 +43,18 @@
 // not hinted: a workload that asks for Batch or Inflight against a
 // structure without the capability is rejected before any goroutine runs.
 //
-// Legacy implementations register unchanged: RegisterCounter and
-// RegisterQueue lift a Counter/Queuer (with its HandleMaker,
-// BatchIncrementer and Drainer capability interfaces) into the structure
-// registry through thin session adapters, probing and declaring its caps.
-// NewCounter/NewQueue remain as the synchronous compatibility view.
-//
-// Migration, legacy → v2:
-//
-//	NewCounter(spec).Inc()            → NewStructure(spec, KindCounter); sess.Inc(ctx)
-//	NewQueue(spec).Enqueue(id)        → NewStructure(spec, KindQueue); sess.Enqueue(ctx, id)
-//	HandleMaker / CounterHandle       → NewSession / Session (handles are the sync special case)
-//	BatchIncrementer.IncN(n)          → BatchSession.IncN(ctx, n)     [CapBatch]
-//	(inexpressible)                   → AsyncSession.Submit/Completions [CapAsync]
-//	Drainer.Drain()                   → DrainCounts(structure)
-//	Counters() / Queues()             → Structures() (legacy listings remain, sync-view only)
+// Every implementation registers the same way — one RegisterStructure
+// call whose Kinds, Caps, Params and Linearizable are literals — and
+// serves sessions itself: the shared-memory structures' sessions call
+// the structure's own Inc / IncN / Enqueue directly (sharded's session
+// is its per-worker lease; Close surrenders the remainder, and
+// DrainCounts(structure) reclaims it for validation). NewCounter and
+// NewQueue are a direct-call view over that one path: they build the
+// structure through NewStructure and return it as a Counter / Queuer,
+// callable from any goroutine with no session — kept for code that
+// prices a structure alone (bench/ladder.go's shm rungs). Structures
+// with no synchronous call form (the sim bridges, the native-async
+// combiners) have no such view and say so.
 //
 // The scenario engine runs the paper's counting-versus-queuing contrast
 // over any registered pair — as one steady phase or as a registered

@@ -1,11 +1,12 @@
 // Spec sweep: the parameterized-spec API end to end. Constructs counters
 // from DSN-style specs, sweeps the sharded counter's lease batch size with
-// Spec.With, and shows the two capability escape hatches — per-goroutine
-// handles (HandleMaker) and block grants (BatchIncrementer) — moving the
-// coordination cost the paper's lower bound prices per operation.
+// Spec.With, and shows the two escape hatches a session offers — a private
+// per-worker lease and BatchSession block grants — moving the coordination
+// cost the paper's lower bound prices per operation.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,7 @@ import (
 func main() {
 	// Every registered structure documents its own tunables.
 	fmt.Println("declared tunables:")
-	for _, info := range countq.Counters() {
+	for _, info := range countq.Structures() {
 		for _, p := range info.Params {
 			fmt.Printf("  %-12s %-8s default %-12s %s\n", info.Name, p.Name, p.Default, p.Doc)
 		}
@@ -47,24 +48,40 @@ func main() {
 			spec, res.NsPerOp(), res.Aggregate.CounterLat.P50Ns, res.Aggregate.CounterLat.P99Ns)
 	}
 
-	// Capability interfaces, used directly: a handle owns a private lease
-	// (the uncontended fast path), and IncN grants a whole block of counts
-	// for one coordination round.
-	c, err := countq.NewCounter("sharded?shards=2&batch=64")
+	// Sessions, used directly: a sharded session owns a private lease (the
+	// uncontended fast path) until Close surrenders the remainder, and its
+	// IncN grants a whole block of counts for one coordination round.
+	ctx := context.Background()
+	st, err := countq.NewStructure("sharded?shards=2&batch=64", countq.KindCounter)
 	if err != nil {
 		log.Fatal(err)
 	}
-	h := c.(countq.HandleMaker).NewHandle()
-	a, b := h.Inc(), h.Inc()
-	h.Close() // surrender the unused lease remainder
-	first := c.(countq.BatchIncrementer).IncN(100)
-	fmt.Printf("\nhandle counts: %d, %d; IncN(100) granted block [%d,%d]\n", a, b, first, first+99)
+	sess, err := st.NewSession()
+	if err != nil {
+		log.Fatal(err)
+	}
+	a, _ := sess.Inc(ctx)
+	b, _ := sess.Inc(ctx)
+	first, err := sess.(countq.BatchSession).IncN(ctx, 100)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sess.Close()
+	fmt.Printf("\nsession counts: %d, %d; IncN(100) granted block [%d,%d]; %d leased counts drained\n",
+		a, b, first, first+99, len(countq.DrainCounts(st)))
 
 	// The queue side of the paper's contrast needs no tunables at all:
 	// learning your predecessor is one atomic swap.
-	q, err := countq.NewQueue("swap")
+	qs, err := countq.NewStructure("swap", countq.KindQueue)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("swap queue predecessors: %d, %d (Head = %d)\n", q.Enqueue(1), q.Enqueue(2), countq.Head)
+	q, err := qs.NewSession()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer q.Close()
+	p1, _ := q.Enqueue(ctx, 1)
+	p2, _ := q.Enqueue(ctx, 2)
+	fmt.Printf("swap queue predecessors: %d, %d (Head = %d)\n", p1, p2, countq.Head)
 }

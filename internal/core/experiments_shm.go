@@ -17,8 +17,8 @@ func init() {
 // operation, while queuing — learning your predecessor — is a single
 // atomic swap. Neither roster nor workload is hand-maintained: the
 // experiment is two campaigns over the public countq registry — every
-// registered counter (plus the canonical non-default variants) and every
-// registered queuer — run through the canonical `ramp` scenario under
+// registered synchronous counter (plus the canonical non-default variants)
+// and every registered synchronous queue — run through the canonical `ramp` scenario under
 // byte-identical phase sequences and a shared seed, with deltas against a
 // declared baseline (`atomic` fetch-add for counting, `swap` for queuing).
 // Per-phase tail latency (p50/p99) and worker fairness are reported
@@ -35,7 +35,7 @@ func RunE11(cfg Config) (*Table, error) {
 	// registry keeps the table order deterministic.
 	var variants []string
 	allVariants := shm.VariantSpecs()
-	for _, info := range countq.Counters() {
+	for _, info := range shm.SyncStructures(countq.KindCounter) {
 		variants = append(variants, allVariants[info.Name]...)
 	}
 	if cfg.Quick {
@@ -50,7 +50,7 @@ func RunE11(cfg Config) (*Table, error) {
 		Seed:       cfg.Seed,
 	}
 	counting := countq.Campaign{Base: base, Name: "counting"}
-	for i, info := range countq.Counters() {
+	for i, info := range shm.SyncStructures(countq.KindCounter) {
 		if info.Name == "atomic" {
 			counting.Baseline = i
 		}
@@ -60,7 +60,7 @@ func RunE11(cfg Config) (*Table, error) {
 		counting.Entries = append(counting.Entries, countq.Entry{Counter: spec})
 	}
 	queuing := countq.Campaign{Base: base, Name: "queuing"}
-	for i, info := range countq.Queues() {
+	for i, info := range shm.SyncStructures(countq.KindQueue) {
 		if info.Name == "swap" {
 			queuing.Baseline = i
 		}

@@ -18,7 +18,7 @@ var optionGetters = map[string]bool{
 }
 
 // RegistryParamsAnalyzer proves the registry declarations honest: every
-// RegisterStructure/RegisterCounter/RegisterQueue call's declared Params
+// RegisterStructure call's declared Params
 // must exactly match the option keys its constructor reads through the
 // Options getters (drift in either direction is an error — an undeclared
 // key is rejected before New runs, a declared-but-unread key documents a
@@ -26,7 +26,7 @@ var optionGetters = map[string]bool{
 // types the structure's NewSession actually returns.
 var RegistryParamsAnalyzer = &Analyzer{
 	Name: "registryparams",
-	Doc: "Register{Structure,Counter,Queue} declarations must match reality: Params exactly the " +
+	Doc: "RegisterStructure declarations must match reality: Params exactly the " +
 		"option keys the constructor reads, Caps exactly the capability interfaces the returned " +
 		"sessions implement (CapHandle is informational and exempt; a capability whose operation " +
 		"kind the structure does not serve is exempt from the must-declare direction)",
@@ -49,9 +49,7 @@ func runRegistryParams(pass *Pass) error {
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != countqPath {
 				return true
 			}
-			switch fn.Name() {
-			case "RegisterStructure", "RegisterCounter", "RegisterQueue":
-			default:
+			if fn.Name() != "RegisterStructure" {
 				return true
 			}
 			if len(call.Args) != 1 {
@@ -59,10 +57,10 @@ func runRegistryParams(pass *Pass) error {
 			}
 			info := resolveComposite(pass.Files, pass.Info, call.Args[0])
 			if info == nil {
-				pass.Reportf(call.Pos(), "%s argument is not statically resolvable to a composite literal; the analyzer cannot verify its Params/Caps declarations", fn.Name())
+				pass.Reportf(call.Pos(), "RegisterStructure argument is not statically resolvable to a composite literal; the analyzer cannot verify its Params/Caps declarations")
 				return true
 			}
-			checkRegistration(pass, countq, decls, fn.Name(), call, info)
+			checkRegistration(pass, countq, decls, info)
 			return true
 		})
 	}
@@ -95,7 +93,7 @@ func infoField(pass *Pass, lit *ast.CompositeLit, name string) ast.Expr {
 	return nil
 }
 
-func checkRegistration(pass *Pass, countq *types.Package, decls map[*types.Func]*ast.FuncDecl, regName string, call *ast.CallExpr, lit *ast.CompositeLit) {
+func checkRegistration(pass *Pass, countq *types.Package, decls map[*types.Func]*ast.FuncDecl, lit *ast.CompositeLit) {
 	structName := "?"
 	if nameExpr := infoField(pass, lit, "Name"); nameExpr != nil {
 		if s, ok := constString(pass.Info, nameExpr); ok {
@@ -108,7 +106,7 @@ func checkRegistration(pass *Pass, countq *types.Package, decls map[*types.Func]
 	if paramsExpr := infoField(pass, lit, "Params"); paramsExpr != nil {
 		plist := resolveComposite(pass.Files, pass.Info, paramsExpr)
 		if plist == nil {
-			pass.Reportf(paramsExpr.Pos(), "%s %q: Params is not statically resolvable to its []ParamInfo literal", regName, structName)
+			pass.Reportf(paramsExpr.Pos(), "RegisterStructure %q: Params is not statically resolvable to its []ParamInfo literal", structName)
 			return
 		}
 		for _, el := range plist.Elts {
@@ -140,7 +138,7 @@ func checkRegistration(pass *Pass, countq *types.Package, decls map[*types.Func]
 
 	for key, site := range read {
 		if _, ok := declared[key]; !ok {
-			pass.Reportf(site.Pos(), "%s %q: constructor reads option key %q that Params does not declare (specs setting it are rejected before New runs)", regName, structName, key)
+			pass.Reportf(site.Pos(), "RegisterStructure %q: constructor reads option key %q that Params does not declare (specs setting it are rejected before New runs)", structName, key)
 		}
 	}
 	var unread []string
@@ -151,12 +149,10 @@ func checkRegistration(pass *Pass, countq *types.Package, decls map[*types.Func]
 	}
 	sort.Strings(unread)
 	for _, key := range unread {
-		pass.Reportf(declared[key].Pos(), "%s %q: declared param %q is never read by the constructor (drift: the knob does nothing)", regName, structName, key)
+		pass.Reportf(declared[key].Pos(), "RegisterStructure %q: declared param %q is never read by the constructor (drift: the knob does nothing)", structName, key)
 	}
 
-	if regName == "RegisterStructure" {
-		checkCaps(pass, countq, decls, structName, lit)
-	}
+	checkCaps(pass, countq, decls, structName, lit)
 }
 
 // constructorBody resolves the New field to a function body plus its

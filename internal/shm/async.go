@@ -12,8 +12,8 @@ import (
 )
 
 // This file holds the native-AsyncSession backends: structures whose
-// sessions are driven through Submit/Completions *by construction*, not
-// through the synchronous adapter. Both ride one flat-combining engine:
+// sessions are driven through Submit/Completions *by construction*, with
+// no synchronous call underneath. Both ride one flat-combining engine:
 //
 //   - submissions land in a per-session SPSC lane (internal/ring — the
 //     same audited ring the sim bridge's transport runs on),
@@ -25,7 +25,7 @@ import (
 // With Inflight > 1 a worker keeps several submissions parked in its slot
 // while earlier ones ride a combine round — the aggregation round the
 // paper charges counting with genuinely overlaps, which is exactly what
-// the synchronous adapters cannot express.
+// the synchronous structures' sessions cannot express.
 //
 // Memory-ordering protocol (all Go atomics are sequentially consistent):
 // a submitter increments core.pending BEFORE publishing into its ring, and

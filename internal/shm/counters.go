@@ -10,8 +10,10 @@
 // swap (the "distributed swap" of Herlihy, Tirthapura and Wattenhofer),
 // with no validation, no retry and no multi-location coordination.
 //
-// Two structures implement the session API's async capability natively
-// rather than through the driver's adapter: "async-funnel", a combining
+// Every structure is a native countq.Structure: NewSession hands each
+// worker a session that calls the structure's own Inc / IncN / Enqueue
+// directly (sessions.go; sharded's session is its per-worker lease). Two
+// structures are asynchronous by construction: "async-funnel", a combining
 // counter whose flat-combining engine batches submitted increments and
 // completes them on a shared channel, and "elim", an elimination/back-off
 // queue whose enqueues either combine with a concurrent partner or fall
@@ -22,8 +24,8 @@
 //
 // Every implementation registers itself with the public repro/countq
 // registry on import (see register.go), so importing this package for its
-// side effects makes the whole zoo constructible by name via
-// countq.NewCounter / countq.NewQueue.
+// side effects makes the whole zoo constructible by spec via
+// countq.NewStructure.
 package shm
 
 import (
@@ -37,8 +39,8 @@ import (
 )
 
 // Counter hands out distinct counts 1, 2, 3, … to concurrent callers. It
-// is an alias of the public countq.Counter, so shm implementations satisfy
-// the registry interface directly.
+// is an alias of the public countq.Counter, the direct-call view every
+// synchronous counter here also offers.
 type Counter = countq.Counter
 
 // AtomicCounter is the hardware fetch-and-increment baseline.
@@ -54,8 +56,7 @@ func NewAtomicCounter() *AtomicCounter { return &AtomicCounter{} }
 //countq:hotpath clocks=0
 func (c *AtomicCounter) Inc() int64 { return c.v.Add(1) }
 
-// IncN implements countq.BatchIncrementer: one fetch-and-add grants the
-// whole block first..first+n-1.
+// IncN grants a block in one fetch-and-add: the counts first..first+n-1.
 //
 //countq:hotpath clocks=0
 func (c *AtomicCounter) IncN(n int64) int64 { return c.v.Add(n) - n + 1 }
@@ -80,8 +81,7 @@ func (c *MutexCounter) Inc() int64 {
 	return v
 }
 
-// IncN implements countq.BatchIncrementer: one critical section grants the
-// whole block first..first+n-1.
+// IncN grants a block in one critical section: the counts first..first+n-1.
 //
 //countq:hotpath clocks=0
 func (c *MutexCounter) IncN(n int64) int64 {

@@ -34,6 +34,20 @@ func VariantSpecs() map[string][]string {
 	return out
 }
 
+// SyncStructures returns the registered structures of kind whose sessions
+// are synchronous only (no CapAsync), sorted by name: the roster E11 and
+// the top-level benchmarks sweep. The native-async combiners and the sim
+// bridges have campaigns of their own.
+func SyncStructures(kind countq.Kind) []countq.StructureInfo {
+	var out []countq.StructureInfo
+	for _, info := range countq.Structures() {
+		if info.Kinds.Has(kind) && !info.Caps.Has(countq.CapAsync) {
+			out = append(out, info)
+		}
+	}
+	return out
+}
+
 // requireAtLeast1 rejects parameters the spec set explicitly to a value
 // below 1. The constructors treat 0 as "use the default", so without this
 // check an explicit funnel?spin=0 would silently run at spin=32 — the
@@ -56,32 +70,39 @@ func requireAtLeast1(o *countq.Options, keys ...string) error {
 // cost — and new entries added here show up automatically in cmd/countq's
 // listing, core's E11 experiment, and the top-level benchmarks. Every
 // tunable is declared as a ParamInfo, so unknown spec keys are rejected
-// and `countq list -v` self-documents the zoo.
+// and `countq list -v` self-documents the zoo. Kinds, Caps and
+// Linearizable are literals: nothing is constructed here, and countqlint's
+// registryparams holds each Caps to the session type NewSession returns.
 func init() {
-	countq.RegisterCounter(countq.CounterInfo{
+	countq.RegisterStructure(countq.StructureInfo{
 		Name:         "atomic",
 		Summary:      "hardware fetch-and-increment on one shared word",
+		Kinds:        countq.KindCounter,
 		Linearizable: true,
-		New: func(o countq.Options) (countq.Counter, error) {
+		Caps:         countq.CapBatch,
+		New: func(o countq.Options) (countq.Structure, error) {
 			return NewAtomicCounter(), nil
 		},
 	})
-	countq.RegisterCounter(countq.CounterInfo{
+	countq.RegisterStructure(countq.StructureInfo{
 		Name:         "mutex",
 		Summary:      "increments serialized behind a single mutex",
+		Kinds:        countq.KindCounter,
 		Linearizable: true,
-		New: func(o countq.Options) (countq.Counter, error) {
+		Caps:         countq.CapBatch,
+		New: func(o countq.Options) (countq.Structure, error) {
 			return NewMutexCounter(), nil
 		},
 	})
-	countq.RegisterCounter(countq.CounterInfo{
+	countq.RegisterStructure(countq.StructureInfo{
 		Name:         "combining",
 		Summary:      "flat combiner: one caller applies the whole pending batch",
+		Kinds:        countq.KindCounter,
 		Linearizable: true,
 		Params: []countq.ParamInfo{
 			{Name: "pending", Default: "1024", Doc: "publication queue capacity (max simultaneous publishers absorbed)"},
 		},
-		New: func(o countq.Options) (countq.Counter, error) {
+		New: func(o countq.Options) (countq.Structure, error) {
 			pending := o.Int("pending", 1024)
 			if err := requireAtLeast1(&o, "pending"); err != nil {
 				return nil, err
@@ -89,16 +110,17 @@ func init() {
 			return NewCombiningCounter(pending), nil
 		},
 	})
-	countq.RegisterCounter(countq.CounterInfo{
+	countq.RegisterStructure(countq.StructureInfo{
 		Name:         "funnel",
 		Summary:      "combining funnel: rendezvous layers batch increments into one fetch-and-add",
+		Kinds:        countq.KindCounter,
 		Linearizable: true,
 		Params: []countq.ParamInfo{
 			{Name: "width", Default: "GOMAXPROCS/2", Doc: "top layer's rendezvous slot count (each deeper layer halves it)"},
 			{Name: "depth", Default: "2", Doc: "number of rendezvous layers"},
 			{Name: "spin", Default: "32", Doc: "ceiling of the adaptive wait: most polls an operation parks in a slot for a partner (meetings double the wait, timeouts halve it)"},
 		},
-		New: func(o countq.Options) (countq.Counter, error) {
+		New: func(o countq.Options) (countq.Structure, error) {
 			width := o.Int("width", 0)
 			depth := o.Int("depth", 0)
 			spin := o.Int("spin", 0)
@@ -108,14 +130,15 @@ func init() {
 			return NewFunnelCounter(width, depth, spin)
 		},
 	})
-	countq.RegisterCounter(countq.CounterInfo{
+	countq.RegisterStructure(countq.StructureInfo{
 		Name:         "network",
 		Summary:      "bitonic counting network with per-balancer locks",
+		Kinds:        countq.KindCounter,
 		Linearizable: false,
 		Params: []countq.ParamInfo{
 			{Name: "width", Default: "8", Doc: "network width (wires; a power of two) — Θ(log² w) balancers per count"},
 		},
-		New: func(o countq.Options) (countq.Counter, error) {
+		New: func(o countq.Options) (countq.Structure, error) {
 			width := o.Int("width", 8)
 			if err := o.Err(); err != nil {
 				return nil, err
@@ -123,15 +146,16 @@ func init() {
 			return NewNetworkCounter(width)
 		},
 	})
-	countq.RegisterCounter(countq.CounterInfo{
+	countq.RegisterStructure(countq.StructureInfo{
 		Name:         "diffracting",
 		Summary:      "diffracting tree: paired tokens bypass the toggles",
+		Kinds:        countq.KindCounter,
 		Linearizable: false,
 		Params: []countq.ParamInfo{
 			{Name: "leaves", Default: "pow2 ≥ GOMAXPROCS", Doc: "leaf count (a power of two); each leaf owns a counter stripe"},
 			{Name: "spin", Default: "16", Doc: "ceiling of the adaptive wait: most polls a token parks at a prism for a diffraction partner (pairs double the wait, timeouts halve it)"},
 		},
-		New: func(o countq.Options) (countq.Counter, error) {
+		New: func(o countq.Options) (countq.Structure, error) {
 			leaves := o.Int("leaves", 0)
 			spin := o.Int("spin", 0)
 			if err := requireAtLeast1(&o, "leaves", "spin"); err != nil {
@@ -140,15 +164,17 @@ func init() {
 			return NewDiffractingCounter(leaves, spin)
 		},
 	})
-	countq.RegisterCounter(countq.CounterInfo{
+	countq.RegisterStructure(countq.StructureInfo{
 		Name:         "sharded",
 		Summary:      "per-P shards leasing count blocks, reconciled on demand",
+		Kinds:        countq.KindCounter,
 		Linearizable: false,
 		Params: []countq.ParamInfo{
 			{Name: "shards", Default: "GOMAXPROCS", Doc: "number of shards, each leasing count blocks independently"},
 			{Name: "batch", Default: "64", Doc: "counts leased from the global high-water mark per refill"},
 		},
-		New: func(o countq.Options) (countq.Counter, error) {
+		Caps: countq.CapHandle | countq.CapBatch,
+		New: func(o countq.Options) (countq.Structure, error) {
 			shards := o.Int("shards", 0)
 			batch := o.Int64("batch", 0)
 			if err := requireAtLeast1(&o, "shards", "batch"); err != nil {
@@ -158,24 +184,30 @@ func init() {
 		},
 	})
 
-	countq.RegisterQueue(countq.QueueInfo{
-		Name:    "swap",
-		Summary: "one atomic swap yields your predecessor (distributed swap)",
-		New: func(o countq.Options) (countq.Queuer, error) {
+	countq.RegisterStructure(countq.StructureInfo{
+		Name:         "swap",
+		Summary:      "one atomic swap yields your predecessor (distributed swap)",
+		Kinds:        countq.KindQueue,
+		Linearizable: true,
+		New: func(o countq.Options) (countq.Structure, error) {
 			return NewSwapQueue(), nil
 		},
 	})
-	countq.RegisterQueue(countq.QueueInfo{
-		Name:    "list",
-		Summary: "CLH-style linked nodes installed with a swap",
-		New: func(o countq.Options) (countq.Queuer, error) {
+	countq.RegisterStructure(countq.StructureInfo{
+		Name:         "list",
+		Summary:      "CLH-style linked nodes installed with a swap",
+		Kinds:        countq.KindQueue,
+		Linearizable: true,
+		New: func(o countq.Options) (countq.Structure, error) {
 			return NewListQueue(), nil
 		},
 	})
-	countq.RegisterQueue(countq.QueueInfo{
-		Name:    "mutex",
-		Summary: "tail pointer updated under a mutex",
-		New: func(o countq.Options) (countq.Queuer, error) {
+	countq.RegisterStructure(countq.StructureInfo{
+		Name:         "mutex",
+		Summary:      "tail pointer updated under a mutex",
+		Kinds:        countq.KindQueue,
+		Linearizable: true,
+		New: func(o countq.Options) (countq.Structure, error) {
 			return NewMutexQueue(), nil
 		},
 	})

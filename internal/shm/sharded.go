@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -97,7 +98,7 @@ func (c *ShardedCounter) lease() (lo, hi int64) {
 	return hi - c.batch, hi
 }
 
-// IncN implements countq.BatchIncrementer: it leases the n consecutive
+// IncN leases the n consecutive
 // counts first..first+n-1 straight off the global high-water mark — one
 // fetch-and-add for the whole block, bypassing the shards entirely. The
 // grant is the caller's to account for; it is never pooled or reissued,
@@ -112,42 +113,50 @@ func (c *ShardedCounter) IncN(n int64) int64 {
 	return c.next.Add(n) - n + 1
 }
 
-// NewHandle implements countq.HandleMaker: the handle makes the per-worker
+// NewSession implements countq.Structure: the session makes the per-worker
 // lease explicit. Where Inc pays a sync.Pool lookup and a shard mutex per
-// operation, a handle holds its own private lease and refills it from the
+// operation, a session holds its own private lease and refills it from the
 // shared structure only once per batch — the uncontended fast path is a
-// plain increment. The handle is owned by one goroutine; Close returns the
-// unused lease remainder to the shared free pool so Drain still closes the
-// range.
-func (c *ShardedCounter) NewHandle() countq.CounterHandle {
-	return &shardedHandle{c: c}
+// plain increment. The session is owned by one goroutine; Close returns
+// the unused lease remainder to the shared free pool so Drain still closes
+// the range.
+func (c *ShardedCounter) NewSession() (countq.Session, error) {
+	s := &shardedSession{}
+	s.c = c
+	return s, nil
 }
 
-type shardedHandle struct {
-	c      *ShardedCounter
+// shardedSession is the lease; IncN comes from batchSession (block grants
+// bypass the lease).
+type shardedSession struct {
+	batchSession[*ShardedCounter]
 	lo, hi int64 // private lease: counts [lo, hi) remain
 }
 
-// Inc implements countq.CounterHandle.
+// Inc implements countq.Session.
 //
 //countq:hotpath clocks=0
-func (h *shardedHandle) Inc() int64 {
-	if h.lo == h.hi {
-		h.lo, h.hi = h.c.lease()
+func (s *shardedSession) Inc(ctx context.Context) (int64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
-	v := h.lo
-	h.lo++
-	return v
+	if s.lo == s.hi {
+		s.lo, s.hi = s.c.lease()
+	}
+	v := s.lo
+	s.lo++
+	return v, nil
 }
 
-// Close implements countq.CounterHandle, surrendering the lease remainder.
-func (h *shardedHandle) Close() {
-	if h.lo < h.hi {
-		h.c.poolMu.Lock()
-		h.c.free = append(h.c.free, countRange{h.lo, h.hi})
-		h.c.poolMu.Unlock()
+// Close implements countq.Session, surrendering the lease remainder.
+func (s *shardedSession) Close() error {
+	if s.lo < s.hi {
+		s.c.poolMu.Lock()
+		s.c.free = append(s.c.free, countRange{s.lo, s.hi})
+		s.c.poolMu.Unlock()
 	}
-	h.lo, h.hi = 0, 0
+	s.lo, s.hi = 0, 0
+	return nil
 }
 
 // Reconcile moves every shard's unused lease remainder into the shared

@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -121,11 +122,11 @@ func TestShardedCounterRejectsBadBatch(t *testing.T) {
 	}
 }
 
-// TestShardedCounterHandles exercises the explicit per-worker lease path
-// (countq.HandleMaker) under -race: every worker Incs through its own
-// handle, Close surrenders the remainders, and handed ∪ drained must tile
-// 1..max exactly.
-func TestShardedCounterHandles(t *testing.T) {
+// TestShardedCounterSessions exercises the explicit per-worker lease path
+// (the session) under -race: every worker Incs through its own session,
+// Close surrenders the remainders, and handed ∪ drained must tile 1..max
+// exactly.
+func TestShardedCounterSessions(t *testing.T) {
 	c, err := NewShardedCounter(4, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +138,11 @@ func TestShardedCounterHandles(t *testing.T) {
 		wg.Add(1)
 		go func(gi int) {
 			defer wg.Done()
-			h := c.NewHandle()
+			h, _ := c.NewSession()
 			defer h.Close()
 			vals := make([]int64, opsPerG)
 			for i := range vals {
-				vals[i] = h.Inc()
+				vals[i], _ = h.Inc(context.Background())
 			}
 			results[gi] = vals
 		}(gi)
@@ -159,10 +160,10 @@ func TestShardedCounterHandles(t *testing.T) {
 	}
 }
 
-// TestShardedCounterHandlesMixed runs handle holders, plain Inc callers
+// TestShardedCounterSessionsMixed runs session holders, plain Inc callers
 // and IncN batchers concurrently: all three allocation paths share one
 // high-water mark and must still jointly tile 1..max.
-func TestShardedCounterHandlesMixed(t *testing.T) {
+func TestShardedCounterSessionsMixed(t *testing.T) {
 	c, err := NewShardedCounter(2, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -180,11 +181,12 @@ func TestShardedCounterHandlesMixed(t *testing.T) {
 			var mine []int64
 			var myBlocks []countq.CountRange
 			switch gi % 3 {
-			case 0: // handle path
-				h := c.NewHandle()
+			case 0: // session (private lease) path
+				h, _ := c.NewSession()
 				defer h.Close()
 				for i := 0; i < 400; i++ {
-					mine = append(mine, h.Inc())
+					v, _ := h.Inc(context.Background())
+					mine = append(mine, v)
 				}
 			case 1: // plain shard path
 				for i := 0; i < 400; i++ {

@@ -3,6 +3,8 @@ package sim_test
 import (
 	"context"
 	"io"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -264,9 +266,20 @@ func TestBridgeThroughDriver(t *testing.T) {
 			}
 		}
 	}
-	// The synchronous compatibility view is absent by design.
-	if _, err := countq.NewCounter("sim-counter"); err == nil {
-		t.Error("NewCounter(sim-counter) accepted; the bridge has no synchronous view")
+	// The direct-call view is absent by design, and asking for it must not
+	// leave behind the pump of the bridge it had to build to find out.
+	for _, spec := range []string{"sim-counter", "async-funnel"} {
+		before := runtime.NumGoroutine()
+		if _, err := countq.NewCounter(spec); err == nil || !strings.Contains(err.Error(), "no synchronous view") {
+			t.Errorf("NewCounter(%s) = %v; want the no-synchronous-view error", spec, err)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("NewCounter(%s) left goroutines behind (%d before, %d after):\n%s",
+					spec, before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			}
+		}
 	}
 	// Inflight against a structure without CapAsync fails loudly.
 	if _, err := countq.Run(countq.Workload{Counter: "sim-counter?hoplat=0", Queue: "mutex", Mix: 0.5, Ops: 200, Inflight: 4}); err == nil {

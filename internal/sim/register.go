@@ -12,10 +12,10 @@ import (
 //
 //	countq compare "sharded?shards=8,sim-counter?hoplat=1us" -scenario "ramp?gmax=8"
 //
-// They are native session structures — their coordination round is a
-// routed message round trip, not a synchronous call — so they have no
-// legacy Counter/Queuer view and are driven exclusively through sessions
-// (which is the point: this backend is expressible only in the v2 API).
+// Their coordination round is a routed message round trip, not a
+// synchronous call, so they have no direct-call Counter/Queuer view and
+// are driven exclusively through sessions (which is the point: this
+// backend is expressible only in the session API).
 //
 // This file registers the central-protocol bridges; the distributed
 // protocols register their own specs (sim-arrow-queue in internal/arrow,
