@@ -125,6 +125,63 @@ func BenchmarkTreeCount(b *testing.B) {
 	}
 }
 
+// BenchmarkOneShot prices a whole one-shot simulation — protocol state,
+// engine, run, validation — per protocol on the high-diameter list and the
+// high-contention star. One untimed run grows the engine buffers the timed
+// ones inherit, so allocs/op is what a run costs beyond its messages even at
+// -benchtime 1x; CI holds central/list256 to a ceiling.
+func BenchmarkOneShot(b *testing.B) {
+	for _, topo := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"list256", graph.Path(256)}, {"star64", graph.Star(64)}} {
+		g := topo.g
+		tr, err := tree.BFSTree(g, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := allReq(g.N())
+		for _, p := range []struct {
+			name string
+			run  func() error
+		}{
+			{"arrow", func() error {
+				_, err := arrow.RunOneShot(g, tr, tr.Root(), req, 1)
+				return err
+			}},
+			{"treecount", func() error {
+				tc, err := counting.NewTreeCount(tr, req)
+				if err != nil {
+					return err
+				}
+				_, err = counting.Run(g, tc, 1)
+				return err
+			}},
+			{"central", func() error {
+				c, err := counting.NewCentral(tr, req)
+				if err != nil {
+					return err
+				}
+				_, err = counting.Run(g, c, 1)
+				return err
+			}},
+		} {
+			b.Run(p.name+"/"+topo.name, func(b *testing.B) {
+				b.ReportAllocs()
+				if err := p.run(); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := p.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkCountingNetwork(b *testing.B) {
 	g := graph.Complete(64)
 	parent := make([]int, 64)

@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tStats, err := sim.New(sim.Config{Graph: g}, tickets).Run()
+	tStats, err := sim.Run(sim.Config{Graph: g}, tickets)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	qStats, err := sim.New(sim.Config{Graph: g}, chain).Run()
+	qStats, err := sim.Run(sim.Config{Graph: g}, chain)
 	if err != nil {
 		log.Fatal(err)
 	}

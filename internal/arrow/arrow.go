@@ -203,7 +203,10 @@ func (p *Protocol) Order() ([]int, error) { return chain(p.pred, p.requests) }
 // order they encode, over the operations marked live (all of them if live is
 // nil). It fails unless the pointers form exactly one chain.
 func chain(pred []int, live []bool) ([]int, error) {
-	succ := make(map[int]int)
+	// succ[1+p] = 1 + the operation queued behind p, 0 for none; Head = -1
+	// takes slot 0. A predecessor that names no operation is left out: the
+	// head's chain cannot reach it, so the cover check reports it.
+	succ := make([]int, 1+len(pred))
 	count := 0
 	for op, pr := range pred {
 		if live != nil && !live[op] {
@@ -213,14 +216,17 @@ func chain(pred []int, live []bool) ([]int, error) {
 		if pr == None {
 			return nil, fmt.Errorf("arrow: operation %d incomplete", op)
 		}
-		if _, dup := succ[pr]; dup {
+		if pr < Head || pr >= len(pred) {
+			continue
+		}
+		if succ[1+pr] != 0 {
 			return nil, fmt.Errorf("arrow: two operations claim predecessor %d", pr)
 		}
-		succ[pr] = op
+		succ[1+pr] = 1 + op
 	}
 	order := make([]int, 0, count)
-	for cur, ok := succ[Head]; ok; cur, ok = succ[cur] {
-		order = append(order, cur)
+	for cur := succ[1+Head]; cur != 0; cur = succ[cur] {
+		order = append(order, cur-1)
 	}
 	if len(order) != count {
 		return nil, fmt.Errorf("arrow: predecessor chain covers %d of %d operations", len(order), count)

@@ -2,6 +2,7 @@ package arrow
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -137,6 +138,11 @@ func TestValidation(t *testing.T) {
 	if _, err := RunOneShot(g2, tr, 0, reqAll(4), 1); err == nil {
 		t.Error("non-spanning tree accepted")
 	}
+	// The tree is checked before anything is built on it: with a bad tail as
+	// well, the error is still the tree's.
+	if _, err := RunOneShot(g2, tr, 9, reqAll(4), 1); err == nil || !strings.Contains(err.Error(), "not in graph") {
+		t.Errorf("non-spanning tree with a bad tail: %v, want the tree's error", err)
+	}
 }
 
 func TestPerfectBinaryTreeOrderValid(t *testing.T) {
@@ -271,5 +277,43 @@ func TestDeterministicReplay(t *testing.T) {
 	if r1.TotalDelay != r2.TotalDelay || r1.Stats.Rounds != r2.Stats.Rounds ||
 		r1.Stats.MessagesSent != r2.Stats.MessagesSent {
 		t.Errorf("replay diverged: %+v vs %+v", r1, r2)
+	}
+}
+
+func TestChain(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pred []int
+		live []bool
+		want []int
+		err  string
+	}{
+		{"order", []int{2, Head, 1}, nil, []int{1, 2, 0}, ""},
+		{"live only", []int{None, Head, 1, None}, []bool{false, true, true, false}, []int{1, 2}, ""},
+		{"none", nil, nil, []int{}, ""},
+		{"incomplete", []int{Head, None}, nil, nil, "arrow: operation 1 incomplete"},
+		{"double claim", []int{Head, 0, 0}, nil, nil, "arrow: two operations claim predecessor 0"},
+		{"two heads", []int{Head, Head}, nil, nil, "arrow: two operations claim predecessor -1"},
+		{"disjoint cycle", []int{Head, 2, 1}, nil, nil, "arrow: predecessor chain covers 1 of 3 operations"},
+		{"no head", []int{1, 0}, nil, nil, "arrow: predecessor chain covers 0 of 2 operations"},
+		{"names no operation", []int{Head, 7}, nil, nil, "arrow: predecessor chain covers 1 of 2 operations"},
+	} {
+		got, err := chain(tc.pred, tc.live)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("%s: error %v, want %q", tc.name, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || len(got) != len(tc.want) {
+			t.Errorf("%s: %v (%v), want %v", tc.name, got, err, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
+				break
+			}
+		}
 	}
 }

@@ -25,16 +25,15 @@ func RunOneShot(g *graph.Graph, t *tree.Tree, tail int, requests []bool, capacit
 // RunOneShotConfig is RunOneShot with full simulator configuration (link
 // delay models, strict mode, round bounds); cfg.Graph is overridden by g.
 func RunOneShotConfig(g *graph.Graph, t *tree.Tree, tail int, requests []bool, cfg sim.Config) (*Result, error) {
+	if err := t.IsSpanningOf(g); err != nil {
+		return nil, err
+	}
 	p, err := New(t, tail, requests)
 	if err != nil {
 		return nil, err
 	}
-	if err := t.IsSpanningOf(g); err != nil {
-		return nil, err
-	}
 	cfg.Graph = g
-	nw := sim.New(cfg, p)
-	stats, err := nw.Run()
+	stats, err := sim.Run(cfg, p)
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func RunE16(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := sim.New(sim.Config{Graph: g}, q).Run(); err != nil {
+			if _, err := sim.Run(sim.Config{Graph: g}, q); err != nil {
 				return nil, err
 			}
 			if _, err := q.Order(); err != nil {
@@ -68,7 +68,7 @@ func RunE16(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := sim.New(sim.Config{Graph: g}, c).Run(); err != nil {
+			if _, err := sim.Run(sim.Config{Graph: g}, c); err != nil {
 				return nil, err
 			}
 			if err := c.Validate(); err != nil {
@@ -78,7 +78,7 @@ func RunE16(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := sim.New(sim.Config{Graph: g}, a).Run(); err != nil {
+			if _, err := sim.Run(sim.Config{Graph: g}, a); err != nil {
 				return nil, err
 			}
 			if err := a.ValidateSums(); err != nil {

@@ -56,7 +56,7 @@ func RunE13(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := sim.New(sim.Config{Graph: g}, q).Run(); err != nil {
+			if _, err := sim.Run(sim.Config{Graph: g}, q); err != nil {
 				return nil, err
 			}
 			if err := q.VerifyRealTimeOrder(); err != nil {
@@ -66,7 +66,7 @@ func RunE13(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := sim.New(sim.Config{Graph: g}, c).Run(); err != nil {
+			if _, err := sim.Run(sim.Config{Graph: g}, c); err != nil {
 				return nil, err
 			}
 			if err := c.Validate(); err != nil {

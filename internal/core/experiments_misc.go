@@ -46,7 +46,7 @@ func RunE10(Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sim.New(sim.Config{Graph: g}, ar).Run(); err != nil {
+	if _, err := sim.Run(sim.Config{Graph: g}, ar); err != nil {
 		return nil, err
 	}
 	order, err := ar.Order()

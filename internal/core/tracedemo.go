@@ -43,7 +43,7 @@ func TraceDemo(n, k, width int, seed int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := sim.New(sim.Config{Graph: g}, ap).Run(); err != nil {
+	if _, err := sim.Run(sim.Config{Graph: g}, ap); err != nil {
 		return "", err
 	}
 	atl := &trace.Timeline{Title: fmt.Sprintf("arrow one-shot on %s: queue message lifetimes", g.Name())}

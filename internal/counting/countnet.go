@@ -87,7 +87,7 @@ func NewCountNetFrom(t *tree.Tree, requests []bool, net *BalancerNetwork, hosts 
 	}
 	cn := &CountNet{
 		tree:       t,
-		router:     t.NewRouter(),
+		router:     t.Router(),
 		net:        net,
 		requests:   append([]bool(nil), requests...),
 		hosts:      make([][]int, net.Depth()),

@@ -30,8 +30,7 @@ func Run(g *graph.Graph, p Protocol, capacity int) (*RunResult, error) {
 // strict mode, round bounds); cfg.Graph is overridden by g.
 func RunConfig(g *graph.Graph, p Protocol, cfg sim.Config) (*RunResult, error) {
 	cfg.Graph = g
-	nw := sim.New(cfg, p)
-	stats, err := nw.Run()
+	stats, err := sim.Run(cfg, p)
 	if err != nil {
 		return nil, err
 	}

@@ -25,11 +25,12 @@ type TreeCount struct {
 	tree     *tree.Tree
 	requests []bool
 
-	// childTotal[v][k] = requests in the subtree of Children(v)[k], or -1
-	// until that child reports. Rank-indexed (not a map keyed by child id)
-	// so the aggregation loops iterate in the tree's fixed child order —
-	// the sim's golden traces must not depend on map iteration order.
-	childTotal [][]int
+	// Four per-node columns carved from one array. childTotal[c] = requests
+	// in the subtree of c as reported to its parent, or -1 until c reports:
+	// every non-root node is the child of exactly one parent, so the child's
+	// own id indexes its parent's entry for it, and the aggregation loops
+	// walk tree.Children in the tree's fixed order.
+	childTotal []int
 	pendingUp  []int // children yet to report
 	count      []int
 	delay      []int
@@ -41,20 +42,17 @@ func NewTreeCount(t *tree.Tree, requests []bool) (*TreeCount, error) {
 	if len(requests) != n {
 		return nil, fmt.Errorf("counting: request vector has %d entries, want %d", len(requests), n)
 	}
+	cols := make([]int, 4*n)
 	tc := &TreeCount{
 		tree:       t,
 		requests:   append([]bool(nil), requests...),
-		childTotal: make([][]int, n),
-		pendingUp:  make([]int, n),
-		count:      make([]int, n),
-		delay:      make([]int, n),
+		childTotal: cols[0*n : 1*n : 1*n],
+		pendingUp:  cols[1*n : 2*n : 2*n],
+		count:      cols[2*n : 3*n : 3*n],
+		delay:      cols[3*n : 4*n : 4*n],
 	}
 	for v := 0; v < n; v++ {
-		totals := make([]int, len(t.Children(v)))
-		for k := range totals {
-			totals[k] = -1
-		}
-		tc.childTotal[v] = totals
+		tc.childTotal[v] = -1
 		tc.pendingUp[v] = len(t.Children(v))
 		tc.delay[v] = -1
 	}
@@ -87,22 +85,10 @@ func (tc *TreeCount) subtreeTotal(node int) int {
 	if tc.requests[node] {
 		total = 1
 	}
-	for _, t := range tc.childTotal[node] {
-		total += t
+	for _, c := range tc.tree.Children(node) {
+		total += tc.childTotal[c]
 	}
 	return total
-}
-
-// childRank finds c's position in node's child list, or -1 for a sender
-// that is not a child — rank-indexing keeps every aggregation loop in
-// the tree's fixed child order.
-func (tc *TreeCount) childRank(node, c int) int {
-	for k, ch := range tc.tree.Children(node) {
-		if ch == c {
-			return k
-		}
-	}
-	return -1
 }
 
 // distribute hands out the rank block starting at base to node and its
@@ -113,8 +99,8 @@ func (tc *TreeCount) distribute(env *sim.Env, node, base int) {
 		tc.delay[node] = env.Round()
 		base++
 	}
-	for k, c := range tc.tree.Children(node) {
-		t := tc.childTotal[node][k]
+	for _, c := range tc.tree.Children(node) {
+		t := tc.childTotal[c]
 		if t <= 0 {
 			continue
 		}
@@ -127,16 +113,15 @@ func (tc *TreeCount) distribute(env *sim.Env, node, base int) {
 func (tc *TreeCount) Deliver(env *sim.Env, node int, m sim.Message) {
 	switch m.Kind {
 	case kindUp:
-		k := tc.childRank(node, m.From)
-		if k < 0 {
+		if tc.tree.Parent(m.From) != node {
 			env.Fail(fmt.Errorf("counting: node %d got a report from non-child %d", node, m.From))
 			return
 		}
-		if tc.childTotal[node][k] >= 0 {
+		if tc.childTotal[m.From] >= 0 {
 			env.Fail(fmt.Errorf("counting: child %d reported twice to %d", m.From, node))
 			return
 		}
-		tc.childTotal[node][k] = m.A
+		tc.childTotal[m.From] = m.A
 		tc.pendingUp[node]--
 		if tc.pendingUp[node] == 0 {
 			tc.reportUp(env, node)

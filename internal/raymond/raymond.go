@@ -64,7 +64,7 @@ func New(t *tree.Tree, tokenAt, csRounds int, reqs []Request) (*Protocol, error)
 	if csRounds < 1 {
 		return nil, fmt.Errorf("raymond: critical section must last ≥ 1 round, got %d", csRounds)
 	}
-	router := t.NewRouter()
+	router := t.Router()
 	p := &Protocol{
 		tree:       t,
 		reqs:       append([]Request(nil), reqs...),
@@ -238,7 +238,7 @@ func Run(g *graph.Graph, t *tree.Tree, tokenAt, csRounds int, reqs []Request) (*
 	if err := t.IsSpanningOf(g); err != nil {
 		return nil, sim.Stats{}, err
 	}
-	stats, err := sim.New(sim.Config{Graph: g}, p).Run()
+	stats, err := sim.Run(sim.Config{Graph: g}, p)
 	if err != nil {
 		return nil, stats, err
 	}

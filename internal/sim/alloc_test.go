@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"repro/countq"
+	"repro/internal/arrow"
+	"repro/internal/counting"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -134,5 +136,74 @@ func TestBridgeOpAllocFree(t *testing.T) {
 	})
 	if opErr != nil {
 		t.Fatal(opErr)
+	}
+}
+
+// idle is the trivial protocol: no messages, quiescent at once.
+type idle struct{}
+
+func (idle) Start(*sim.Env, int)                {}
+func (idle) Deliver(*sim.Env, int, sim.Message) {}
+
+// TestOneShotWarmAllocs gates what a one-shot run costs beyond its messages:
+// once one run has grown a scratch, the next allocates the Network and the
+// protocol's own per-run state, nothing per node and nothing per message.
+// The ceilings are exact counts — central: Network, protocol, request copy,
+// count, delay, origin table, result, Validate's seen set; treecount:
+// Network, protocol, request copy, one column array, result, seen set;
+// arrow: Network, protocol, request copy, pred, delay, link, lastID, the
+// successor table and the order it yields, result.
+func TestOneShotWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	g := graph.Path(256)
+	tr := mustBFS(t, g)
+	req := allRequests(256)
+	list64 := graph.Path(64)
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		run     func() error
+	}{
+		{"sim.Run/idle/list64", 1, func() error {
+			_, err := sim.Run(sim.Config{Graph: list64}, idle{})
+			return err
+		}},
+		{"central/list256", 8, func() error {
+			p, err := counting.NewCentral(tr, req)
+			if err != nil {
+				return err
+			}
+			_, err = counting.Run(g, p, 1)
+			return err
+		}},
+		{"treecount/list256", 6, func() error {
+			p, err := counting.NewTreeCount(tr, req)
+			if err != nil {
+				return err
+			}
+			_, err = counting.Run(g, p, 1)
+			return err
+		}},
+		{"arrow/list256", 10, func() error {
+			_, err := arrow.RunOneShot(g, tr, tr.Root(), req, 1)
+			return err
+		}},
+	} {
+		var runErr error
+		body := func() {
+			if err := tc.run(); err != nil {
+				runErr = err
+			}
+		}
+		// AllocsPerRun's own unmeasured first call is the warm-up that grows
+		// the scratch the measured runs inherit.
+		if avg := testing.AllocsPerRun(20, body); avg > tc.ceiling {
+			t.Errorf("%s: %.2f allocs per warm run, want at most %.0f", tc.name, avg, tc.ceiling)
+		}
+		if runErr != nil {
+			t.Fatalf("%s: %v", tc.name, runErr)
+		}
 	}
 }

@@ -37,7 +37,7 @@ type Central struct {
 func NewCentral(tr *tree.Tree, queue bool, grants Grants, tokens int) Central {
 	return Central{
 		tr:     tr,
-		router: tr.NewRouter(),
+		router: tr.Router(),
 		root:   tr.Root(),
 		queue:  queue,
 		last:   countq.Head,

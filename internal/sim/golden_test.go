@@ -52,9 +52,10 @@ type tracerTS struct{ tracer }
 func (t *tracerTS) Tick(env *sim.Env, node int) { t.inner.(sim.Ticker).Tick(env, node) }
 func (t *tracerTS) PendingUntil() int           { return t.inner.(sim.Scheduler).PendingUntil() }
 
-// runTraced executes cfg's protocol under the tracer and appends the final
+// runTraced executes cfg's protocol under the tracer, through sim.Run so the
+// run starts on whatever scratch the previous one left, and appends the final
 // stats plus the protocol-specific result summary.
-func runTraced(t *testing.T, cfg sim.Config, proto sim.Protocol, results func(buf *bytes.Buffer)) []byte {
+func runTraced(t *testing.T, cfg sim.Config, proto sim.Protocol, results func(buf *bytes.Buffer)) ([]byte, sim.Stats) {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := &tracer{inner: proto, buf: &buf}
@@ -66,15 +67,14 @@ func runTraced(t *testing.T, cfg sim.Config, proto sim.Protocol, results func(bu
 	} else if isTicker || isSched {
 		t.Fatalf("tracer supports Ticker+Scheduler together only; got ticker=%v scheduler=%v", isTicker, isSched)
 	}
-	nw := sim.New(cfg, wrapped)
-	stats, err := nw.Run()
+	stats, err := sim.Run(cfg, wrapped)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&buf, "stats rounds=%d sent=%d inbox=%d outbox=%d recv=%v\n",
 		stats.Rounds, stats.MessagesSent, stats.MaxInboxBacklog, stats.MaxOutboxBacklog, stats.Received)
 	results(&buf)
-	return buf.Bytes()
+	return buf.Bytes(), stats
 }
 
 func allRequests(n int) []bool {
@@ -94,16 +94,19 @@ func mustBFS(t *testing.T, g *graph.Graph) *tree.Tree {
 	return tr
 }
 
-func TestGoldenTraces(t *testing.T) {
-	type spec struct {
-		name  string
-		trace func(t *testing.T) []byte
-	}
+// goldenSpec is one pinned run: trace renders it, and returns the run's
+// Stats beside the rendering, which does not print all of them.
+type goldenSpec struct {
+	name  string
+	trace func(t *testing.T) ([]byte, sim.Stats)
+}
+
+func goldenSpecs() []goldenSpec {
 	star9 := func() *graph.Graph { return graph.Star(9) }
 	mesh9 := func() *graph.Graph { return graph.Mesh(3, 3) }
 	mesh16 := func() *graph.Graph { return graph.Mesh(4, 4) }
 
-	centralRun := func(t *testing.T, g *graph.Graph, cfg sim.Config) []byte {
+	centralRun := func(t *testing.T, g *graph.Graph, cfg sim.Config) ([]byte, sim.Stats) {
 		tr := mustBFS(t, g)
 		p, err := counting.NewCentral(tr, allRequests(g.N()))
 		if err != nil {
@@ -117,7 +120,7 @@ func TestGoldenTraces(t *testing.T) {
 			}
 		})
 	}
-	arrowRun := func(t *testing.T, g *graph.Graph, cfg sim.Config) []byte {
+	arrowRun := func(t *testing.T, g *graph.Graph, cfg sim.Config) ([]byte, sim.Stats) {
 		tr := mustBFS(t, g)
 		p, err := arrow.New(tr, 0, allRequests(g.N()))
 		if err != nil {
@@ -132,7 +135,7 @@ func TestGoldenTraces(t *testing.T) {
 			fmt.Fprintf(buf, "order-ok=%v\n", p.VerifyOrder() == nil)
 		})
 	}
-	treeRun := func(t *testing.T, g *graph.Graph, cfg sim.Config) []byte {
+	treeRun := func(t *testing.T, g *graph.Graph, cfg sim.Config) ([]byte, sim.Stats) {
 		tr := mustBFS(t, g)
 		p, err := counting.NewTreeCount(tr, allRequests(g.N()))
 		if err != nil {
@@ -154,30 +157,30 @@ func TestGoldenTraces(t *testing.T) {
 		return reqs
 	}
 
-	specs := []spec{
-		{"central-star9-unit", func(t *testing.T) []byte {
+	return []goldenSpec{
+		{"central-star9-unit", func(t *testing.T) ([]byte, sim.Stats) {
 			return centralRun(t, star9(), sim.Config{})
 		}},
-		{"central-star9-cap2", func(t *testing.T) []byte {
+		{"central-star9-cap2", func(t *testing.T) ([]byte, sim.Stats) {
 			return centralRun(t, star9(), sim.Config{Capacity: 2})
 		}},
-		{"central-star9-jitter4", func(t *testing.T) []byte {
+		{"central-star9-jitter4", func(t *testing.T) ([]byte, sim.Stats) {
 			return centralRun(t, star9(), sim.Config{Delay: sim.JitterDelay{Seed: 7, Max: 4}})
 		}},
-		{"central-mesh16-weighted", func(t *testing.T) []byte {
+		{"central-mesh16-weighted", func(t *testing.T) ([]byte, sim.Stats) {
 			// Per-edge fixed weights: the FIFO clamp must bind when a
 			// later message takes a faster edge draw than its predecessor
 			// took earlier — here delays differ per edge parity.
 			w := sim.EdgeWeightDelay{Weight: func(u, v int) int { return 1 + (u+v)%3 }}
 			return centralRun(t, mesh16(), sim.Config{Delay: w})
 		}},
-		{"arrow-mesh9-unit", func(t *testing.T) []byte {
+		{"arrow-mesh9-unit", func(t *testing.T) ([]byte, sim.Stats) {
 			return arrowRun(t, mesh9(), sim.Config{})
 		}},
-		{"arrow-mesh9-jitter3", func(t *testing.T) []byte {
+		{"arrow-mesh9-jitter3", func(t *testing.T) ([]byte, sim.Stats) {
 			return arrowRun(t, mesh9(), sim.Config{Delay: sim.JitterDelay{Seed: 11, Max: 3}})
 		}},
-		{"arrowll-path8-jitter2", func(t *testing.T) []byte {
+		{"arrowll-path8-jitter2", func(t *testing.T) ([]byte, sim.Stats) {
 			g := graph.Path(8)
 			tr := mustBFS(t, g)
 			p, err := arrow.NewLongLived(tr, 0, staggered(8, 20))
@@ -192,13 +195,13 @@ func TestGoldenTraces(t *testing.T) {
 				fmt.Fprintf(buf, "rt-ok=%v\n", p.VerifyRealTimeOrder() == nil)
 			})
 		}},
-		{"tree-mesh16-unit", func(t *testing.T) []byte {
+		{"tree-mesh16-unit", func(t *testing.T) ([]byte, sim.Stats) {
 			return treeRun(t, mesh16(), sim.Config{})
 		}},
-		{"tree-mesh16-jitter5", func(t *testing.T) []byte {
+		{"tree-mesh16-jitter5", func(t *testing.T) ([]byte, sim.Stats) {
 			return treeRun(t, mesh16(), sim.Config{Delay: sim.JitterDelay{Seed: 3, Max: 5}})
 		}},
-		{"combining-star9-jitter3", func(t *testing.T) []byte {
+		{"combining-star9-jitter3", func(t *testing.T) ([]byte, sim.Stats) {
 			g := star9()
 			tr := mustBFS(t, g)
 			reqs := make([]counting.Request, 24)
@@ -219,7 +222,7 @@ func TestGoldenTraces(t *testing.T) {
 		// The unit-delay scheduled forms below repeat a node within a round
 		// (ops issue in slice order), schedule ops at the root, and overlap
 		// bursts so batches combine while an earlier batch is in flight.
-		{"arrowll-path8-unit", func(t *testing.T) []byte {
+		{"arrowll-path8-unit", func(t *testing.T) ([]byte, sim.Stats) {
 			g := graph.Path(8)
 			tr := mustBFS(t, g)
 			reqs := make([]arrow.Request, 24)
@@ -238,7 +241,7 @@ func TestGoldenTraces(t *testing.T) {
 				fmt.Fprintf(buf, "rt-ok=%v\n", p.VerifyRealTimeOrder() == nil)
 			})
 		}},
-		{"combining-list16-unit", func(t *testing.T) []byte {
+		{"combining-list16-unit", func(t *testing.T) ([]byte, sim.Stats) {
 			g := graph.Path(16)
 			tr := mustBFS(t, g)
 			reqs := make([]counting.Request, 40)
@@ -257,7 +260,7 @@ func TestGoldenTraces(t *testing.T) {
 				fmt.Fprintf(buf, "valid=%v\n", p.Validate() == nil)
 			})
 		}},
-		{"adder-star9-unit", func(t *testing.T) []byte {
+		{"adder-star9-unit", func(t *testing.T) ([]byte, sim.Stats) {
 			g := star9()
 			tr := mustBFS(t, g)
 			reqs := make([]counting.AddRequest, 30)
@@ -276,7 +279,7 @@ func TestGoldenTraces(t *testing.T) {
 				fmt.Fprintf(buf, "sums-ok=%v\n", p.ValidateSums() == nil)
 			})
 		}},
-		{"raymond-mesh9-unit", func(t *testing.T) []byte {
+		{"raymond-mesh9-unit", func(t *testing.T) ([]byte, sim.Stats) {
 			g := mesh9()
 			tr := mustBFS(t, g)
 			reqs := make([]raymond.Request, 18)
@@ -296,12 +299,18 @@ func TestGoldenTraces(t *testing.T) {
 			})
 		}},
 	}
+}
 
-	for _, s := range specs {
+func goldenPath(name string) string {
+	return filepath.Join("testdata", "golden", name+".trace")
+}
+
+func TestGoldenTraces(t *testing.T) {
+	for _, s := range goldenSpecs() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
-			got := s.trace(t)
-			path := filepath.Join("testdata", "golden", s.name+".trace")
+			got, _ := s.trace(t)
+			path := goldenPath(s.name)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)

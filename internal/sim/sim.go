@@ -26,6 +26,21 @@
 // the receive, tick and send phases walk per-node bitmaps (active sets)
 // instead of scanning all n nodes, so an idle node costs 1/64 of a word
 // test. See DESIGN.md "Engine v2".
+//
+// Cold start and recycling: a one-shot run never reaches steady state, so
+// what New would allocate and the first rounds would grow — the inbox and
+// outbox arrays with every queue's grown buffer, the wheel and its buckets,
+// the per-node columns and bitmaps, the adjacency table, the per-edge clamp
+// state — is a scratch drawn from a package-private sync.Pool and fitted to
+// the graph: emptied and zeroed, capacity kept. The package-level Run owns
+// the lifetime (New, Network.Run, scratch back to the pool; the Network then
+// reports "sim: network released"). A Network from New is never released:
+// whoever can still reach it keeps its buffers for good. Stats.Received
+// leaves with the returned Stats and is never pooled. The pool is hidden, not
+// an exported arena or a Config field, because there is nothing to decide:
+// the GC bounds what it retains, and all that survives fitting is capacity
+// and the wheel's grown size, on which no delivery, statistic or error may
+// depend. It is unreachable from Step, so simdet still covers the round loop.
 package sim
 
 import (
@@ -239,7 +254,9 @@ func clearBit(set []uint64, v int) { set[v>>6] &^= 1 << (uint(v) & 63) }
 // bundled models produce at their defaults and doubles on demand.
 const initialWheel = 16
 
-// New prepares a simulation of p on the configured graph.
+// New prepares a simulation of p on the configured graph. Its buffers come
+// from the scratch pool and are the caller's for as long as it keeps the
+// Network; only the package-level Run hands them back.
 func New(cfg Config, p Protocol) *Network {
 	if cfg.Graph == nil {
 		panic("sim: nil graph")
@@ -259,14 +276,10 @@ func New(cfg Config, p Protocol) *Network {
 	}
 	_, unit := delay.(UnitDelay)
 	n := cfg.Graph.N()
-	// One backing array per element type: the four per-node int columns
-	// and the three active-set bitmaps are carved from it.
-	ints := make([]int, 4*n)
-	words := (n + 63) / 64
-	sets := make([]uint64, 3*words)
 	nw := &Network{
 		proto:     p,
 		maxRounds: maxRounds,
+		scratch:   scratchPool.Get().(*scratch),
 		env: Env{
 			g:         cfg.Graph,
 			n:         n,
@@ -274,31 +287,9 @@ func New(cfg Config, p Protocol) *Network {
 			strict:    cfg.Strict,
 			delay:     delay,
 			unitDelay: unit,
-			inbox:     make([]msgQueue, n),
-			outbox:    make([]msgQueue, n),
-			inActive:  sets[0*words : 1*words : 1*words],
-			outActive: sets[1*words : 2*words : 2*words],
-			wake:      sets[2*words : 3*words : 3*words],
-			inFloor:   ints[0*n : 1*n : 1*n],
-			inStamp:   ints[1*n : 2*n : 2*n],
-			sendUsed:  ints[2*n : 3*n : 3*n],
-			sendStamp: ints[3*n : 4*n : 4*n],
-			wheel:     make([][]Message, initialWheel),
-			wheelMask: initialWheel - 1,
 		},
 	}
-	nw.env.adj = make([][]int, n)
-	for v := 0; v < n; v++ {
-		nw.env.adj[v] = cfg.Graph.Neighbors(v)
-	}
-	if !unit {
-		e := &nw.env
-		e.edgeOff = make([]int, n+1)
-		for v := 0; v < n; v++ {
-			e.edgeOff[v+1] = e.edgeOff[v] + len(cfg.Graph.Neighbors(v))
-		}
-		e.edgeLast = make([]int, e.edgeOff[n])
-	}
+	nw.scratch.fit(&nw.env)
 	if cfg.TrackPerNode {
 		nw.env.stats.Received = make([]int, n)
 	}
@@ -315,6 +306,17 @@ func New(cfg Config, p Protocol) *Network {
 	return nw
 }
 
+// Run simulates p on the configured graph to quiescence: New, Network.Run,
+// and the network's buffers handed back for the next run — the form for
+// one-shot executions, which otherwise pay more for growing n inboxes from
+// nothing than for the messages they carry.
+func Run(cfg Config, p Protocol) (Stats, error) {
+	nw := New(cfg, p)
+	stats, err := nw.Run()
+	nw.release()
+	return stats, err
+}
+
 // Network couples a Protocol with an Env and executes rounds — to
 // quiescence with Run, or one round at a time with Begin/Step/Quiescent
 // for drivers that advance the simulation on their own clock (the countq
@@ -325,6 +327,7 @@ type Network struct {
 	wakeTicks bool      // proto is a WakeTicker: the tick pass consumes the wake set
 	sched     Scheduler // proto's Scheduler view, nil if not implemented
 	maxRounds int
+	scratch   *scratch // owner of env's buffers; nil once released
 	env       Env
 }
 
@@ -342,6 +345,9 @@ func (nw *Network) Stats() Stats { return nw.env.stats }
 // initial send phase. Run calls it implicitly; step-driven callers invoke
 // it once before the first Step.
 func (nw *Network) Begin() error {
+	if nw.scratch == nil {
+		return errReleased
+	}
 	e := &nw.env
 	for v := 0; v < e.n; v++ {
 		nw.proto.Start(e, v)
@@ -361,6 +367,9 @@ func (nw *Network) Begin() error {
 //
 //countq:hotpath
 func (nw *Network) Step() error {
+	if nw.scratch == nil {
+		return errReleased
+	}
 	e := &nw.env
 	e.round++
 	e.stats.Rounds = e.round

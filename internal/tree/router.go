@@ -10,8 +10,14 @@ type Router struct {
 	tin, tout []int // DFS entry/exit times; subtree(v) = [tin[v], tout[v])
 }
 
-// NewRouter precomputes the routing structure in O(n).
-func (t *Tree) NewRouter() *Router {
+// Router returns the tree's routing structure, computed in O(n) on first use
+// and shared from then on: a Tree is immutable and a Router only reads it.
+func (t *Tree) Router() *Router {
+	t.routerOnce.Do(func() { t.router = t.newRouter() })
+	return t.router
+}
+
+func (t *Tree) newRouter() *Router {
 	n := t.N()
 	r := &Router{t: t, tin: make([]int, n), tout: make([]int, n)}
 	// Iterative DFS in child order.

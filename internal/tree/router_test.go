@@ -12,7 +12,7 @@ func TestRouterMatchesNextHop(t *testing.T) {
 		mustPathTree(t, 25),
 	}
 	for _, tr := range shapes {
-		r := tr.NewRouter()
+		r := tr.Router()
 		for u := 0; u < tr.N(); u++ {
 			for v := 0; v < tr.N(); v++ {
 				if u == v {
@@ -32,12 +32,12 @@ func TestRouterSelfPanics(t *testing.T) {
 			t.Error("NextHop(v,v) did not panic")
 		}
 	}()
-	Perfect(2, 3).NewRouter().NextHop(1, 1)
+	Perfect(2, 3).Router().NextHop(1, 1)
 }
 
 func TestRouterWalkTerminates(t *testing.T) {
 	tr := randomTree(200, 5)
-	r := tr.NewRouter()
+	r := tr.Router()
 	// Walking hop by hop from u must reach v in exactly Dist(u,v) steps.
 	for _, pair := range [][2]int{{0, 199}, {150, 3}, {77, 78}} {
 		u, v := pair[0], pair[1]

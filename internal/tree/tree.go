@@ -12,6 +12,7 @@ package tree
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -25,6 +26,9 @@ type Tree struct {
 	depth    []int   // depth[root] == 0
 	order    []int   // vertices in BFS order from the root
 	up       [][]int // binary lifting table: up[k][v] = 2^k-th ancestor
+
+	routerOnce sync.Once // guards router, built by the first Router call
+	router     *Router
 }
 
 // FromParents builds a Tree from a parent array. parent[root] must equal
