@@ -2,7 +2,7 @@ package countq
 
 import (
 	"context"
-	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,20 +11,21 @@ import (
 // The zero-allocation gates: testing.AllocsPerRun over the runner's
 // per-op methods, with the structure side reduced to an atomic word so
 // any allocation the gate sees belongs to the measurement harness
-// itself. The laneRunner is built exactly the way runPhase builds it —
-// all allocation (rng, evidence reservation, session assertions) before
-// the measured window — and each gate pre-reserves evidence for every
-// measured iteration, mirroring the pool-claim reservation that keeps
-// steady-state appends inside existing capacity.
+// itself. The laneRunner comes from the same setup steps runPhase uses —
+// newPhaseRun, newWorker, openSessions — so every gate runs over the real
+// layout, with all allocation (rng, evidence reservation, session
+// assertions) before the measured window.
 
-// allocAsyncSession is the minimal AsyncSession: Submit applies the op
-// to the atomic word and completes it on the preallocated channel
-// immediately, so the gate isolates the runner's submit/reap path.
+// allocAsyncSession is the minimal AsyncSession, and its own Structure:
+// Submit applies the op to the atomic word and completes it on the
+// preallocated channel immediately, so the gate isolates the runner's
+// submit/reap path.
 type allocAsyncSession struct {
 	v   atomic.Int64
 	out chan Completion
 }
 
+func (s *allocAsyncSession) NewSession() (Session, error)           { return s, nil }
 func (s *allocAsyncSession) Inc(ctx context.Context) (int64, error) { return s.v.Add(1), nil }
 func (s *allocAsyncSession) Enqueue(ctx context.Context, id int64) (int64, error) {
 	return 0, ErrUnsupported
@@ -40,36 +41,21 @@ func (s *allocAsyncSession) Submit(ctx context.Context, op Op) error {
 }
 func (s *allocAsyncSession) Completions() <-chan Completion { return s.out }
 
-// newAllocRunner assembles a laneRunner over sess the way runPhase does,
-// with an effectively unbounded op pool and evidence pre-reserved for
-// `runs` measured iterations (AllocsPerRun adds one warmup call, and the
-// sampled path logs a timeline event every sample'th op — reserve covers
-// both).
-func newAllocRunner(p *Phase, sess Session, runs int64) *laneRunner {
-	ln := &lane{}
-	pool := &atomic.Int64{}
-	pool.Store(1 << 40)
-	r := &laneRunner{
-		ln:       ln,
-		p:        p,
-		csess:    sess,
-		ctx:      context.Background(),
-		batch:    p.Batch,
-		drawMix:  p.Mix,
-		sample:   p.LatencySample,
-		chunk:    opsChunk,
-		hasPool:  true,
-		pool:     pool,
-		runStart: time.Now(),
-		rng:      rand.New(rand.NewSource(1)),
+// newAllocRunner sets up one worker of a single-goroutine phase over the
+// counter st the way runPhase does. The phase's ops budget covers `runs`
+// measured iterations twice over (AllocsPerRun adds one warmup call, and
+// the sampled path logs a timeline event every sample'th op), so the
+// setup reservation — the whole budget for a lone worker — absorbs every
+// append the gate makes.
+func newAllocRunner(t *testing.T, p Phase, st Structure, runs int64) *laneRunner {
+	t.Helper()
+	p.Goroutines, p.Ops = 1, int(2*runs+opsChunk)
+	ph := newPhaseRun(st, nil, Workload{Seed: 1}, 0, p, time.Now())
+	r := ph.newWorker(0)
+	if err := r.openSessions(ph.cs, ph.qs, ph.base); err != nil {
+		t.Fatal(err)
 	}
-	if p.Batch > 1 {
-		r.bsess = sess.(BatchSession)
-	}
-	if as, ok := sess.(AsyncSession); ok {
-		r.cas, r.cch = as, as.Completions()
-	}
-	r.reserve(2*runs + 2*opsChunk)
+	t.Cleanup(r.closeSessions)
 	r.begin(time.Now())
 	return r
 }
@@ -88,13 +74,8 @@ func gate(t *testing.T, name string, runs int, body func()) {
 func TestSyncCounterLoopZeroAlloc(t *testing.T) {
 	const runs = 4096
 	st := &testBatchCounter{}
-	sess, err := st.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	p := &Phase{Name: "steady", Goroutines: 1, Mix: 1, LatencySample: 64, Ops: 1 << 30}
-	r := newAllocRunner(p, sess, runs)
+	p := Phase{Name: "steady", Mix: 1, LatencySample: 64}
+	r := newAllocRunner(t, p, st, runs)
 	gate(t, "sync counter loop", runs, func() {
 		if !r.claim() {
 			t.Fatal("op pool exhausted")
@@ -113,13 +94,8 @@ func TestSyncCounterLoopZeroAlloc(t *testing.T) {
 func TestBatchCounterLoopZeroAlloc(t *testing.T) {
 	const runs = 2048
 	st := &testBatchCounter{}
-	sess, err := st.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	p := &Phase{Name: "steady", Goroutines: 1, Mix: 1, Batch: 16, LatencySample: 64, Ops: 1 << 30}
-	r := newAllocRunner(p, sess, runs*16)
+	p := Phase{Name: "steady", Mix: 1, Batch: 16, LatencySample: 64}
+	r := newAllocRunner(t, p, st, runs*16)
 	gate(t, "batch counter loop", runs, func() {
 		if !r.claim() {
 			t.Fatal("op pool exhausted")
@@ -140,8 +116,8 @@ func TestBatchCounterLoopZeroAlloc(t *testing.T) {
 func TestAsyncLoopZeroAlloc(t *testing.T) {
 	const runs = 4096
 	sess := &allocAsyncSession{out: make(chan Completion, 16)}
-	p := &Phase{Name: "steady", Goroutines: 1, Mix: 1, Inflight: 8, LatencySample: 64, Ops: 1 << 30}
-	r := newAllocRunner(p, sess, runs)
+	p := Phase{Name: "steady", Mix: 1, Inflight: 8, LatencySample: 64}
+	r := newAllocRunner(t, p, sess, runs)
 	gate(t, "async submit/reap loop", runs, func() {
 		ok, err := r.submitOne()
 		if err != nil {
@@ -160,14 +136,8 @@ func TestAsyncLoopZeroAlloc(t *testing.T) {
 func TestOpenArrivalLoopZeroAlloc(t *testing.T) {
 	const runs = 2048
 	st := &testBatchCounter{}
-	sess, err := st.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	p := &Phase{Name: "steady", Goroutines: 1, Mix: 1, Arrival: Uniform, LatencySample: 64, Ops: 1 << 30}
-	r := newAllocRunner(p, sess, runs)
-	r.open = true
+	p := Phase{Name: "steady", Mix: 1, Arrival: Uniform, LatencySample: 64}
+	r := newAllocRunner(t, p, st, runs)
 	gate(t, "open-loop sync counter", runs, func() {
 		if !r.claim() {
 			t.Fatal("op pool exhausted")
@@ -183,13 +153,7 @@ func TestOpenArrivalLoopZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestSteadyPhaseReportsZeroAllocs closes the loop end to end: a real
-// driver run over the allocation-free atomic session path must *report*
-// ≈ 0 allocs/op through the new memory metric — the measurement and the
-// measured agree. The threshold leaves room for the handful of runtime-
-// internal allocations (timer resets, GC bookkeeping) that land in the
-// whole-process counters but amortize to well under one per op.
-func TestSteadyPhaseReportsZeroAllocs(t *testing.T) {
+var registerAllocTestAtomic = sync.OnceFunc(func() {
 	RegisterStructure(StructureInfo{
 		Name:    "alloc-test-atomic",
 		Summary: "test-only allocation-free counter",
@@ -197,6 +161,16 @@ func TestSteadyPhaseReportsZeroAllocs(t *testing.T) {
 		Caps:    CapBatch,
 		New:     func(o Options) (Structure, error) { return &testBatchCounter{}, nil },
 	})
+})
+
+// TestSteadyPhaseReportsZeroAllocs closes the loop end to end: a real
+// driver run over the allocation-free atomic session path must *report*
+// ≈ 0 allocs/op through the new memory metric — the measurement and the
+// measured agree. The threshold leaves room for the handful of runtime-
+// internal allocations (timer resets, GC bookkeeping) that land in the
+// whole-process counters but amortize to well under one per op.
+func TestSteadyPhaseReportsZeroAllocs(t *testing.T) {
+	registerAllocTestAtomic()
 	res, err := Run(Workload{Counter: "alloc-test-atomic", Goroutines: 2, Ops: 200000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -70,14 +70,16 @@ func TestEvidenceFoldsIntoReservation(t *testing.T) {
 		}
 		return out
 	}
-	lanesOf := func(counts, blocks, queued int) []lane {
-		lanes := make([]lane, 2)
+	lanesOf := func(counts, blocks, queued int) []*lane {
+		lanes := make([]*lane, 2)
 		for i := range lanes {
 			share := []int{3, 1}[i] // lopsided lanes
-			lanes[i].counts = fill(counts * share / 4)
-			lanes[i].blocks = make([]CountRange, blocks*share/4)
-			lanes[i].ids = fill(queued * share / 4)
-			lanes[i].preds = fill(queued * share / 4)
+			lanes[i] = &lane{laneData: laneData{
+				counts: fill(counts * share / 4),
+				blocks: make([]CountRange, blocks*share/4),
+				ids:    fill(queued * share / 4),
+				preds:  fill(queued * share / 4),
+			}}
 		}
 		return lanes
 	}

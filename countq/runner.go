@@ -151,22 +151,22 @@ func (d *laneData) reserve(phases []Phase) {
 
 // fold appends every lane's evidence, growing each buffer at most once —
 // and not at all inside the reservation.
-func (d *laneData) fold(lanes []lane) {
+func (d *laneData) fold(lanes []*lane) {
 	var counts, blocks, queued int
-	for i := range lanes {
-		counts += len(lanes[i].counts)
-		blocks += len(lanes[i].blocks)
-		queued += len(lanes[i].ids)
+	for _, ln := range lanes {
+		counts += len(ln.counts)
+		blocks += len(ln.blocks)
+		queued += len(ln.ids)
 	}
 	d.counts = slices.Grow(d.counts, counts)
 	d.blocks = slices.Grow(d.blocks, blocks)
 	d.ids = slices.Grow(d.ids, queued)
 	d.preds = slices.Grow(d.preds, queued)
-	for i := range lanes {
-		d.counts = append(d.counts, lanes[i].counts...)
-		d.blocks = append(d.blocks, lanes[i].blocks...)
-		d.ids = append(d.ids, lanes[i].ids...)
-		d.preds = append(d.preds, lanes[i].preds...)
+	for _, ln := range lanes {
+		d.counts = append(d.counts, ln.counts...)
+		d.blocks = append(d.blocks, ln.blocks...)
+		d.ids = append(d.ids, ln.ids...)
+		d.preds = append(d.preds, ln.preds...)
 	}
 }
 
@@ -188,70 +188,9 @@ func (h *phaseHists) merge(o *phaseHists) {
 // runPhases drives the phase sequence over the shared structure instances
 // and validates the accumulated evidence once at the end.
 func runPhases(base Workload, scenarioSpec string, phases []Phase, cs, qs Structure, cinfo, qinfo StructureInfo) (*Metrics, error) {
-	// Validate the whole phase sequence before any goroutine runs: a
-	// misconfigured final phase must not waste the preceding ones.
-	if len(phases) > 256 {
-		return nil, fmt.Errorf("countq: %d phases overflow the queue-op id packing (max 256)", len(phases))
+	if err := normalizePhases(base, phases, cs, qs, cinfo, qinfo); err != nil {
+		return nil, err
 	}
-	for i := range phases {
-		p := &phases[i]
-		if p.Goroutines <= 0 {
-			p.Goroutines = base.Goroutines
-		}
-		if p.Goroutines > 1<<15 {
-			return nil, fmt.Errorf("countq: phase %q: %d goroutines overflow the queue-op id packing (max %d)", p.Name, p.Goroutines, 1<<15)
-		}
-		if p.LatencySample == 0 {
-			p.LatencySample = base.LatencySample
-		}
-		if p.LatencySample < 0 {
-			return nil, fmt.Errorf("countq: phase %q: latency sample %d is negative (want 0 for the default, or ≥ 1)", p.Name, p.LatencySample)
-		}
-		switch {
-		case qs == nil:
-			p.Mix = 1
-		case cs == nil:
-			p.Mix = 0
-		}
-		if p.Mix < 0 || p.Mix > 1 {
-			return nil, fmt.Errorf("countq: phase %q: counter mix %v outside [0,1]", p.Name, p.Mix)
-		}
-		if p.Batch < 0 {
-			return nil, fmt.Errorf("countq: phase %q: negative batch %d", p.Name, p.Batch)
-		}
-		if p.Batch == 1 {
-			p.Batch = 0 // IncN(1) is Inc; keep the single-Inc path
-		}
-		if p.Batch > 1 && p.Mix > 0 && !cinfo.Caps.Has(CapBatch) {
-			return nil, fmt.Errorf("countq: phase %q sets batch=%d but counter %q lacks the batch capability (BatchSession block grants); drop the batch or pick a batching counter", p.Name, p.Batch, base.Counter)
-		}
-		if p.Inflight == 0 {
-			p.Inflight = base.Inflight
-		}
-		if p.Inflight < 0 {
-			return nil, fmt.Errorf("countq: phase %q: negative inflight %d", p.Name, p.Inflight)
-		}
-		if p.Inflight == 1 {
-			p.Inflight = 0 // one outstanding op is the synchronous path
-		}
-		if p.Inflight > 1 {
-			if p.Arrival == Fairshare {
-				return nil, fmt.Errorf("countq: phase %q: the fairshare rotation grants one operation at a time and cannot be combined with inflight=%d pipelining", p.Name, p.Inflight)
-			}
-			if p.Mix > 0 && !cinfo.Caps.Has(CapAsync) {
-				return nil, fmt.Errorf("countq: phase %q sets inflight=%d but counter %q lacks the async capability (AsyncSession completions); drop the inflight or pick an async-capable structure", p.Name, p.Inflight, base.Counter)
-			}
-			if p.Mix < 1 && !qinfo.Caps.Has(CapAsync) {
-				return nil, fmt.Errorf("countq: phase %q sets inflight=%d but queue %q lacks the async capability (AsyncSession completions); drop the inflight or pick an async-capable structure", p.Name, p.Inflight, base.Queue)
-			}
-		}
-		if p.Duration > 0 {
-			p.Ops = 0
-		} else if p.Ops <= 0 {
-			return nil, fmt.Errorf("countq: phase %q has neither an ops nor a duration budget", p.Name)
-		}
-	}
-
 	m := &Metrics{
 		Counter:  base.Counter,
 		Queue:    base.Queue,
@@ -312,22 +251,98 @@ func runPhases(base Workload, scenarioSpec string, phases []Phase, cs, qs Struct
 		return nil, fmt.Errorf("countq: %d queue operations but none latency-sampled", agg.QueueOps)
 	}
 
-	// One validation pass over the whole run, warmup included: phases share
-	// the structure instances, so counts keep rising across phase
-	// boundaries and the gap-free check must see every grant. Sessions are
-	// all closed by now, so DrainCounts sees surrendered lease remainders.
 	validateStart := time.Now()
+	if err := validateRun(base, cs, &all); err != nil {
+		return nil, err
+	}
+	m.ValidateElapsed = time.Since(validateStart)
+	return m, nil
+}
+
+// normalizePhases fills each phase's defaults from the base workload and
+// rejects the whole sequence before any goroutine runs: a misconfigured
+// final phase must not waste the preceding ones.
+func normalizePhases(base Workload, phases []Phase, cs, qs Structure, cinfo, qinfo StructureInfo) error {
+	if len(phases) > 256 {
+		return fmt.Errorf("countq: %d phases overflow the queue-op id packing (max 256)", len(phases))
+	}
+	for i := range phases {
+		p := &phases[i]
+		if p.Goroutines <= 0 {
+			p.Goroutines = base.Goroutines
+		}
+		if p.Goroutines > 1<<15 {
+			return fmt.Errorf("countq: phase %q: %d goroutines overflow the queue-op id packing (max %d)", p.Name, p.Goroutines, 1<<15)
+		}
+		if p.LatencySample == 0 {
+			p.LatencySample = base.LatencySample
+		}
+		if p.LatencySample < 0 {
+			return fmt.Errorf("countq: phase %q: latency sample %d is negative (want 0 for the default, or ≥ 1)", p.Name, p.LatencySample)
+		}
+		switch {
+		case qs == nil:
+			p.Mix = 1
+		case cs == nil:
+			p.Mix = 0
+		}
+		if p.Mix < 0 || p.Mix > 1 {
+			return fmt.Errorf("countq: phase %q: counter mix %v outside [0,1]", p.Name, p.Mix)
+		}
+		if p.Batch < 0 {
+			return fmt.Errorf("countq: phase %q: negative batch %d", p.Name, p.Batch)
+		}
+		if p.Batch == 1 {
+			p.Batch = 0 // IncN(1) is Inc; keep the single-Inc path
+		}
+		if p.Batch > 1 && p.Mix > 0 && !cinfo.Caps.Has(CapBatch) {
+			return fmt.Errorf("countq: phase %q sets batch=%d but counter %q lacks the batch capability (BatchSession block grants); drop the batch or pick a batching counter", p.Name, p.Batch, base.Counter)
+		}
+		if p.Inflight == 0 {
+			p.Inflight = base.Inflight
+		}
+		if p.Inflight < 0 {
+			return fmt.Errorf("countq: phase %q: negative inflight %d", p.Name, p.Inflight)
+		}
+		if p.Inflight == 1 {
+			p.Inflight = 0 // one outstanding op is the synchronous path
+		}
+		if p.Inflight > 1 {
+			if p.Arrival == Fairshare {
+				return fmt.Errorf("countq: phase %q: the fairshare rotation grants one operation at a time and cannot be combined with inflight=%d pipelining", p.Name, p.Inflight)
+			}
+			if p.Mix > 0 && !cinfo.Caps.Has(CapAsync) {
+				return fmt.Errorf("countq: phase %q sets inflight=%d but counter %q lacks the async capability (AsyncSession completions); drop the inflight or pick an async-capable structure", p.Name, p.Inflight, base.Counter)
+			}
+			if p.Mix < 1 && !qinfo.Caps.Has(CapAsync) {
+				return fmt.Errorf("countq: phase %q sets inflight=%d but queue %q lacks the async capability (AsyncSession completions); drop the inflight or pick an async-capable structure", p.Name, p.Inflight, base.Queue)
+			}
+		}
+		if p.Duration > 0 {
+			p.Ops = 0
+		} else if p.Ops <= 0 {
+			return fmt.Errorf("countq: phase %q has neither an ops nor a duration budget", p.Name)
+		}
+	}
+	return nil
+}
+
+// validateRun is the one validation pass over the whole run, warmup
+// included: phases share the structure instances, so counts keep rising
+// across phase boundaries and the gap-free check must see every grant.
+// Sessions are all closed by now, so DrainCounts sees surrendered lease
+// remainders.
+func validateRun(base Workload, cs Structure, all *laneData) error {
 	if cs != nil {
 		all.counts = append(all.counts, DrainCounts(cs)...)
 	}
 	if err := ValidateCountRanges(all.counts, all.blocks); err != nil {
-		return nil, fmt.Errorf("countq: %s failed validation: %w", base.Counter, err)
+		return fmt.Errorf("countq: %s failed validation: %w", base.Counter, err)
 	}
 	if err := ValidateOrder(all.ids, all.preds); err != nil {
-		return nil, fmt.Errorf("countq: %s failed validation: %w", base.Queue, err)
+		return fmt.Errorf("countq: %s failed validation: %w", base.Queue, err)
 	}
-	m.ValidateElapsed = time.Since(validateStart)
-	return m, nil
+	return nil
 }
 
 // claimOps takes up to chunk ops from the phase's shared pool, returning 0
@@ -395,6 +410,22 @@ func grow[T any](s []T, n int) []T {
 	return ns
 }
 
+// cacheLine is the coherence granule the runner lays its memory out by.
+const cacheLine = 64
+
+// isolated keeps v on cache lines of its own: a full guard line on each
+// side means no neighbouring field or heap object shares a line with any
+// byte of v. It is the runner's one layout mechanism — around each
+// worker's whole per-phase state, and around each shared word written by
+// design (the op pool, the fairshare turn, each fairshare done flag) — so
+// a worker's per-op writes land only on lines it owns, and the contention
+// a phase measures is the structure's, not the harness's.
+type isolated[T any] struct {
+	_ [cacheLine]byte
+	v T
+	_ [cacheLine]byte
+}
+
 // lane is one worker's phase-local accumulation: validation evidence,
 // latency histograms, timeline events, and the op count feeding fairness.
 type lane struct {
@@ -405,13 +436,16 @@ type lane struct {
 	err    error
 }
 
-// laneRunner is one worker's execution state for one phase. Everything it
-// allocates — evidence capacity, histograms, the rng — is set up before
-// the start barrier, and the per-op methods (issueSync, submitOne, reap)
-// are written to run at zero heap allocations; alloc_test.go gates them
-// with testing.AllocsPerRun.
+// laneRunner is one worker's execution state for one phase, its lane
+// included. The worker allocates it itself, isolated (newWorker), so every
+// word written per op — evidence headers, histograms, counters, clocks —
+// sits on lines no other worker touches. Everything it allocates —
+// evidence capacity, histograms, the rng — is set up before the start
+// barrier, and the per-op methods (issueSync, submitOne, reap) are written
+// to run at zero heap allocations; alloc_test.go gates them with
+// testing.AllocsPerRun.
 type laneRunner struct {
-	ln     *lane
+	ln     lane
 	p      *Phase
 	pi, gi int
 
@@ -435,8 +469,7 @@ type laneRunner struct {
 	pool *atomic.Int64
 	dl   *phaseDeadline
 
-	runStart   time.Time
-	phaseStart time.Time
+	runStart time.Time
 	// intended is the corrected-latency clock: it accumulates the arrival
 	// schedule's think times from the phase start, independent of how long
 	// service takes — when the structure falls behind, completion − intended
@@ -454,11 +487,12 @@ type laneRunner struct {
 	burst       int
 	iter        int
 	outstanding int
+	// Per-kind countdowns to the next latency-sampled op (see due).
+	countDue, blockDue, idDue int
 }
 
 // begin stamps the phase clocks once the start barrier opens.
 func (r *laneRunner) begin(phaseStart time.Time) {
-	r.phaseStart = phaseStart
 	r.intended = phaseStart
 	r.mark = phaseStart
 }
@@ -468,7 +502,7 @@ func (r *laneRunner) begin(phaseStart time.Time) {
 // window at setup, then at pool-claim granularity, so steady state sees
 // appends into preexisting capacity only.
 func (r *laneRunner) reserve(n int64) {
-	ln := r.ln
+	ln := &r.ln
 	if r.p.Mix > 0 {
 		if r.batch > 1 {
 			ln.blocks = grow(ln.blocks, int(n)/r.batch+1)
@@ -544,6 +578,20 @@ func (r *laneRunner) t0() time.Time {
 	return time.Now()
 }
 
+// due reports whether the next op of the kind counted down by left is
+// latency-sampled: the kind's 0th, sample'th, 2·sample'th … op, exactly
+// the ops an index-mod-sample rule picks, without a division per op.
+//
+//countq:hotpath clocks=0
+func (r *laneRunner) due(left *int) bool {
+	if *left > 0 {
+		*left--
+		return false
+	}
+	*left = r.sample - 1
+	return true
+}
+
 // observe records one sampled op: histogram plus a timeline event that
 // reuses the op's completion timestamp instead of reading the clock again.
 //
@@ -552,6 +600,19 @@ func (r *laneRunner) observe(h *Histogram, totalNs, n int64, at time.Time) {
 	h.recordAmortized(totalNs, n)
 	r.ln.events = append(r.ln.events, tlEvent{off: at.Sub(r.runStart).Nanoseconds(), ops: r.sinceEvent + n})
 	r.sinceEvent = 0
+}
+
+// record books a sampled synchronous op that ran from t0 to t1 and
+// granted n operations: service time into h and, under an open arrival,
+// the corrected response time into corr, with t1 as the new mark.
+//
+//countq:hotpath clocks=0
+func (r *laneRunner) record(h, corr *Histogram, t0, t1 time.Time, n int64) {
+	r.observe(h, t1.Sub(t0).Nanoseconds(), n, t1)
+	if r.open {
+		corr.RecordN(t1.Sub(r.intended).Nanoseconds(), n)
+		r.mark = t1
+	}
 }
 
 // flush emits the trailing unsampled ops as a final timeline event.
@@ -568,14 +629,14 @@ func (r *laneRunner) flush() {
 //
 //countq:hotpath clocks=6
 func (r *laneRunner) issueSync() (int64, error) {
-	ln := r.ln
+	ln := &r.ln
 	if r.p.Mix == 1 || (r.p.Mix > 0 && r.rng.Float64() < r.drawMix) {
 		if r.batch > 1 {
 			n := int64(r.batch)
 			if r.hasPool && n > r.allowance {
 				n = r.allowance
 			}
-			if len(ln.blocks)%r.sample == 0 {
+			if r.due(&r.blockDue) {
 				t0 := r.t0()
 				first, err := r.bsess.IncN(r.ctx, n)
 				t1 := time.Now()
@@ -583,11 +644,7 @@ func (r *laneRunner) issueSync() (int64, error) {
 					return 0, err
 				}
 				ln.blocks = append(ln.blocks, CountRange{First: first, N: n})
-				r.observe(&ln.hists.c, t1.Sub(t0).Nanoseconds(), n, t1)
-				if r.open {
-					ln.hists.ccorr.RecordN(t1.Sub(r.intended).Nanoseconds(), n)
-					r.mark = t1
-				}
+				r.record(&ln.hists.c, &ln.hists.ccorr, t0, t1, n)
 				return n, nil
 			}
 			first, err := r.bsess.IncN(r.ctx, n)
@@ -601,7 +658,7 @@ func (r *laneRunner) issueSync() (int64, error) {
 			}
 			return n, nil
 		}
-		if len(ln.counts)%r.sample == 0 {
+		if r.due(&r.countDue) {
 			t0 := r.t0()
 			v, err := r.csess.Inc(r.ctx)
 			t1 := time.Now()
@@ -609,11 +666,7 @@ func (r *laneRunner) issueSync() (int64, error) {
 				return 0, err
 			}
 			ln.counts = append(ln.counts, v)
-			r.observe(&ln.hists.c, t1.Sub(t0).Nanoseconds(), 1, t1)
-			if r.open {
-				ln.hists.ccorr.Record(t1.Sub(r.intended).Nanoseconds())
-				r.mark = t1
-			}
+			r.record(&ln.hists.c, &ln.hists.ccorr, t0, t1, 1)
 			return 1, nil
 		}
 		v, err := r.csess.Inc(r.ctx)
@@ -630,7 +683,7 @@ func (r *laneRunner) issueSync() (int64, error) {
 	// 8 bits of phase, 15 of lane, 40 of draw index: distinct non-negative
 	// ids across the whole run.
 	id := int64(r.pi)<<55 | int64(r.gi)<<40 | int64(r.iter)
-	if len(ln.ids)%r.sample == 0 {
+	if r.due(&r.idDue) {
 		t0 := r.t0()
 		pr, err := r.qsess.Enqueue(r.ctx, id)
 		t1 := time.Now()
@@ -639,11 +692,7 @@ func (r *laneRunner) issueSync() (int64, error) {
 		}
 		ln.ids = append(ln.ids, id)
 		ln.preds = append(ln.preds, pr)
-		r.observe(&ln.hists.q, t1.Sub(t0).Nanoseconds(), 1, t1)
-		if r.open {
-			ln.hists.qcorr.Record(t1.Sub(r.intended).Nanoseconds())
-			r.mark = t1
-		}
+		r.record(&ln.hists.q, &ln.hists.qcorr, t0, t1, 1)
 		return 1, nil
 	}
 	pr, err := r.qsess.Enqueue(r.ctx, id)
@@ -659,12 +708,12 @@ func (r *laneRunner) issueSync() (int64, error) {
 	return 1, nil
 }
 
-// runSync drives the synchronous loop: one call-and-return per draw.
-// acquire/release bracket each draw under the fairshare rotation and are
-// nil otherwise.
+// runSync drives the synchronous loop: one call-and-return per draw. Under
+// the fairshare rotation (fair non-nil) each draw waits for this worker's
+// turn and passes it on.
 //
 //countq:hotpath clocks=0
-func (r *laneRunner) runSync(acquire, release func()) {
+func (r *laneRunner) runSync(fair *fairTurn) {
 	for r.iter = 0; ; r.iter++ {
 		if !r.claim() {
 			break
@@ -672,12 +721,12 @@ func (r *laneRunner) runSync(acquire, release func()) {
 		if r.open {
 			r.arrive()
 		}
-		if acquire != nil {
-			acquire()
+		if fair != nil {
+			fair.acquire(r.gi)
 		}
 		granted, err := r.issueSync()
-		if release != nil {
-			release()
+		if fair != nil {
+			fair.release()
 		}
 		if err != nil {
 			r.ln.err = err
@@ -740,12 +789,12 @@ func (r *laneRunner) submitOne() (bool, error) {
 //
 //countq:hotpath
 func (r *laneRunner) reap(c Completion) {
-	ln := r.ln
+	ln := &r.ln
 	now := time.Now()
 	switch {
 	case c.Op.Kind == OpInc && c.Op.N > 1:
 		ln.blocks = append(ln.blocks, CountRange{First: c.Value, N: c.Op.N})
-		if len(ln.blocks)%r.sample == 1 || r.sample == 1 {
+		if r.due(&r.blockDue) {
 			r.observe(&ln.hists.c, now.Sub(c.Op.Submitted).Nanoseconds(), c.Op.N, now)
 			ln.hists.ccorr.RecordN(now.Sub(c.Op.Start).Nanoseconds(), c.Op.N)
 		} else {
@@ -754,7 +803,7 @@ func (r *laneRunner) reap(c Completion) {
 		ln.issued += c.Op.N
 	case c.Op.Kind == OpInc:
 		ln.counts = append(ln.counts, c.Value)
-		if len(ln.counts)%r.sample == 1 || r.sample == 1 {
+		if r.due(&r.countDue) {
 			r.observe(&ln.hists.c, now.Sub(c.Op.Submitted).Nanoseconds(), 1, now)
 			ln.hists.ccorr.Record(now.Sub(c.Op.Start).Nanoseconds())
 		} else {
@@ -764,7 +813,7 @@ func (r *laneRunner) reap(c Completion) {
 	default:
 		ln.ids = append(ln.ids, c.Op.ID)
 		ln.preds = append(ln.preds, c.Value)
-		if len(ln.ids)%r.sample == 1 || r.sample == 1 {
+		if r.due(&r.idDue) {
 			r.observe(&ln.hists.q, now.Sub(c.Op.Submitted).Nanoseconds(), 1, now)
 			ln.hists.qcorr.Record(now.Sub(c.Op.Start).Nanoseconds())
 		} else {
@@ -812,189 +861,251 @@ func (r *laneRunner) runAsync() {
 // folds their lanes into one PhaseMetrics plus the per-kind histograms
 // (returned separately so the caller can merge them into the aggregate
 // without re-binning); the lanes' validation evidence goes straight into
-// the run's buffers, all. Each worker opens one session
-// per structure before the start barrier and issues every operation
-// through it — synchronously, or as an Inflight-deep pipeline of
-// Submit/Completions when the phase asks for one.
+// the run's buffers, all. Each worker opens one session per structure
+// before the start barrier and issues every operation through it —
+// synchronously, or as an Inflight-deep pipeline of Submit/Completions
+// when the phase asks for one.
 func runPhase(cs, qs Structure, base Workload, pi int, p Phase, runStart time.Time, all *laneData) (PhaseMetrics, *phaseHists, error) {
-	batch := p.Batch
+	ph := newPhaseRun(cs, qs, base, pi, p, runStart)
+	return ph.fold(ph.run(), all)
+}
+
+// phaseRun is one phase's shared state. Workers only read it once the
+// start barrier opens, except the op pool and the fairshare rotation,
+// which they write by design and which are isolated on lines of their own.
+type phaseRun struct {
+	cs, qs   Structure
+	base     Workload
+	p        Phase
+	pi       int
+	runStart time.Time
+
+	batch   int
+	drawMix float64
+	chunk   int64
+	share   int64 // each lane's initial evidence reservation
+
+	pool isolated[atomic.Int64]
+	fair *fairTurn // nil unless the phase's arrival is Fairshare
+
+	ready, wg  sync.WaitGroup
+	start      chan struct{}
+	phaseStart time.Time
+	dl         *phaseDeadline
+
+	// The measured window, stamped by run: its offset and length, the
+	// allocation counters bracketing it, the live heap sampled inside it.
+	startNs       int64
+	elapsed       time.Duration
+	allocs, bytes uint64
+	mem           []MemWindow
+}
+
+func newPhaseRun(cs, qs Structure, base Workload, pi int, p Phase, runStart time.Time) *phaseRun {
+	ph := &phaseRun{
+		cs: cs, qs: qs, base: base, p: p, pi: pi, runStart: runStart,
+		batch: p.Batch, drawMix: p.Mix, chunk: opsChunk, share: opsChunk,
+		start: make(chan struct{}),
+	}
 	if p.Mix == 0 {
-		batch = 0
+		ph.batch = 0
 	}
 	// Each batched draw grants `batch` counter operations at once, so the
 	// per-draw counter probability must shrink for Mix to stay the
 	// fraction of *operations* that count: solving
 	// p·batch / (p·batch + (1-p)) = mix for p.
-	drawMix := p.Mix
-	if batch > 1 && p.Mix > 0 && p.Mix < 1 {
-		drawMix = p.Mix / (float64(batch)*(1-p.Mix) + p.Mix)
+	if ph.batch > 1 && p.Mix > 0 && p.Mix < 1 {
+		ph.drawMix = p.Mix / (float64(ph.batch)*(1-p.Mix) + p.Mix)
 	}
-	chunk := int64(opsChunk)
-	if int64(batch) > chunk {
-		chunk = int64(batch)
+	if int64(ph.batch) > ph.chunk {
+		ph.chunk = int64(ph.batch)
 	}
-	var pool atomic.Int64
-	pool.Store(int64(p.Ops))
-	hasPool := p.Ops > 0
-	lanes := make([]lane, p.Goroutines)
-	// The fairshare rotation: turn hands the grant around round-robin, and
-	// a worker that finishes (or fails) marks itself done so waiters can
-	// skip its turns instead of deadlocking.
-	var turn atomic.Int64
-	var fairDone []atomic.Bool
-	if p.Arrival == Fairshare {
-		fairDone = make([]atomic.Bool, p.Goroutines)
-	}
+	ph.pool.v.Store(int64(p.Ops))
 	// Per-lane initial evidence reservation: the balanced share of an ops
 	// budget, or one claim stride under a duration budget. Claims during the
 	// phase top this up, so steady state appends never allocate.
-	share := int64(opsChunk)
-	if hasPool {
-		share = int64(p.Ops)/int64(p.Goroutines) + opsChunk
+	if p.Ops > 0 {
+		ph.share = int64(p.Ops)/int64(p.Goroutines) + opsChunk
 	}
-	// Workers rendezvous on a start barrier so spawn latency (and session
-	// setup, rng construction, evidence preallocation) is neither measured
-	// nor lets early workers drain the shared pool before late ones exist
-	// (which would read as unfairness the structure didn't cause).
-	var ready, wg sync.WaitGroup
-	start := make(chan struct{})
-	var phaseStart time.Time
-	var dl *phaseDeadline
+	if p.Arrival == Fairshare {
+		ph.fair = &fairTurn{done: make([]isolated[atomic.Bool], p.Goroutines)}
+	}
+	return ph
+}
+
+// newWorker is lane setup: worker gi's laneRunner, lane included, in an
+// allocation of its own with the rng and the evidence reservation for its
+// share of the budget. Workers call it on their own goroutine, before the
+// start barrier.
+func (ph *phaseRun) newWorker(gi int) *laneRunner {
+	r := &new(isolated[laneRunner]).v
+	r.p, r.pi, r.gi = &ph.p, ph.pi, gi
+	r.ctx = context.Background()
+	r.rng = rand.New(rand.NewSource(ph.base.Seed + int64(ph.pi)*104729 + int64(gi)*7919))
+	r.batch, r.drawMix, r.sample, r.chunk = ph.batch, ph.drawMix, ph.p.LatencySample, ph.chunk
+	r.open = ph.p.Arrival == Uniform || ph.p.Arrival == Bursty
+	r.hasPool, r.pool = ph.p.Ops > 0, &ph.pool.v
+	r.runStart = ph.runStart
+	r.reserve(ph.share)
+	return r
+}
+
+// openSessions is session open plus capability assertion: one session per
+// structure, and the batch and async views the phase demands of them.
+// Their Close (closeSessions) runs before the phase is folded.
+func (r *laneRunner) openSessions(cs, qs Structure, base Workload) (err error) {
+	if cs != nil {
+		if r.csess, err = cs.NewSession(); err != nil {
+			return err
+		}
+	}
+	if qs != nil {
+		if r.qsess, err = qs.NewSession(); err != nil {
+			return err
+		}
+	}
+	p := r.p
+	if r.batch > 1 {
+		b, ok := r.csess.(BatchSession)
+		if !ok {
+			return fmt.Errorf("countq: phase %q: counter %q declares CapBatch but its session is not a BatchSession", p.Name, base.Counter)
+		}
+		r.bsess = b
+	}
+	if p.Inflight <= 1 {
+		return nil
+	}
+	if r.csess != nil && p.Mix > 0 {
+		a, ok := r.csess.(AsyncSession)
+		if !ok {
+			return fmt.Errorf("countq: phase %q: counter %q declares CapAsync but its session is not an AsyncSession", p.Name, base.Counter)
+		}
+		r.cas, r.cch = a, a.Completions()
+	}
+	if r.qsess != nil && p.Mix < 1 {
+		a, ok := r.qsess.(AsyncSession)
+		if !ok {
+			return fmt.Errorf("countq: phase %q: queue %q declares CapAsync but its session is not an AsyncSession", p.Name, base.Queue)
+		}
+		r.qas, r.qch = a, a.Completions()
+	}
+	return nil
+}
+
+// closeSessions closes the worker's sessions — surrendering leases,
+// draining async buffers — keeping the lane's first error.
+func (r *laneRunner) closeSessions() {
+	for _, s := range []Session{r.csess, r.qsess} {
+		if s == nil {
+			continue
+		}
+		if err := s.Close(); err != nil && r.ln.err == nil {
+			r.ln.err = fmt.Errorf("countq: phase %q: session close: %w", r.p.Name, err)
+		}
+	}
+}
+
+// fairTurn is the fairshare rotation: turn hands the grant around
+// round-robin, and a worker that finishes (or fails) marks itself done so
+// waiters can skip its turns instead of deadlocking.
+type fairTurn struct {
+	turn isolated[atomic.Int64]
+	done []isolated[atomic.Bool]
+}
+
+// acquire waits until the rotation reaches worker gi.
+func (f *fairTurn) acquire(gi int) {
+	g := int64(len(f.done))
+	for {
+		t := f.turn.v.Load()
+		owner := int(t % g)
+		if owner == gi {
+			return
+		}
+		if f.done[owner].v.Load() {
+			f.turn.v.CompareAndSwap(t, t+1)
+			continue
+		}
+		runtime.Gosched()
+	}
+}
+
+// release passes the grant to the next worker.
+func (f *fairTurn) release() { f.turn.v.Add(1) }
+
+// finish takes worker gi out of the rotation for good.
+func (f *fairTurn) finish(gi int) { f.done[gi].v.Store(true) }
+
+// work is one worker's whole phase: lane setup and session open before the
+// start barrier, the measured loop after it, then flush and close.
+func (ph *phaseRun) work(gi int, out **lane) {
+	defer ph.wg.Done()
+	if ph.fair != nil {
+		defer ph.fair.finish(gi)
+	}
+	r := ph.newWorker(gi)
+	*out = &r.ln
+	r.ln.err = r.openSessions(ph.cs, ph.qs, ph.base)
+	defer r.closeSessions()
+	ph.ready.Done()
+	<-ph.start
+	if r.ln.err != nil {
+		return
+	}
+	r.dl = ph.dl
+	r.begin(ph.phaseStart)
+	if ph.p.Inflight > 1 {
+		r.runAsync()
+	} else {
+		r.runSync(ph.fair)
+	}
+	r.flush()
+}
+
+// run is barrier and deadline. Workers rendezvous on a start barrier so
+// spawn latency (and session setup, rng construction, evidence
+// preallocation) is neither measured nor lets early workers drain the
+// shared pool before late ones exist (which would read as unfairness the
+// structure didn't cause). The lanes are read only after every worker has
+// returned.
+func (ph *phaseRun) run() []*lane {
 	probe := newMemProbe()
-	ctx := context.Background()
-	for gi := 0; gi < p.Goroutines; gi++ {
-		ready.Add(1)
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			ln := &lanes[gi]
-			if fairDone != nil {
-				defer fairDone[gi].Store(true)
-			}
-			// Open the per-worker sessions before the barrier; their
-			// Close (surrendering leases, draining async buffers) runs
-			// before the phase is folded.
-			var csess, qsess Session
-			if cs != nil {
-				csess, ln.err = cs.NewSession()
-			}
-			if ln.err == nil && qs != nil {
-				qsess, ln.err = qs.NewSession()
-			}
-			defer func() {
-				for _, s := range []Session{csess, qsess} {
-					if s == nil {
-						continue
-					}
-					if err := s.Close(); err != nil && ln.err == nil {
-						ln.err = fmt.Errorf("countq: phase %q: session close: %w", p.Name, err)
-					}
-				}
-			}()
-			r := &laneRunner{
-				ln:       ln,
-				p:        &p,
-				pi:       pi,
-				gi:       gi,
-				csess:    csess,
-				qsess:    qsess,
-				ctx:      ctx,
-				batch:    batch,
-				drawMix:  drawMix,
-				sample:   p.LatencySample,
-				chunk:    chunk,
-				open:     p.Arrival == Uniform || p.Arrival == Bursty,
-				hasPool:  hasPool,
-				pool:     &pool,
-				runStart: runStart,
-			}
-			if ln.err == nil && batch > 1 {
-				b, ok := csess.(BatchSession)
-				if !ok {
-					ln.err = fmt.Errorf("countq: phase %q: counter %q declares CapBatch but its session is not a BatchSession", p.Name, base.Counter)
-				}
-				r.bsess = b
-			}
-			if ln.err == nil && p.Inflight > 1 {
-				if csess != nil && p.Mix > 0 {
-					a, ok := csess.(AsyncSession)
-					if !ok {
-						ln.err = fmt.Errorf("countq: phase %q: counter %q declares CapAsync but its session is not an AsyncSession", p.Name, base.Counter)
-					} else {
-						r.cas, r.cch = a, a.Completions()
-					}
-				}
-				if ln.err == nil && qsess != nil && p.Mix < 1 {
-					a, ok := qsess.(AsyncSession)
-					if !ok {
-						ln.err = fmt.Errorf("countq: phase %q: queue %q declares CapAsync but its session is not an AsyncSession", p.Name, base.Queue)
-					} else {
-						r.qas, r.qch = a, a.Completions()
-					}
-				}
-			}
-			var acquire, release func()
-			if p.Arrival == Fairshare {
-				acquire = func() {
-					g := int64(p.Goroutines)
-					for {
-						t := turn.Load()
-						owner := int(t % g)
-						if owner == gi {
-							return
-						}
-						if fairDone[owner].Load() {
-							turn.CompareAndSwap(t, t+1)
-							continue
-						}
-						runtime.Gosched()
-					}
-				}
-				release = func() { turn.Add(1) }
-			}
-			if ln.err == nil {
-				r.rng = rand.New(rand.NewSource(base.Seed + int64(pi)*104729 + int64(gi)*7919))
-				r.reserve(share)
-			}
-			ready.Done()
-			<-start
-			if ln.err != nil {
-				return
-			}
-			r.dl = dl
-			r.begin(phaseStart)
-			if p.Inflight > 1 {
-				r.runAsync()
-			} else {
-				r.runSync(acquire, release)
-			}
-			r.flush()
-		}(gi)
+	lanes := make([]*lane, ph.p.Goroutines)
+	for gi := range lanes {
+		ph.ready.Add(1)
+		ph.wg.Add(1)
+		go ph.work(gi, &lanes[gi])
 	}
-	ready.Wait()
-	phaseStart = time.Now()
-	if p.Duration > 0 {
-		dl = startDeadline(p.Duration) // workers observe this via the start barrier
+	ph.ready.Wait()
+	ph.phaseStart = time.Now()
+	if ph.p.Duration > 0 {
+		ph.dl = startDeadline(ph.p.Duration) // workers observe this via the start barrier
 	}
-	startNs := phaseStart.Sub(runStart).Nanoseconds()
+	ph.startNs = ph.phaseStart.Sub(ph.runStart).Nanoseconds()
 	// The phase's memory accounting brackets exactly the measured window:
 	// the sampler (and its buffers) exist before the baseline read, and
 	// worker setup allocations all happened before the barrier.
-	sampler := startMemSampler(phaseStart)
+	sampler := startMemSampler(ph.phaseStart)
 	allocs0, bytes0, _ := probe.read()
-	close(start)
-	wg.Wait()
-	elapsed := time.Since(phaseStart)
+	close(ph.start)
+	ph.wg.Wait()
+	ph.elapsed = time.Since(ph.phaseStart)
 	allocs1, bytes1, _ := probe.read()
-	memTl := sampler.stop(startNs, elapsed.Nanoseconds())
-	dl.stop()
+	ph.mem = sampler.stop(ph.startNs, ph.elapsed.Nanoseconds())
+	ph.dl.stop()
+	ph.allocs, ph.bytes = allocs1-allocs0, bytes1-bytes0
+	return lanes
+}
 
+// fold merges the phase's lanes into its PhaseMetrics and histograms, and
+// their evidence into the run's buffers.
+func (ph *phaseRun) fold(lanes []*lane, all *laneData) (PhaseMetrics, *phaseHists, error) {
+	p := &ph.p
 	var hists phaseHists
 	var events []tlEvent
 	var counterOps, queueOps int
-	workers := make([]int64, p.Goroutines)
-	for gi := range lanes {
-		ln := &lanes[gi]
+	workers := make([]int64, len(lanes))
+	for gi, ln := range lanes {
 		if ln.err != nil {
 			return PhaseMetrics{}, nil, fmt.Errorf("countq: phase %q: %w", p.Name, ln.err)
 		}
@@ -1010,8 +1121,8 @@ func runPhase(cs, qs Structure, base Workload, pi int, p Phase, runStart time.Ti
 	all.fold(lanes)
 	var allocsPerOp, allocBytesPerOp float64
 	if ops := counterOps + queueOps; ops > 0 {
-		allocsPerOp = float64(allocs1-allocs0) / float64(ops)
-		allocBytesPerOp = float64(bytes1-bytes0) / float64(ops)
+		allocsPerOp = float64(ph.allocs) / float64(ops)
+		allocBytesPerOp = float64(ph.bytes) / float64(ops)
 	}
 	pm := PhaseMetrics{
 		Name:        p.Name,
@@ -1019,10 +1130,10 @@ func runPhase(cs, qs Structure, base Workload, pi int, p Phase, runStart time.Ti
 		Goroutines:  p.Goroutines,
 		Mix:         p.Mix,
 		Arrival:     p.Arrival.String(),
-		Batch:       batch,
+		Batch:       ph.batch,
 		Inflight:    p.Inflight,
-		StartNs:     startNs,
-		Elapsed:     elapsed,
+		StartNs:     ph.startNs,
+		Elapsed:     ph.elapsed,
 		Ops:         counterOps + queueOps,
 		CounterOps:  counterOps,
 		QueueOps:    queueOps,
@@ -1030,14 +1141,14 @@ func runPhase(cs, qs Structure, base Workload, pi int, p Phase, runStart time.Ti
 		QueueLat:    hists.q.Stats(),
 		CounterCorr: hists.ccorr.Stats(),
 		QueueCorr:   hists.qcorr.Stats(),
-		Timeline:    buildTimeline(events, startNs, elapsed.Nanoseconds()),
+		Timeline:    buildTimeline(events, ph.startNs, ph.elapsed.Nanoseconds()),
 		WorkerOps:   workers,
 		Fairness:    fairness(workers),
 
 		AllocsPerOp:     allocsPerOp,
 		AllocBytesPerOp: allocBytesPerOp,
-		MemTimeline:     memTl,
-		LivePeakBytes:   peakMem(memTl),
+		MemTimeline:     ph.mem,
+		LivePeakBytes:   peakMem(ph.mem),
 	}
 	return pm, &hists, nil
 }

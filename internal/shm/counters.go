@@ -45,7 +45,9 @@ type Counter = countq.Counter
 
 // AtomicCounter is the hardware fetch-and-increment baseline.
 type AtomicCounter struct {
+	_ [64]byte
 	v atomic.Int64
+	_ [56]byte // the hot word owns its cache line
 }
 
 // NewAtomicCounter returns a counter backed by a single atomic word.
@@ -63,8 +65,10 @@ func (c *AtomicCounter) IncN(n int64) int64 { return c.v.Add(n) - n + 1 }
 
 // MutexCounter serializes increments behind a mutex.
 type MutexCounter struct {
+	_  [64]byte
 	mu sync.Mutex
 	v  int64
+	_  [56]byte // the lock and its word own their cache line
 }
 
 // NewMutexCounter returns a mutex-protected counter.

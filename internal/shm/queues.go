@@ -21,7 +21,9 @@ type Queuer = countq.Queuer
 // the "distributed swap" primitive behind queue locks (CLH/MCS) and the
 // queuing-based ordered multicast of Herlihy et al.
 type SwapQueue struct {
+	_    [64]byte
 	tail atomic.Int64
+	_    [56]byte // the hot word owns its cache line
 }
 
 // NewSwapQueue returns an empty swap-based queue.
@@ -38,8 +40,10 @@ func (q *SwapQueue) Enqueue(id int64) int64 { return q.tail.Swap(id) }
 
 // MutexQueue is the lock-based baseline for queuing.
 type MutexQueue struct {
+	_    [64]byte
 	mu   sync.Mutex
 	tail int64
+	_    [56]byte // the lock and its word own their cache line
 }
 
 // NewMutexQueue returns an empty mutex-based queue.
@@ -61,7 +65,9 @@ func (q *MutexQueue) Enqueue(id int64) int64 {
 // it displaced. Functionally equivalent to SwapQueue but exercising the
 // pointer-based structure used by queue locks.
 type ListQueue struct {
+	_    [64]byte
 	tail atomic.Pointer[listNode]
+	_    [56]byte // the hot word owns its cache line
 }
 
 type listNode struct {
