@@ -7,10 +7,9 @@
 //
 // Patterns default to ./... so the bare invocation audits the whole
 // module, the way CI runs it between staticcheck and the build. -only
-// restricts the run to the named analyzers (-analyzers is the historical
-// alias; passing both is an error). Exit status: 0 when every invariant
-// holds, 1 when there are findings, 2 when the tree does not load (a
-// package fails to compile, a pattern matches nothing).
+// restricts the run to the named analyzers. Exit status: 0 when every
+// invariant holds, 1 when there are findings, 2 when the tree does not
+// load (a package fails to compile, a pattern matches nothing).
 package main
 
 import (
@@ -34,17 +33,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array of {file,line,col,analyzer,message}")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	alias := fs.String("analyzers", "", "alias for -only, kept for old CI configs")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *only != "" && *alias != "" {
-		fmt.Fprintln(stderr, "countqlint: -only and -analyzers are the same flag; pass one")
-		return 2
-	}
-	selection := only
-	if *alias != "" {
-		selection = alias
 	}
 
 	all := lint.Analyzers()
@@ -56,13 +46,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	analyzers := all
-	if *selection != "" {
+	if *only != "" {
 		byName := make(map[string]*lint.Analyzer, len(all))
 		for _, a := range all {
 			byName[a.Name] = a
 		}
 		analyzers = nil
-		for _, name := range strings.Split(*selection, ",") {
+		for _, name := range strings.Split(*only, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
 				fmt.Fprintf(stderr, "countqlint: unknown analyzer %q (use -list)\n", name)

@@ -9,16 +9,26 @@ import (
 	"repro/internal/lint"
 )
 
-// TestList prints every analyzer with its doc.
+// TestList prints every analyzer with its doc, and pins the exact set:
+// each analyzer stays only while it is the sole gate on some seeded
+// violation (DESIGN.md, "Static invariants"), so dropping or adding one
+// must show up as a diff here.
 func TestList(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errb.String())
 	}
-	for _, a := range lint.Analyzers() {
-		if !strings.Contains(out.String(), a.Name+": ") {
-			t.Errorf("-list output missing analyzer %s:\n%s", a.Name, out.String())
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		name, doc, ok := strings.Cut(line, ": ")
+		if !ok || doc == "" {
+			t.Errorf("-list line %q is not \"name: doc\"", line)
 		}
+		names = append(names, name)
+	}
+	want := "hotpath,ringrole,grantlife,simdet"
+	if got := strings.Join(names, ","); got != want {
+		t.Errorf("-list analyzers = %s, want %s", got, want)
 	}
 }
 
@@ -61,7 +71,7 @@ func TestOnlySelects(t *testing.T) {
 	}
 }
 
-// TestOnlyUnknown rejects unknown names through the new spelling too.
+// TestOnlyUnknown rejects an unknown name.
 func TestOnlyUnknown(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-only", "nope", "."}, &out, &errb); code != 2 {
@@ -72,21 +82,11 @@ func TestOnlyUnknown(t *testing.T) {
 	}
 }
 
-// TestOnlyAnalyzersConflict refuses the flag under both names at once.
-func TestOnlyAnalyzersConflict(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-only", "hotpath", "-analyzers", "simdet", "."}, &out, &errb); code != 2 {
-		t.Fatalf("expected exit 2 when both -only and -analyzers are set, got %d", code)
-	}
-	if !strings.Contains(errb.String(), "same flag") {
-		t.Errorf("stderr missing explanation: %s", errb.String())
-	}
-}
-
-// TestUnknownAnalyzer is a usage error, distinct from lint failure.
+// TestUnknownAnalyzer is a usage error, distinct from lint failure, even
+// when it follows a known name: the selection is refused, not truncated.
 func TestUnknownAnalyzer(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-analyzers", "nope", "."}, &out, &errb); code != 2 {
+	if code := run([]string{"-only", "hotpath,nope", "."}, &out, &errb); code != 2 {
 		t.Fatalf("expected exit 2 for unknown analyzer, got %d", code)
 	}
 	if !strings.Contains(errb.String(), "unknown analyzer") {

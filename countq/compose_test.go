@@ -1,9 +1,11 @@
 package countq
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"unicode"
 )
 
 // registerComposeTestScenario registers a one-phase scenario whose phase
@@ -21,13 +23,13 @@ var registerComposeTestScenario = sync.OnceFunc(func() {
 			{Name: "measure", Default: "true", Doc: "false marks the phase warmup"},
 		},
 		Phases: func(base Workload, o Options) ([]Phase, error) {
-			tag, _ := o.Lookup("tag")
-			if tag == "" {
-				tag = "w"
-			}
+			tag := o.String("tag", "w")
 			measure := o.Bool("measure", true)
 			if err := o.Err(); err != nil {
 				return nil, err
+			}
+			if tag == "" || strings.IndexFunc(tag, unicode.IsControl) >= 0 {
+				return nil, fmt.Errorf("tag=%q is not a printable phase name", tag)
 			}
 			p := basePhase(base, tag)
 			p.Warmup = !measure

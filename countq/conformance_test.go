@@ -315,8 +315,18 @@ func TestSessionKindGating(t *testing.T) {
 // has a default), and a session from NewSession implements BatchSession
 // exactly when CapBatch is declared (counter kinds; a queue's session may
 // carry an IncN it rejects) and AsyncSession exactly when CapAsync is. A
-// declared BatchSession also refuses an empty block.
+// declared BatchSession also refuses an empty block. Every declared param
+// is read: see countq.CheckParamsRead.
 func checkDeclaration(info countq.StructureInfo) error {
+	if err := countq.CheckParamsRead(info.Name, info.Params, func(o countq.Options) error {
+		st, err := info.New(o)
+		if err == nil {
+			closeIfCloser(st)
+		}
+		return err
+	}); err != nil {
+		return err
+	}
 	st, err := info.New(countq.Options{})
 	if err != nil {
 		return fmt.Errorf("%s does not build at its defaults: %w", info.Name, err)
@@ -375,12 +385,31 @@ func TestRegistryV3Catalogue(t *testing.T) {
 
 // TestDeclarationCheckBites seeds a wrong declaration in each direction —
 // a capability the sessions have but the entry omits, and one the entry
-// claims but the sessions lack — plus a constructor with no default, and
-// requires checkDeclaration to reject every one.
+// claims but the sessions lack — plus a constructor with no default, a
+// declared param the constructor never reads and one it reads with
+// o.String but never checks, and requires checkDeclaration to reject
+// every one.
 func TestDeclarationCheckBites(t *testing.T) {
 	atomic := func(countq.Options) (countq.Structure, error) { return shm.NewAtomicCounter(), nil }
 	funnel := func(countq.Options) (countq.Structure, error) { return shm.NewFunnelCounter(0, 0, 0) }
 	asyncFunnel := func(countq.Options) (countq.Structure, error) { return shm.NewAsyncFunnelCounter(8, 0) }
+	funnelWidth := func(o countq.Options) (countq.Structure, error) {
+		width := o.Int("width", 0)
+		if err := o.Err(); err != nil {
+			return nil, err
+		}
+		return shm.NewFunnelCounter(width, 0, 0)
+	}
+	mode := func(check bool) func(countq.Options) (countq.Structure, error) {
+		return func(o countq.Options) (countq.Structure, error) {
+			if m := o.String("mode", "plain"); check && m != "plain" {
+				return nil, fmt.Errorf("mode=%q is not plain", m)
+			}
+			return shm.NewAtomicCounter(), nil
+		}
+	}
+	width := []countq.ParamInfo{{Name: "width", Default: "0"}}
+	modes := []countq.ParamInfo{{Name: "mode", Default: "plain"}}
 	for _, bad := range []countq.StructureInfo{
 		{Name: "atomic-without-batch", Kinds: countq.KindCounter, New: atomic},
 		{Name: "funnel-with-batch", Kinds: countq.KindCounter, Caps: countq.CapBatch, New: funnel},
@@ -389,6 +418,8 @@ func TestDeclarationCheckBites(t *testing.T) {
 		{Name: "no-default", Kinds: countq.KindCounter, New: func(countq.Options) (countq.Structure, error) {
 			return nil, fmt.Errorf("param x is required")
 		}},
+		{Name: "funnel-width-unread", Kinds: countq.KindCounter, Params: width, New: funnel},
+		{Name: "atomic-mode-unchecked", Kinds: countq.KindCounter, Caps: countq.CapBatch, Params: modes, New: mode(false)},
 	} {
 		if err := checkDeclaration(bad); err == nil {
 			t.Errorf("%s: wrong declaration passed the check", bad.Name)
@@ -398,6 +429,8 @@ func TestDeclarationCheckBites(t *testing.T) {
 	for _, good := range []countq.StructureInfo{
 		{Name: "atomic", Kinds: countq.KindCounter, Caps: countq.CapBatch, New: atomic},
 		{Name: "funnel", Kinds: countq.KindCounter, New: funnel},
+		{Name: "funnel-width", Kinds: countq.KindCounter, Params: width, New: funnelWidth},
+		{Name: "atomic-mode", Kinds: countq.KindCounter, Caps: countq.CapBatch, Params: modes, New: mode(true)},
 	} {
 		if err := checkDeclaration(good); err != nil {
 			t.Error(err)

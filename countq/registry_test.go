@@ -379,3 +379,25 @@ func TestRegistryDeterministicOrder(t *testing.T) {
 		t.Errorf("Structures and StructureNames disagree: %v vs %v", infos, names)
 	}
 }
+
+// checkParamsRead proves a registry entry reads every param it declares:
+// built with that key alone set to a value no getter parses, build must
+// fail and its error must name the key as "key=" (the getters' form). A
+// declared knob the constructor never reads — or reads with o.String and
+// never checks — builds instead. The other direction, a key read but
+// undeclared, never reaches a constructor: checkParams rejects it first.
+func checkParamsRead(name string, params []ParamInfo, build func(Options) error) error {
+	const unparseable = "\x01"
+	for _, p := range params {
+		var o Options
+		o.Set(p.Name, unparseable)
+		err := build(o)
+		if err == nil {
+			return fmt.Errorf("%s: param %s=%q accepted: declared but never read", name, p.Name, unparseable)
+		}
+		if !strings.Contains(err.Error(), p.Name+"=") {
+			return fmt.Errorf("%s: param %s=%q rejected without naming the key: %v", name, p.Name, unparseable, err)
+		}
+	}
+	return nil
+}

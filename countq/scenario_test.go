@@ -1,9 +1,11 @@
 package countq
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 )
 
 // TestScenarioRegistryRoundTrip is the round-trip gate for the scenario
@@ -84,6 +86,62 @@ func TestScenarioRegistryRoundTrip(t *testing.T) {
 				t.Errorf("aggregate ops %d, measured phases did %d", m.Aggregate.Ops, measuredOps)
 			}
 		})
+	}
+}
+
+// TestScenarioParamsRead holds every registered scenario to its declared
+// params the way checkDeclaration holds structures: through
+// ExpandScenario, each key alone at an unparseable value must fail the
+// expansion and name the key. The seeded twins show the check bites — a
+// declared param the expansion never reads, and one it reads with
+// o.String but never checks — and that their honest versions pass.
+func TestScenarioParamsRead(t *testing.T) {
+	registerTestImpls()
+	registerComposeTestScenario()
+	base := Workload{Counter: "test-alpha", Queue: "test-queue", Goroutines: 2, Ops: 1000}
+	for _, info := range Scenarios() {
+		err := checkParamsRead(info.Name, info.Params, func(o Options) error {
+			_, err := ExpandScenario(Spec{Name: info.Name, Options: o}.String(), base)
+			return err
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	}
+
+	steady := func(base Workload, o Options) ([]Phase, error) {
+		return assignBudgets(base, []Phase{basePhase(base, "measure")}, []float64{1})
+	}
+	label := func(check bool) func(Workload, Options) ([]Phase, error) {
+		return func(base Workload, o Options) ([]Phase, error) {
+			name := o.String("label", "measure")
+			if check && strings.IndexFunc(name, unicode.IsControl) >= 0 {
+				return nil, fmt.Errorf("label=%q is not a printable phase name", name)
+			}
+			return assignBudgets(base, []Phase{basePhase(base, name)}, []float64{1})
+		}
+	}
+	cycles := []ParamInfo{{Name: "cycles", Default: "3"}}
+	labels := []ParamInfo{{Name: "label", Default: "measure"}}
+	for _, tc := range []struct {
+		info   ScenarioInfo
+		honest bool
+	}{
+		{ScenarioInfo{Name: "cycles-unread", Params: cycles, Phases: steady}, false},
+		{ScenarioInfo{Name: "label-unchecked", Params: labels, Phases: label(false)}, false},
+		{ScenarioInfo{Name: "spike", Params: cycles, Phases: scenarios["spike"].Phases}, true},
+		{ScenarioInfo{Name: "label", Params: labels, Phases: label(true)}, true},
+	} {
+		err := checkParamsRead(tc.info.Name, tc.info.Params, func(o Options) error {
+			_, err := tc.info.Phases(base.withDefaults(), o)
+			return err
+		})
+		if tc.honest && err != nil {
+			t.Error(err)
+		}
+		if !tc.honest && err == nil {
+			t.Errorf("%s: wrong declaration passed the check", tc.info.Name)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/counting"
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/stat"
 	"repro/internal/tree"
 )
 
@@ -89,7 +88,7 @@ func RunE16(cfg Config) (*Table, error) {
 				return nil, fmt.Errorf("E16: queuing %d not below counting %d / addition %d", ql, cl, al)
 			}
 			t.AddRow(fmt.Sprint(n), fmt.Sprint(load), fmt.Sprint(ql), fmt.Sprint(cl),
-				fmt.Sprint(al), stat.Ratio(float64(al), float64(cl)), stat.Ratio(float64(cl), float64(ql)))
+				fmt.Sprint(al), Ratio(float64(al), float64(cl)), Ratio(float64(cl), float64(ql)))
 		}
 	}
 	t.AddNote("addition costs the same as counting under identical schedules (the addends ride along for free in the combined messages); both stay well above queuing — evidence toward the open question's expected answer")

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/graph"
-	"repro/internal/stat"
 	"repro/internal/tree"
 )
 
@@ -143,7 +142,7 @@ func RunE7(cfg Config) (*Table, error) {
 		envelope := 2 * bounds.QueuingUpperBoundPerfectBinary(n, tr.Height())
 		t.AddRow(fmt.Sprintf("%d-ary d=%d", sh.m, tr.Height()), fmt.Sprint(n),
 			fmt.Sprint(cq), fmt.Sprint(envelope), fmt.Sprint(cc), bestName,
-			stat.Ratio(float64(cc), float64(cq)))
+			Ratio(float64(cc), float64(cq)))
 	}
 	t.AddNote("queuing stays linear in n on perfect m-ary trees while counting pays the aggregation depth")
 	return t, nil
@@ -164,7 +163,7 @@ func RunE8(cfg Config) (*Table, error) {
 		Ref:     "Theorem 4.13",
 		Columns: []string{"n", "diameter", "C_Q arrow", "UB O(n log n)", "C_C best", "count LB α²", "C_C/C_Q"},
 	}
-	var qPts, cPts []stat.Point
+	var qPts, cPts []Point
 	for _, n := range sizes {
 		g := graph.Caterpillar(n, 0.75)
 		tr, err := tree.BFSTree(g, 0)
@@ -191,12 +190,12 @@ func RunE8(cfg Config) (*Table, error) {
 		}
 		ub := 2 * bounds.QueuingUpperBoundGeneral(n) * tr.MaxDegree()
 		t.AddRow(fmt.Sprint(n), fmt.Sprint(alpha), fmt.Sprint(cq), fmt.Sprint(ub),
-			fmt.Sprint(cc), fmt.Sprint(lb), stat.Ratio(float64(cc), float64(cq)))
-		qPts = append(qPts, stat.Point{N: n, Cost: float64(cq)})
-		cPts = append(cPts, stat.Point{N: n, Cost: float64(cc)})
+			fmt.Sprint(cc), fmt.Sprint(lb), Ratio(float64(cc), float64(cq)))
+		qPts = append(qPts, Point{N: n, Cost: float64(cq)})
+		cPts = append(cPts, Point{N: n, Cost: float64(cc)})
 	}
 	t.AddNote("growth exponents: queuing %.2f (paper: ≈1 up to log), counting %.2f (paper: 1+2δ = 1.5)",
-		stat.LogLogSlope(qPts), stat.LogLogSlope(cPts))
+		LogLogSlope(qPts), LogLogSlope(cPts))
 	return t, nil
 }
 
@@ -214,7 +213,7 @@ func RunE9(cfg Config) (*Table, error) {
 		Ref:     "Conclusions",
 		Columns: []string{"n", "C_Q arrow", "C_C best", "C_C/C_Q", "n²"},
 	}
-	var qPts, cPts []stat.Point
+	var qPts, cPts []Point
 	var ratios []float64
 	for _, n := range sizes {
 		g := graph.Star(n)
@@ -235,11 +234,11 @@ func RunE9(cfg Config) (*Table, error) {
 		ratios = append(ratios, ratio)
 		t.AddRow(fmt.Sprint(n), fmt.Sprint(cq), fmt.Sprint(cc),
 			fmt.Sprintf("%.2f", ratio), fmt.Sprint(n*n))
-		qPts = append(qPts, stat.Point{N: n, Cost: float64(cq)})
-		cPts = append(cPts, stat.Point{N: n, Cost: float64(cc)})
+		qPts = append(qPts, Point{N: n, Cost: float64(cq)})
+		cPts = append(cPts, Point{N: n, Cost: float64(cc)})
 	}
-	qSlope := stat.LogLogSlope(qPts)
-	cSlope := stat.LogLogSlope(cPts)
+	qSlope := LogLogSlope(qPts)
+	cSlope := LogLogSlope(cPts)
 	if qSlope < 1.6 || cSlope < 1.6 {
 		return nil, fmt.Errorf("E9: star growth exponents %.2f/%.2f below quadratic shape", qSlope, cSlope)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/counting"
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/stat"
 	"repro/internal/tree"
 )
 
@@ -77,7 +76,7 @@ func RunE13(cfg Config) (*Table, error) {
 				return nil, fmt.Errorf("E13: counting latency %d not above queuing %d (n=%d load=%d)", cl, ql, n, load)
 			}
 			t.AddRow(fmt.Sprint(g.N()), fmt.Sprint(load), fmt.Sprintf("[0,%d)", horizon),
-				fmt.Sprint(ql), fmt.Sprint(cl), stat.Ratio(float64(cl), float64(ql)))
+				fmt.Sprint(ql), fmt.Sprint(cl), Ratio(float64(cl), float64(ql)))
 		}
 	}
 	t.AddNote("the separation persists when requests arrive over time: counting must still round-trip to the aggregation root, queuing terminates at the nearest predecessor")

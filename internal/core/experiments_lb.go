@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/graph"
-	"repro/internal/stat"
 	"repro/internal/tree"
 )
 
@@ -30,7 +29,7 @@ func RunE1(cfg Config) (*Table, error) {
 		Ref:     "Theorem 3.5",
 		Columns: []string{"n", "best alg", "measured", "LB thm3.5", "LB exact", "measured/LBexact"},
 	}
-	var pts []stat.Point
+	var pts []Point
 	for _, n := range sizes {
 		g := graph.Complete(n)
 		tr := heapTree(n)
@@ -47,10 +46,10 @@ func RunE1(cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("E1: measured %d below exact lower bound %d at n=%d", total, lbExact, n)
 		}
 		t.AddRow(fmt.Sprint(n), best, fmt.Sprint(total), fmt.Sprint(lbThm),
-			fmt.Sprint(lbExact), stat.Ratio(float64(total), float64(lbExact)))
-		pts = append(pts, stat.Point{N: n, Cost: float64(total)})
+			fmt.Sprint(lbExact), Ratio(float64(total), float64(lbExact)))
+		pts = append(pts, Point{N: n, Cost: float64(total)})
 	}
-	t.AddNote("measured growth exponent (log-log slope): %.2f; the bound requires ≥ 1 (n·log* n is barely super-linear)", stat.LogLogSlope(pts))
+	t.AddNote("measured growth exponent (log-log slope): %.2f; the bound requires ≥ 1 (n·log* n is barely super-linear)", LogLogSlope(pts))
 	t.AddNote("every measured value dominates the computed lower bound, as Theorem 3.5 demands")
 	return t, nil
 }
@@ -72,7 +71,7 @@ func RunE2(cfg Config) (*Table, error) {
 		Ref:     "Theorem 3.6",
 		Columns: []string{"graph", "n", "diameter", "measured", "LB α²-form", "measured/LB"},
 	}
-	var listPts, meshPts []stat.Point
+	var listPts, meshPts []Point
 	for _, n := range listSizes {
 		g := graph.Path(n)
 		tr := identityPathTree(n)
@@ -86,8 +85,8 @@ func RunE2(cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("E2: list n=%d measured %d below bound %d", n, total, lb)
 		}
 		t.AddRow(g.Name(), fmt.Sprint(n), fmt.Sprint(alpha), fmt.Sprint(total),
-			fmt.Sprint(lb), stat.Ratio(float64(total), float64(lb)))
-		listPts = append(listPts, stat.Point{N: n, Cost: float64(total)})
+			fmt.Sprint(lb), Ratio(float64(total), float64(lb)))
+		listPts = append(listPts, Point{N: n, Cost: float64(total)})
 	}
 	for _, side := range meshSides {
 		g := graph.Mesh(side, side)
@@ -105,10 +104,10 @@ func RunE2(cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("E2: mesh side=%d measured %d below bound %d", side, total, lb)
 		}
 		t.AddRow(g.Name(), fmt.Sprint(g.N()), fmt.Sprint(alpha), fmt.Sprint(total),
-			fmt.Sprint(lb), stat.Ratio(float64(total), float64(lb)))
-		meshPts = append(meshPts, stat.Point{N: g.N(), Cost: float64(total)})
+			fmt.Sprint(lb), Ratio(float64(total), float64(lb)))
+		meshPts = append(meshPts, Point{N: g.N(), Cost: float64(total)})
 	}
 	t.AddNote("list growth exponent %.2f (paper: 2 ⇒ Ω(n²)); mesh growth exponent %.2f (paper: 1.5 ⇒ Ω(n√n))",
-		stat.LogLogSlope(listPts), stat.LogLogSlope(meshPts))
+		LogLogSlope(listPts), LogLogSlope(meshPts))
 	return t, nil
 }

@@ -1,12 +1,13 @@
-// Package stat provides the small statistical helpers the experiment
-// harness uses: summaries, ratios, and log–log slope fits for estimating
-// empirical growth exponents from (n, cost) series.
-package stat
+package core
 
 import (
 	"fmt"
 	"math"
 )
+
+// The small statistical helpers the experiment tables use: summaries,
+// ratios, and log–log slope fits for estimating empirical growth
+// exponents from (n, cost) series.
 
 // Sum returns the sum of xs.
 func Sum(xs []int) int {

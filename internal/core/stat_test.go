@@ -1,4 +1,4 @@
-package stat
+package core
 
 import (
 	"math"

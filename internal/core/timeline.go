@@ -1,14 +1,14 @@
-// Package trace renders execution timelines of simulator runs as text
-// Gantt charts — one row per operation, scaled to rounds — so protocol
-// behavior (chasing, batching, token serialisation) can be inspected
-// directly from the terminal.
-package trace
+package core
 
 import (
 	"fmt"
 	"sort"
 	"strings"
 )
+
+// Timelines of simulator runs render as text Gantt charts — one row per
+// operation, scaled to rounds — so protocol behavior (chasing, batching,
+// token serialisation) can be inspected directly from the terminal.
 
 // Span is one operation's visible lifetime: issued at Start, completed at
 // End (inclusive bounds in rounds), with optional phase marks in between.

@@ -1,4 +1,4 @@
-package trace
+package core
 
 import (
 	"strings"

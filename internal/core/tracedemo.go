@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/raymond"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/tree"
 )
 
@@ -46,7 +45,7 @@ func TraceDemo(n, k, width int, seed int64) (string, error) {
 	if _, err := sim.Run(sim.Config{Graph: g}, ap); err != nil {
 		return "", err
 	}
-	atl := &trace.Timeline{Title: fmt.Sprintf("arrow one-shot on %s: queue message lifetimes", g.Name())}
+	atl := &Timeline{Title: fmt.Sprintf("arrow one-shot on %s: queue message lifetimes", g.Name())}
 	for _, v := range nodes {
 		atl.Add(fmt.Sprintf("op@%d", v), 0, ap.Delay(v))
 	}
@@ -66,10 +65,10 @@ func TraceDemo(n, k, width int, seed int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	rtl := &trace.Timeline{Title: "raymond token algorithm: request → critical section"}
+	rtl := &Timeline{Title: "raymond token algorithm: request → critical section"}
 	for op, r := range reqs {
 		rtl.Add(fmt.Sprintf("op@%d", r.Node), r.Time, rp.Released(op),
-			trace.Mark{Round: rp.Acquired(op), Rune: '█'})
+			Mark{Round: rp.Acquired(op), Rune: '█'})
 	}
 	b.WriteString(rtl.Render(width))
 	b.WriteString("█ marks the critical-section entry; sections never overlap\n")

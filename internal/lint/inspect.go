@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 )
 
@@ -63,29 +62,6 @@ func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool 
 	return name == "" || f.Name() == name
 }
 
-// constString extracts the compile-time string value of an expression,
-// reporting false for anything not constant-folded to a string.
-func constString(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
-}
-
-// constInt extracts the compile-time integer value of an expression.
-func constInt(info *types.Info, e ast.Expr) (int64, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	v, exact := constant.Int64Val(constant.ToInt(tv.Value))
-	if !exact {
-		return 0, false
-	}
-	return v, true
-}
-
 // exprObj resolves an expression to the object it names, unwrapping parens
 // and &x / *x so that `o`, `&o` and `*o` all land on o's object.
 func exprObj(info *types.Info, e ast.Expr) types.Object {
@@ -119,113 +95,6 @@ func funcDecls(files []*ast.File, info *types.Info) map[*types.Func]*ast.FuncDec
 	return decls
 }
 
-// resolveFuncLit resolves an expression to a function literal: the literal
-// itself, or — for an identifier — the single `x := func(...){...}` /
-// `var x = func(...){...}` assignment that defines it in the enclosing
-// file set. Reassigned identifiers resolve to nil.
-func resolveFuncLit(files []*ast.File, info *types.Info, e ast.Expr) *ast.FuncLit {
-	switch x := unparen(e).(type) {
-	case *ast.FuncLit:
-		return x
-	case *ast.Ident:
-		obj := exprObj(info, x)
-		if obj == nil {
-			return nil
-		}
-		var lit *ast.FuncLit
-		assigns := 0
-		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch a := n.(type) {
-				case *ast.AssignStmt:
-					for i, lhs := range a.Lhs {
-						id, ok := lhs.(*ast.Ident)
-						if !ok || (info.Defs[id] != obj && info.Uses[id] != obj) {
-							continue
-						}
-						assigns++
-						if i < len(a.Rhs) {
-							if fl, ok := unparen(a.Rhs[i]).(*ast.FuncLit); ok {
-								lit = fl
-							}
-						}
-					}
-				case *ast.ValueSpec:
-					for i, name := range a.Names {
-						if info.Defs[name] != obj {
-							continue
-						}
-						assigns++
-						if i < len(a.Values) {
-							if fl, ok := unparen(a.Values[i]).(*ast.FuncLit); ok {
-								lit = fl
-							}
-						}
-					}
-				}
-				return true
-			})
-		}
-		if assigns == 1 {
-			return lit
-		}
-	}
-	return nil
-}
-
-// resolveComposite resolves an expression to the composite literal that
-// defines its value: the literal itself, or the single initialization of
-// the named variable it refers to.
-func resolveComposite(files []*ast.File, info *types.Info, e ast.Expr) *ast.CompositeLit {
-	switch x := unparen(e).(type) {
-	case *ast.CompositeLit:
-		return x
-	case *ast.Ident:
-		obj := exprObj(info, x)
-		if obj == nil {
-			return nil
-		}
-		var lit *ast.CompositeLit
-		assigns := 0
-		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch a := n.(type) {
-				case *ast.AssignStmt:
-					for i, lhs := range a.Lhs {
-						id, ok := lhs.(*ast.Ident)
-						if !ok || (info.Defs[id] != obj && info.Uses[id] != obj) {
-							continue
-						}
-						assigns++
-						if i < len(a.Rhs) {
-							if cl, ok := unparen(a.Rhs[i]).(*ast.CompositeLit); ok {
-								lit = cl
-							}
-						}
-					}
-				case *ast.ValueSpec:
-					for i, name := range a.Names {
-						if info.Defs[name] != obj {
-							continue
-						}
-						assigns++
-						if i < len(a.Values) {
-							if cl, ok := unparen(a.Values[i]).(*ast.CompositeLit); ok {
-								lit = cl
-							}
-						}
-					}
-				}
-				return true
-			})
-		}
-		if assigns == 1 {
-			return lit
-		}
-	}
-	return nil
-}
-
 // importedPkg finds an imported package by path, or nil.
 func importedPkg(pkg *types.Package, path string) *types.Package {
 	if pkg.Path() == path {
@@ -250,17 +119,4 @@ func scopeInterface(pkg *types.Package, name string) *types.Interface {
 	}
 	iface, _ := obj.Type().Underlying().(*types.Interface)
 	return iface
-}
-
-// scopeConstInt looks an integer constant up in a package scope.
-func scopeConstInt(pkg *types.Package, name string) (int64, bool) {
-	if pkg == nil {
-		return 0, false
-	}
-	c, ok := pkg.Scope().Lookup(name).(*types.Const)
-	if !ok {
-		return 0, false
-	}
-	v, exact := constant.Int64Val(constant.ToInt(c.Val()))
-	return v, exact
 }

@@ -1,10 +1,11 @@
 // Package lint is countqlint: a suite of repo-specific static analyzers
-// that prove, at compile time, the invariants the runtime gates
-// (countq/alloc_test.go's AllocsPerRun checks, the registry conformance
-// suite) can only spot-check — hot-path allocation freedom, registry
-// param/capability declarations that match the constructors, atomics that
-// are never mixed with plain access or copied by value, and context
-// discipline on blocking session methods.
+// that prove, at compile time, invariants no other gate (go vet, -race,
+// the goldens, the AllocsPerRun checks, the conformance suite) catches on
+// its own — hot-path allocation and clock budgets, the producer/consumer
+// roles of the lock-free rings and their park/re-check protocol, exactly
+// one grant per issued operation, and determinism of the simulator.
+// Each analyzer earned its place by being the only gate to fail on a
+// seeded violation; DESIGN.md's "Static invariants" table records which.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so each analyzer's Run is a drop-in go/analysis pass;
@@ -26,7 +27,7 @@ import (
 // Analyzer is one named invariant checker, shaped like
 // golang.org/x/tools/go/analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the analyzer in findings and -analyzers selections.
+	// Name identifies the analyzer in findings and -only selections.
 	Name string
 	// Doc is the one-paragraph description `countqlint -list` prints.
 	Doc string
@@ -76,9 +77,6 @@ func (f Finding) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		HotPathAnalyzer,
-		RegistryParamsAnalyzer,
-		AtomicFieldAnalyzer,
-		CtxDisciplineAnalyzer,
 		RingRoleAnalyzer,
 		GrantLifeAnalyzer,
 		SimDetAnalyzer,

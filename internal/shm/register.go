@@ -71,8 +71,9 @@ func requireAtLeast1(o *countq.Options, keys ...string) error {
 // listing, core's E11 experiment, and the top-level benchmarks. Every
 // tunable is declared as a ParamInfo, so unknown spec keys are rejected
 // and `countq list -v` self-documents the zoo. Kinds, Caps and
-// Linearizable are literals: nothing is constructed here, and countqlint's
-// registryparams holds each Caps to the session type NewSession returns.
+// Linearizable are literals: nothing is constructed here, and the
+// conformance suite's checkDeclaration holds each Caps to the session type
+// NewSession returns and proves each declared param is read.
 func init() {
 	countq.RegisterStructure(countq.StructureInfo{
 		Name:         "atomic",

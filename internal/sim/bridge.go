@@ -341,7 +341,7 @@ func NewBridge(cfg BridgeConfig) (*Bridge, error) {
 		}
 		g = graph.Mesh(side, side)
 	default:
-		return nil, fmt.Errorf("sim: unknown bridge topology %q (star|list|mesh2d)", cfg.Topo)
+		return nil, fmt.Errorf("sim: unknown bridge topology topo=%q (star|list|mesh2d)", cfg.Topo)
 	}
 	if cfg.Capacity < 0 {
 		return nil, fmt.Errorf("sim: negative bridge capacity %d", cfg.Capacity)
