@@ -2,13 +2,9 @@ package repro_test
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 
 	"repro/countq"
@@ -283,9 +279,9 @@ func BenchmarkShmCounters(b *testing.B) {
 }
 
 // tunableSpecs are the canonical non-default parameterizations swept by
-// the benchmarks and by TestBenchJSON, shared with E11 and enforced
+// the benchmarks, shared with E11 and TestRegistryCost and enforced
 // complete (and free of stale names) by internal/shm's registry
-// round-trip test — so the recorded numbers trace a perf surface over the
+// round-trip test — so the numbers trace a perf surface over the
 // coordination knobs instead of a single default point.
 var tunableSpecs = shm.VariantSpecs()
 
@@ -700,163 +696,4 @@ func BenchmarkValidate(b *testing.B) {
 			})
 		}
 	}
-}
-
-// --- Machine-readable perf trajectory. -------------------------------------
-
-// benchJSON, when set, makes TestBenchJSON sweep every registered counter
-// and queuer — at defaults, over the declared tunables (tunableSpecs),
-// through the IncN batching path, and through the canonical `ramp`
-// scenario — as named campaigns through the countq campaign API, writing
-// the validated Comparisons as JSON (e.g. BENCH_2026_07.json). Each record
-// carries full Metrics per structure — latency quantiles
-// (p50/p90/p99/p999/max) per op kind, a windowed throughput timeline,
-// per-phase worker fairness — plus delta ratios against the campaign's
-// baseline (atomic for counting, swap for queuing), so successive PRs
-// track a *tail-latency surface with cross-structure deltas* over the
-// coordination knobs and contention levels, not a table of means.
-// `countq benchdiff` consumes two such files as the perf regression gate:
-//
-//	go test -run TestBenchJSON -benchjson BENCH_now.json .
-//	go run ./cmd/countq benchdiff BENCH_2026_07.json BENCH_now.json
-//
-// -benchops shrinks the per-run budget for smoke runs (CI uses a tiny one).
-var (
-	benchJSON = flag.String("benchjson", "", "write registry-wide campaign comparisons to this JSON file")
-	benchOps  = flag.Int("benchops", 50000, "operation budget per TestBenchJSON run")
-)
-
-func TestBenchJSON(t *testing.T) {
-	if *benchJSON == "" {
-		t.Skip("no -benchjson output path given")
-	}
-	type sweep struct {
-		GoMaxProcs  int                  `json:"gomaxprocs"`
-		Ops         int                  `json:"ops_per_run"`
-		Comparisons []*countq.Comparison `json:"comparisons"`
-	}
-	ops := *benchOps
-	out := sweep{GoMaxProcs: runtime.GOMAXPROCS(0), Ops: ops}
-	run := func(c countq.Campaign) {
-		t.Helper()
-		c.Base.Ops, c.Base.Seed = ops, 1
-		cmp, err := c.Run()
-		if err != nil {
-			t.Fatalf("campaign %s: %v", c.Name, err)
-		}
-		for i := range cmp.Results {
-			m := cmp.Results[i].Metrics
-			if m.Aggregate.CounterLat == nil && m.Aggregate.QueueLat == nil {
-				t.Fatalf("campaign %s %s: no latency distribution recorded", c.Name, cmp.Results[i].Label)
-			}
-		}
-		out.Comparisons = append(out.Comparisons, cmp)
-	}
-	// The ramp ceiling caps at 8 so the recorded surface is comparable
-	// across machines with different core counts.
-	gmax := runtime.GOMAXPROCS(0)
-	if gmax > 8 {
-		gmax = 8
-	}
-	ramp := fmt.Sprintf("ramp?gmax=%d", gmax)
-	// The entry rosters come straight from the registry; the loops below
-	// only collect entries — every run goes through the campaign API, so
-	// each record carries deltas against the declared baseline.
-	steady := countq.Campaign{Name: "counters-steady"}
-	rampC := countq.Campaign{Name: "counters-ramp", Base: countq.Workload{Scenario: ramp, Goroutines: gmax}}
-	batch := countq.Campaign{Name: "counters-batch", Base: countq.Workload{Batch: 64}}
-	for _, info := range shm.SyncStructures(countq.KindCounter) {
-		if info.Name == "atomic" {
-			steady.Baseline = len(steady.Entries)
-			rampC.Baseline = len(rampC.Entries)
-		}
-		steady.Entries = append(steady.Entries, countq.Entry{Counter: info.Name})
-		rampC.Entries = append(rampC.Entries, countq.Entry{Counter: info.Name})
-		for _, spec := range tunableSpecs[info.Name] {
-			steady.Entries = append(steady.Entries, countq.Entry{Counter: spec})
-		}
-		if info.Caps.Has(countq.CapBatch) {
-			// Baseline index keyed to the entry actually appended, so it
-			// cannot silently drift if a structure's capability set
-			// changes.
-			if info.Name == "atomic" {
-				batch.Baseline = len(batch.Entries)
-			}
-			batch.Entries = append(batch.Entries, countq.Entry{Counter: info.Name})
-		}
-	}
-	queues := countq.Campaign{Name: "queues-steady"}
-	queuesRamp := countq.Campaign{Name: "queues-ramp", Base: countq.Workload{Scenario: ramp, Goroutines: gmax}}
-	for _, info := range shm.SyncStructures(countq.KindQueue) {
-		if info.Name == "swap" {
-			queues.Baseline = len(queues.Entries)
-			queuesRamp.Baseline = len(queuesRamp.Entries)
-		}
-		queues.Entries = append(queues.Entries, countq.Entry{Queue: info.Name})
-		queuesRamp.Entries = append(queuesRamp.Entries, countq.Entry{Queue: info.Name})
-	}
-	// The sim bridge's perf surface: the synchronous round trip as the
-	// baseline, against deepening async pipelines — recorded so the file
-	// tracks how much of the coordination round pipelining recovers. The
-	// bridge is async-capable, so it never appears in the synchronous
-	// rosters above; this one names it explicitly.
-	async := countq.Campaign{
-		Name: "counters-async",
-		Entries: []countq.Entry{
-			{Counter: "sim-counter?hoplat=200ns"},
-			{Counter: "sim-counter?hoplat=200ns", Inflight: 8},
-			{Counter: "sim-counter?hoplat=200ns", Inflight: 32},
-		},
-	}
-	// The native combining backends: the synchronous combining funnel as
-	// the baseline against the natively-async funnel, synchronous and
-	// pipelined. Open (uniform) arrivals so the corrected quantiles are
-	// recorded — the async entry's claim is precisely that overlapping
-	// the combining round improves completion-vs-intended tail latency,
-	// which a closed loop cannot see. Like the sim bridge, these declare
-	// CapAsync, so the synchronous rosters above never pick them up.
-	nativeAsync := countq.Campaign{
-		Name: "counters-native-async",
-		Base: countq.Workload{Arrival: countq.Uniform},
-		Entries: []countq.Entry{
-			{Counter: "funnel"},
-			{Counter: "async-funnel"},
-			{Counter: "async-funnel", Inflight: 8},
-		},
-	}
-	queuesNative := countq.Campaign{
-		Name: "queues-native-async",
-		Base: countq.Workload{Arrival: countq.Uniform},
-		Entries: []countq.Entry{
-			{Queue: "swap"},
-			{Queue: "elim"},
-			{Queue: "elim", Inflight: 8},
-		},
-	}
-	// The paper's separation end-to-end: the central protocol against the
-	// distributed arrow queue and the combining-tree counter under the
-	// identical ramp, with the hop as the cost unit. The entries are
-	// cross-kind on purpose — counting priced against queuing under one
-	// phase sequence is the paper's question; latency ratios across kinds
-	// are omitted, ns/op and throughput ratios carry the comparison.
-	simProtocols := countq.Campaign{
-		Name: "sim-protocols-ramp",
-		Base: countq.Workload{Scenario: ramp, Goroutines: gmax},
-		Entries: []countq.Entry{
-			{Counter: "sim-counter?hoplat=200ns"},
-			{Queue: "sim-arrow-queue?hoplat=200ns"},
-			{Counter: "sim-tree-counter?hoplat=200ns"},
-		},
-	}
-	for _, c := range []countq.Campaign{steady, rampC, batch, queues, queuesRamp, async, nativeAsync, queuesNative, simProtocols} {
-		run(c)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %d campaign comparisons to %s", len(out.Comparisons), *benchJSON)
 }

@@ -9,7 +9,6 @@
 //	countq run E1 E6 ...        # run selected experiments
 //	countq run all              # run the full suite
 //	countq compare -scenario 'ramp;spike' atomic 'sharded?shards=64'
-//	countq benchdiff -noise 0.10 BENCH_old.json BENCH_new.json
 //	countq topo -topo mesh2d -n 256
 //	countq drive -counter 'sharded?shards=4&batch=16' -queue swap -g 8 -ops 100000
 //	countq drive -counter sharded -scenario 'ramp?gmax=16' -json
@@ -30,10 +29,8 @@
 // metrics plus delta ratios against a baseline spec (table, -csv, -md or
 // -json). Alongside latency and throughput every table carries memory
 // columns — allocs/op and the live-heap peak with its windowed timeline —
-// so coordination cost and allocation cost read side by side. benchdiff
-// compares two -benchjson files on p99, throughput and allocs/op within
-// a noise band and exits nonzero on regression. topo compares the
-// distributed protocols on a chosen topology.
+// so coordination cost and allocation cost read side by side. topo
+// compares the distributed protocols on a chosen topology.
 //
 // Experiments, protocols and scenarios all come from registries
 // (internal/core's spec registry and the public repro/countq registries),
@@ -71,8 +68,6 @@ func main() {
 		runCmd(os.Args[2:])
 	case "compare":
 		compareCampaignCmd(os.Args[2:])
-	case "benchdiff":
-		benchdiffCmd(os.Args[2:])
 	case "topo":
 		topoCmd(os.Args[2:])
 	case "trace":
@@ -88,7 +83,6 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: countq {list [-v] | scenarios [-v] | run [-quick] [-seed N] <ids...|all>
               | compare [-scenario SPEC] [-queue SPEC] [-baseline SPEC] [-sweep P=V1,V2,...] [-g N] [-ops N] [-dur D] [-mix F] [-batch N] [-inflight K] [-sample K] [-arrival A] [-seed N] [-csv|-md|-json] <spec>[@g=N][@batch=N][@inflight=K] ...
-              | benchdiff [-noise F] OLD.json NEW.json
               | topo [-topo T] [-n N] | trace [-n N] [-reqs K]
               | drive [-counter SPEC] [-queue SPEC] [-scenario SPEC] [-g N] [-ops N] [-dur D] [-mix F] [-batch N] [-inflight K] [-sample K] [-arrival A] [-seed N] [-sweep P=V1,V2,...] [-json]}`)
 }

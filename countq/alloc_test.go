@@ -2,15 +2,16 @@ package countq
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// The zero-allocation gates: testing.AllocsPerRun over the runner's
-// per-op methods, with the structure side reduced to an atomic word so
-// any allocation the gate sees belongs to the measurement harness
+// The zero-allocation gates: an exact malloc count (allocsPerOp) over the
+// runner's per-op methods, with the structure side reduced to an atomic
+// word so any allocation the gate sees belongs to the measurement harness
 // itself. The laneRunner comes from the same setup steps runPhase uses —
 // newPhaseRun, newWorker, openSessions — so every gate runs over the real
 // layout, with all allocation (rng, evidence reservation, session
@@ -43,7 +44,7 @@ func (s *allocAsyncSession) Completions() <-chan Completion { return s.out }
 
 // newAllocRunner sets up one worker of a single-goroutine phase over the
 // counter st the way runPhase does. The phase's ops budget covers `runs`
-// measured iterations twice over (AllocsPerRun adds one warmup call, and
+// measured iterations twice over (allocsPerOp adds one warmup call, and
 // the sampled path logs a timeline event every sample'th op), so the
 // setup reservation — the whole budget for a lone worker — absorbs every
 // append the gate makes.
@@ -60,11 +61,28 @@ func newAllocRunner(t *testing.T, p Phase, st Structure, runs int64) *laneRunner
 	return r
 }
 
-// gate runs body under AllocsPerRun and fails on any per-op allocation.
+// allocsPerOp is testing.AllocsPerRun without its integer floor: at
+// GOMAXPROCS(1), after one warm-up call, the exact malloc count over runs
+// calls of body, divided as floats — so one allocation every 64 calls
+// reads 0.0156, not 0.
+func allocsPerOp(runs int, body func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	body()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		body()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// gate runs body under allocsPerOp and fails on any allocation: with the
+// structure side a test word, nothing but the harness runs in the window.
 func gate(t *testing.T, name string, runs int, body func()) {
 	t.Helper()
-	if avg := testing.AllocsPerRun(runs, body); avg != 0 {
-		t.Errorf("%s: %.4f allocs/op in steady state, want 0", name, avg)
+	if avg := allocsPerOp(runs, body); avg != 0 {
+		t.Errorf("%s: %.5f allocs/op in steady state, want 0", name, avg)
 	}
 }
 

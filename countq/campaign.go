@@ -98,8 +98,7 @@ type Campaign struct {
 	// (default 0, the first entry).
 	Baseline int
 	// Name optionally labels the campaign in the Comparison — useful when
-	// several campaigns land in one file (the -benchjson sweep keys its
-	// records this way).
+	// several campaigns land in one file.
 	Name string
 }
 

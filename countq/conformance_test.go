@@ -11,9 +11,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/countq"
 	_ "repro/internal/arrow"    // registers sim-arrow-queue
@@ -544,5 +547,184 @@ func TestQueueAdapterSession(t *testing.T) {
 			t.Errorf("%s: Enqueue with a cancelled context accepted", name)
 		}
 		sess.Close()
+	}
+}
+
+// allocSlack is TestRegistryCost's stray-allocation allowance per op: the
+// runtime's own rare allocations (GC work the by-design allocators
+// trigger, a bridge pump's scheduling) land in the global counters too.
+// One allocation per 64 ops reads 0.0156, 7.8× over it.
+const allocSlack = 2e-3
+
+// allocsByDesign pins the entries whose per-op path allocates on purpose:
+// combining publishes a fresh reply channel per Inc, list links a fresh
+// node per Enqueue. Every other entry's paths allocate nothing.
+var allocsByDesign = map[string]float64{"combining": 1, "list": 1}
+
+// costPath is one declared per-op path of a session: a call of run
+// performs ops operations.
+type costPath struct {
+	name string
+	ops  int
+	run  func() error
+}
+
+// costPaths returns the paths sess declares: the synchronous Inc or
+// Enqueue, IncN(16) under CapBatch (counters), and under CapAsync eight
+// Submits followed by draining their eight completions.
+func costPaths(info countq.StructureInfo, kind countq.Kind, sess countq.Session) []costPath {
+	ctx := context.Background()
+	var id int64
+	one := costPath{"sync", 1, func() error { _, err := sess.Inc(ctx); return err }}
+	if kind == countq.KindQueue {
+		one.run = func() error { id++; _, err := sess.Enqueue(ctx, id); return err }
+	}
+	paths := []costPath{one}
+	if kind == countq.KindCounter && info.Caps.Has(countq.CapBatch) {
+		bs := sess.(countq.BatchSession)
+		paths = append(paths, costPath{"incn16", 1, func() error { _, err := bs.IncN(ctx, 16); return err }})
+	}
+	if info.Caps.Has(countq.CapAsync) {
+		as := sess.(countq.AsyncSession)
+		op := countq.Op{Kind: countq.OpInc, N: 1}
+		if kind == countq.KindQueue {
+			op = countq.Op{Kind: countq.OpEnqueue}
+		}
+		paths = append(paths, costPath{"async8", 8, func() error {
+			for i := 0; i < 8; i++ {
+				id++
+				op.ID = id
+				if err := as.Submit(ctx, op); err != nil {
+					return err
+				}
+			}
+			for i := 0; i < 8; i++ {
+				if c := <-as.Completions(); c.Err != nil {
+					return c.Err
+				}
+			}
+			return nil
+		}})
+	}
+	return paths
+}
+
+// openCost builds spec and opens one session on it.
+func openCost(t *testing.T, spec string, kind countq.Kind) (countq.Session, func()) {
+	t.Helper()
+	st, err := countq.NewStructure(spec, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := st.NewSession()
+	if err != nil {
+		closeIfCloser(st)
+		t.Fatal(err)
+	}
+	return sess, func() { sess.Close(); closeIfCloser(st) }
+}
+
+// runCost calls p.run until n operations are done.
+func runCost(t *testing.T, p costPath, n int) {
+	t.Helper()
+	for i := 0; i < n; i += p.ops {
+		if err := p.run(); err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+	}
+}
+
+// syncTime times n operations of a fresh structure's synchronous path.
+func syncTime(t *testing.T, info countq.StructureInfo, spec string, kind countq.Kind, n int) time.Duration {
+	t.Helper()
+	sess, done := openCost(t, spec, kind)
+	defer done()
+	one := costPaths(info, kind, sess)[0]
+	start := time.Now()
+	runCost(t, one, n)
+	return time.Since(start)
+}
+
+// TestRegistryCost is the registry-wide cost gate, over every entry at its
+// conformance spec and every canonical variant (shm.VariantSpecs), at one
+// P (where a bridge's session and pump share it, its one stable mode), on
+// one session warmed by 10⁴ operations per path:
+//
+//   - allocations, counted exactly: the malloc count over 10⁵ operations
+//     of each declared path, per operation, must match allocsByDesign
+//     within allocSlack (a path that allocates once per 64-count lease
+//     reads 0.0156);
+//   - growth, bounded: the synchronous path's time per operation over 2¹⁶
+//     operations may be at most 8× its time over 2¹², each the best of
+//     five runs on a fresh structure, the sizes interleaved. An operation
+//     whose cost grows with the operations before it (a history rescanned
+//     on every increment reads ≈ 16×) fails; load on the host moves both
+//     sizes alike.
+//
+// The budgets are sized for an operation of at most 1 µs. A spec whose
+// first 256 synchronous operations on a fresh structure cost more each
+// divides every budget by the power of two that covers the excess, at
+// most 16: a bridge round trip (≈ 1.2 µs at one P) runs half, and a lone
+// session spinning out a back-off meant for partners
+// (async-funnel?spin=64, ≈ 13 µs) a sixteenth. The smaller budgets still
+// resolve the slack and the growth factor, and a cost that grows with the
+// operations before it is cheap over the first 256, so it cannot buy
+// itself a smaller budget.
+//
+// It runs without t.Parallel, so no other test's allocations land in the
+// count, and not under the race detector.
+func TestRegistryCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation and timing")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const warm, ops, small, large = 10_000, 100_000, 1 << 12, 1 << 16
+	const probe, cheap = 256, time.Microsecond
+	variants := shm.VariantSpecs()
+	for _, info := range countq.Structures() {
+		kind := countq.KindCounter
+		if !info.Kinds.Has(countq.KindCounter) {
+			kind = countq.KindQueue
+		}
+		for _, spec := range append([]string{conformanceSpec(info)}, variants[info.Name]...) {
+			t.Run(fmt.Sprintf("%s-%s", spec, kind), func(t *testing.T) {
+				op := syncTime(t, info, spec, kind, probe) / probe
+				scale := 1
+				for scale < 16 && op > time.Duration(scale)*cheap {
+					scale *= 2
+				}
+				sess, done := openCost(t, spec, kind)
+				defer done()
+				want := allocsByDesign[info.Name]
+				for _, p := range costPaths(info, kind, sess) {
+					runCost(t, p, warm/scale)
+					var runErr error
+					got := countq.AllocsPerOp(ops/scale/p.ops, func() {
+						if err := p.run(); err != nil && runErr == nil {
+							runErr = err
+						}
+					}) / float64(p.ops)
+					if runErr != nil {
+						t.Fatalf("%s: %v", p.name, runErr)
+					}
+					t.Logf("%s: %.5f allocs/op", p.name, got)
+					if math.Abs(got-want) > allocSlack {
+						t.Errorf("%s: %.5f allocs/op, want %g", p.name, got, want)
+					}
+				}
+				n, m := small/scale, large/scale
+				best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+				for r := 0; r < 5; r++ {
+					best[0] = min(best[0], syncTime(t, info, spec, kind, n))
+					best[1] = min(best[1], syncTime(t, info, spec, kind, m))
+				}
+				perOp := [2]float64{float64(best[0]) / float64(n), float64(best[1]) / float64(m)}
+				g := perOp[1] / perOp[0]
+				t.Logf("sync: grows %.2f× from %d to %d ops", g, n, m)
+				if g > 8 {
+					t.Errorf("sync: %.1f ns/op over %d ops, %.1f over %d: grows %.1f×, want ≤ 8×", perOp[0], n, perOp[1], m, g)
+				}
+			})
+		}
 	}
 }

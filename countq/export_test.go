@@ -3,3 +3,7 @@ package countq
 // CheckParamsRead exports checkParamsRead to the external conformance
 // suite, which holds the real backends' entries to their declarations.
 var CheckParamsRead = checkParamsRead
+
+// AllocsPerOp gives the external conformance suite's cost gate the same
+// exact allocation count as the runner's gates.
+var AllocsPerOp = allocsPerOp

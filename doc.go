@@ -96,31 +96,30 @@
 //
 // The same engine is exposed on the command line, including the campaign
 // comparison (comma-separated specs and '@' per-entry overrides), the
-// parameter sweep, the scenario catalogue, and the benchjson perf
-// regression gate:
+// parameter sweep and the scenario catalogue:
 //
 //	go run ./cmd/countq list -v                               # structures, kinds, caps, tunables
 //	go run ./cmd/countq scenarios -v                          # scenario catalogue + declared params
 //	go run ./cmd/countq drive -counter sim-counter -inflight 16 -scenario 'ramp?gmax=8' -json
 //	go run ./cmd/countq compare "sharded?shards=8,sim-counter?hoplat=1us" -scenario "ramp?gmax=8"
 //	go run ./cmd/countq compare -sweep shards=2,8,32 sharded
-//	go run ./cmd/countq benchdiff -noise 0.10 BENCH_old.json BENCH_now.json
 //
-// Benchmarks in bench_test.go iterate the registry and sweep the declared
-// tunables as named campaigns — including the bridge's async pipeline
-// surface — so every registered implementation is measured, with
-// cross-structure deltas, for free:
+// The repository's benchmark is `go run ./bench` (seven end-to-end
+// workloads, BENCHMARK.json); the Go benchmarks in bench_test.go iterate
+// the registry and sweep the declared tunables, so every registered
+// implementation is measured for free. What the registry costs per
+// operation is a test: TestRegistryCost (countq/conformance_test.go)
+// holds every entry and canonical variant to its exact allocations per
+// operation on each declared path and to bounded growth of its time per
+// operation between 2¹² and 2¹⁶ operations.
 //
 //	go test -bench=. -benchmem
-//	go test -run TestBenchJSON -benchjson BENCH_now.json .    # tail-latency surface + deltas
+//	go test -run TestRegistryCost -v ./countq
 //
 // The measured invariants are also proved statically: cmd/countqlint runs
 // the repo's own analyzers (internal/lint) over the tree — functions
 // marked //countq:hotpath must be allocation-free with a declared clock
-// budget, registry Params/Caps declarations must match what constructors
-// read and sessions implement, sync/atomic fields must be accessed
-// atomically everywhere, and exported context-taking methods must consult
-// their context before blocking. Three interprocedural analyzers over a
+// budget. Three interprocedural analyzers over a
 // CHA call graph add the concurrency-protocol contracts: ringrole checks
 // //countq:role=producer|consumer annotations against the ring methods
 // each function can reach (one goroutine per SPSC side, lossless parks),
@@ -134,7 +133,6 @@
 //
 // The cmd/countq, cmd/nntsp and cmd/bounds executables expose the same
 // functionality on the command line, and examples/ holds runnable
-// walkthroughs (quickstart, a spec-API sweep, the scenario engine, a
-// campaign comparison, the async sim bridge, ordered multicast,
-// distributed locking, a ticket office, and a topology atlas).
+// walkthroughs (quickstart, ordered multicast, distributed locking, a
+// ticket office, and a topology atlas).
 package repro

@@ -58,8 +58,7 @@ type Diagnostic struct {
 }
 
 // Finding is one resolved finding, the unit of human-readable and -json
-// output (file/line/analyzer/message, machine-consumable like the
-// benchjson artifacts).
+// output (file/line/analyzer/message, machine-consumable).
 type Finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`

@@ -9,10 +9,11 @@ import (
 // variantSpecs is the canonical set of non-default parameterizations for
 // every registered structure that declares params: one small/serializing
 // configuration and one wide/spread one per structure. E11, the top-level
-// benchmarks and TestBenchJSON all sweep this list, and the registry
-// round-trip test enforces it both ways (every parameterized structure has
-// variants; every variant names a live structure), so the recorded perf
-// surface can't silently narrow back to defaults when the zoo changes.
+// benchmarks and the registry cost gate (countq's TestRegistryCost) all
+// sweep this list, and the registry round-trip test enforces it both ways
+// (every parameterized structure has variants; every variant names a live
+// structure), so the covered surface can't silently narrow back to
+// defaults when the zoo changes.
 var variantSpecs = map[string][]string{
 	"combining":    {"combining?pending=16", "combining?pending=4096"},
 	"funnel":       {"funnel?width=4&depth=3&spin=8", "funnel?width=8&depth=3"},

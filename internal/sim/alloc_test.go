@@ -1,17 +1,18 @@
 package sim_test
 
 // The engine-v2 zero-allocation gates, mirroring countq/alloc_test.go:
-// testing.AllocsPerRun over Network.Step and over the bridge's
+// an exact malloc count over Network.Step and over the bridge's
 // submit/complete paths. Every buffer the engine and bridge use — wheel
 // buckets, inbox/outbox queues, the grant table's slot slice, the
 // session's reply channel — is grown during warmup, so the measured
-// window sees only steady-state reuse. AllocsPerRun reads global malloc
+// window sees only steady-state reuse. The count reads global malloc
 // counters, so the pump goroutine's per-op work is inside the gate too:
 // a pass proves the whole op path allocation-free, not just the caller's
 // half.
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/countq"
@@ -36,11 +37,26 @@ func (p stepEcho) Deliver(env *sim.Env, node int, m sim.Message) {
 	env.Send(node, m.From, sim.Message{Kind: 1})
 }
 
-// gate runs body under AllocsPerRun and fails on any per-op allocation.
+// allocsPerOp is testing.AllocsPerRun without its integer floor: at
+// GOMAXPROCS(1), after one warm-up call, the exact malloc count over runs
+// calls of body, divided as floats.
+func allocsPerOp(runs int, body func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	body()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		body()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// gate runs body under allocsPerOp and fails on any allocation.
 func gate(t *testing.T, name string, runs int, body func()) {
 	t.Helper()
-	if avg := testing.AllocsPerRun(runs, body); avg != 0 {
-		t.Errorf("%s: %.4f allocs/op in steady state, want 0", name, avg)
+	if avg := allocsPerOp(runs, body); avg != 0 {
+		t.Errorf("%s: %.5f allocs/op in steady state, want 0", name, avg)
 	}
 }
 
@@ -62,14 +78,15 @@ func TestStepAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Warmup: grow the wheel, every queue and every bucket to the
-			// workload's high-water mark.
-			for i := 0; i < 64; i++ {
+			// workload's high-water mark (under jitter the last bucket
+			// growth lands after a few hundred rounds).
+			for i := 0; i < 4096; i++ {
 				if err := nw.Step(); err != nil {
 					t.Fatal(err)
 				}
 			}
 			var stepErr error
-			gate(t, "Network.Step/"+tc.name, 200, func() {
+			gate(t, "Network.Step/"+tc.name, 4096, func() {
 				if err := nw.Step(); err != nil {
 					stepErr = err
 				}
@@ -105,13 +122,13 @@ func TestBridgeOpAllocFree(t *testing.T) {
 		}
 	}
 	var opErr error
-	gate(t, "bridge.Inc", 100, func() {
+	gate(t, "bridge.Inc", 4096, func() {
 		if _, err := sess.Inc(ctx); err != nil {
 			opErr = err
 		}
 	})
 	bs := sess.(countq.BatchSession)
-	gate(t, "bridge.IncN", 100, func() {
+	gate(t, "bridge.IncN", 4096, func() {
 		if _, err := bs.IncN(ctx, 8); err != nil {
 			opErr = err
 		}
@@ -125,7 +142,7 @@ func TestBridgeOpAllocFree(t *testing.T) {
 		}
 		<-as.Completions()
 	}
-	gate(t, "bridge.Submit+reap", 100, func() {
+	gate(t, "bridge.Submit+reap", 4096, func() {
 		if err := as.Submit(ctx, countq.Op{Kind: countq.OpInc, N: 1}); err != nil {
 			opErr = err
 		}
