@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -78,9 +77,10 @@ func parseEntry(arg, sharedQueue string, asQueue bool) (countq.Entry, error) {
 	return e, nil
 }
 
-// compareCampaignCmd runs a campaign: the positional structure specs under
-// one scenario's byte-identical phase sequence and a shared seed, printing
-// per-phase metrics plus delta ratios against the baseline spec. Specs are
+// compareCampaignCmd runs a campaign: one or more positional structure
+// specs under one scenario's byte-identical phase sequence and a shared
+// seed, printing per-phase metrics plus delta ratios against the baseline
+// spec (self-ratios when there is only one). Specs are
 // given as separate arguments or comma-separated in one
 // ("sharded?shards=8,sim-counter?hoplat=1us"); flags may follow them.
 // -sweep fans one base spec into entries instead.
@@ -104,7 +104,7 @@ func compareCampaignCmd(args []string) {
 	asMD := fs.Bool("md", false, "emit the comparison as a Markdown table")
 	asJSON := fs.Bool("json", false, "emit the full Comparison as JSON")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: countq compare [flags] <spec>[@g=N][@batch=N][@inflight=N] <spec> ...")
+		fmt.Fprintln(os.Stderr, "usage: countq compare [flags] <spec>[@g=N][@batch=N][@inflight=N] [<spec> ...]")
 		fmt.Fprintln(os.Stderr, "specs may also be comma-separated in one argument, and flags may follow them.")
 		fmt.Fprintln(os.Stderr, "runs every spec under the same phase sequence and seed; Δ columns are")
 		fmt.Fprintln(os.Stderr, "this-structure / baseline ratios (Δns/op and Δp99 below 1 are faster,")
@@ -121,8 +121,9 @@ func compareCampaignCmd(args []string) {
 		fmt.Fprintln(os.Stderr, "phase via runtime GC counters; the driver preallocates its own state")
 		fmt.Fprintln(os.Stderr, "before each phase's start barrier, so the number is the structure's")
 		fmt.Fprintln(os.Stderr, "allocation cost, and allocation-free structures report 0.00. Δalloc is")
-		fmt.Fprintln(os.Stderr, "this/baseline; '-' when either side allocates nothing. -csv adds")
-		fmt.Fprintln(os.Stderr, "alloc_bytes_per_op and live_peak_bytes (peak sampled live heap).")
+		fmt.Fprintln(os.Stderr, "this/baseline; '-' when either side allocates nothing. live peak is the")
+		fmt.Fprintln(os.Stderr, "peak sampled live heap. -csv adds alloc_bytes_per_op and both op kinds'")
+		fmt.Fprintln(os.Stderr, "quantiles; -json adds p999 and the throughput and live-heap timelines.")
 		fmt.Fprintln(os.Stderr, "")
 		fmt.Fprintln(os.Stderr, "The fair column is min/max per-worker ops (1 = perfectly fair service).")
 		fmt.Fprintln(os.Stderr, "On a single-core host (GOMAXPROCS=1) closed-loop phases legitimately")
@@ -182,8 +183,8 @@ func compareCampaignCmd(args []string) {
 			specArgs = append(specArgs, s)
 		}
 	}
-	if len(specArgs) < 2 {
-		fmt.Fprintln(os.Stderr, "countq compare: need at least two structure specs to compare")
+	if len(specArgs) == 0 {
+		fmt.Fprintln(os.Stderr, "countq compare: no structure spec given")
 		fs.Usage()
 		os.Exit(2)
 	}
@@ -247,68 +248,9 @@ func compareCampaignCmd(args []string) {
 		}
 		os.Stdout.Write(out)
 	default:
-		printComparison(os.Stdout, cmp)
-	}
-}
-
-// printComparison renders the campaign's human-readable per-phase delta
-// table: every structure under the identical phase sequence, with
-// corrected-latency columns and ratio columns against the baseline.
-func printComparison(w io.Writer, cmp *countq.Comparison) {
-	scenario := cmp.Scenario
-	if scenario == "" {
-		scenario = "steady"
-	}
-	fmt.Fprintf(w, "campaign scenario=%s goroutines=%d seed=%d baseline=%s\n",
-		scenario, cmp.Goroutines, cmp.Seed, cmp.Baseline)
-	fmt.Fprintf(w, "%-28s %-12s %8s %9s %8s %8s %8s %8s %8s %5s %9s  %7s %7s %7s %7s\n",
-		"structure", "phase", "ops", "ns/op", "Mops/s", "p50", "p99", "cp50", "cp99", "fair", "allocs/op", "Δns/op", "Δp99", "Δtput", "Δalloc")
-	cell := func(v float64) string {
-		if v == 0 {
-			return "-"
+		if err := cmp.WriteText(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "countq compare:", err)
+			os.Exit(1)
 		}
-		return fmt.Sprintf("%.2fx", v)
 	}
-	latPair := func(c, q *countq.LatencyStats) (string, string) {
-		lat := countq.PickLatency(c, q)
-		if lat == nil {
-			return "-", "-"
-		}
-		return fmt.Sprintf("%.0f", lat.P50Ns), fmt.Sprintf("%.0f", lat.P99Ns)
-	}
-	row := func(label, phase string, ops int, nsPerOp, opsPerSec float64, cl, ql, cc, qc *countq.LatencyStats, fair, allocs float64, d countq.Delta) {
-		p50, p99 := latPair(cl, ql)
-		cp50, cp99 := latPair(cc, qc)
-		fmt.Fprintf(w, "%-28s %-12s %8d %9.1f %8.2f %8s %8s %8s %8s %5.2f %9.2f  %7s %7s %7s %7s\n",
-			label, phase, ops, nsPerOp, opsPerSec/1e6, p50, p99, cp50, cp99, fair, allocs,
-			cell(d.NsPerOpRatio), cell(d.P99Ratio), cell(d.ThroughputRatio), cell(d.AllocsRatio))
-	}
-	hasWarmup := false
-	for i := range cmp.Results {
-		r := &cmp.Results[i]
-		label := r.Label
-		if r.Baseline {
-			label += "*"
-		}
-		for j := range r.Metrics.Phases {
-			p := &r.Metrics.Phases[j]
-			name := p.Name
-			if p.Warmup {
-				name += "~"
-				hasWarmup = true
-			}
-			row(label, name, p.Ops, p.NsPerOp(), p.OpsPerSec(), p.CounterLat, p.QueueLat, p.CounterCorr, p.QueueCorr, p.Fairness, p.AllocsPerOp, r.PhaseDeltas[j])
-		}
-		a := &r.Metrics.Aggregate
-		row(label, "aggregate", a.Ops, a.NsPerOp(), a.OpsPerSec(), a.CounterLat, a.QueueLat, a.CounterCorr, a.QueueCorr, a.Fairness, a.AllocsPerOp, r.AggregateDelta)
-	}
-	notes := []string{"(*) baseline structure; Δ columns are this/baseline ratios"}
-	if hasWarmup {
-		notes = append(notes, "(~) warmup phase, excluded from the aggregate")
-	}
-	fmt.Fprintln(w, strings.Join(notes, "; "))
-	fmt.Fprintln(w, "cp50/cp99 are coordinated-omission-corrected quantiles (completion vs intended start); '-' for plain closed loops")
-	fmt.Fprintln(w, "allocs/op is heap allocations per operation (workers preallocate, so allocation-free structures report 0.00; Δalloc '-' when either side is 0)")
-	fmt.Fprintln(w, "every structure validated independently: counts distinct and gap-free, predecessors one total order")
-	fmt.Fprintln(w, "fairness is min/max worker ops; ≈ 0 on a single-core host is the scheduler, not the structure (see compare -h)")
 }

@@ -98,7 +98,9 @@ func TestCompareBridgeCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	printComparison(&b, cmp)
+	if err := cmp.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
 	out := b.String()
 	for _, want := range []string{"sim-counter?hoplat=0", "sharded?shards=8*", "cp50", "cp99", "validated"} {
 		if !strings.Contains(out, want) {

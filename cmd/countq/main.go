@@ -9,28 +9,27 @@
 //	countq run E1 E6 ...        # run selected experiments
 //	countq run all              # run the full suite
 //	countq compare -scenario 'ramp;spike' atomic 'sharded?shards=64'
+//	countq compare -queue swap -g 8 -ops 100000 'sharded?shards=4&batch=16'
+//	countq compare -scenario 'ramp?gmax=16' -json sharded
+//	countq compare -sweep batch=16,64,256,1024 sharded
 //	countq topo -topo mesh2d -n 256
-//	countq drive -counter 'sharded?shards=4&batch=16' -queue swap -g 8 -ops 100000
-//	countq drive -counter sharded -scenario 'ramp?gmax=16' -json
-//	countq drive -counter sharded -sweep batch=16,64,256,1024
 //
 // Structures and scenarios are named by spec: a bare registry name
 // constructs the declared defaults, "name?param=value&..." tunes the
 // declared parameters (list -v and scenarios -v print them). Scenario
 // specs compose: "ramp?gmax=8;spike" sequences registered scenarios, with
 // reserved per-segment weight= (budget share) and warmup= (mark the
-// segment warmup) parameters. -scenario runs the workload as the named
-// phase sequence and reports per-phase metrics — latency quantiles, a
-// throughput timeline, worker fairness. -sweep varies one counter
-// parameter over a list of values and reports one configuration per line.
+// segment warmup) parameters.
 //
-// compare runs a campaign: several structure specs under one scenario's
-// byte-identical phase sequence and a shared seed, reporting per-phase
-// metrics plus delta ratios against a baseline spec (table, -csv, -md or
-// -json). Alongside latency and throughput every table carries memory
-// columns — allocs/op and the live-heap peak with its windowed timeline —
-// so coordination cost and allocation cost read side by side. topo
-// compares the distributed protocols on a chosen topology.
+// compare runs a campaign: one or more structure specs under one
+// scenario's byte-identical phase sequence and a shared seed, reporting
+// per-phase metrics — latency quantiles, throughput, worker fairness,
+// allocs/op and the live-heap peak — plus delta ratios against a baseline
+// spec (table, -csv, -md or -json; -csv adds both op kinds' quantiles,
+// -json adds p999 and the throughput and live-heap timelines). -sweep
+// varies one parameter of a single spec over a list of values, the first
+// value being the baseline. topo compares the distributed protocols on a
+// chosen topology.
 //
 // Experiments, protocols and scenarios all come from registries
 // (internal/core's spec registry and the public repro/countq registries),
@@ -46,7 +45,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/countq"
 	"repro/internal/core"
@@ -72,8 +70,6 @@ func main() {
 		topoCmd(os.Args[2:])
 	case "trace":
 		traceCmd(os.Args[2:])
-	case "drive":
-		driveCmd(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -83,8 +79,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: countq {list [-v] | scenarios [-v] | run [-quick] [-seed N] <ids...|all>
               | compare [-scenario SPEC] [-queue SPEC] [-baseline SPEC] [-sweep P=V1,V2,...] [-g N] [-ops N] [-dur D] [-mix F] [-batch N] [-inflight K] [-sample K] [-arrival A] [-seed N] [-csv|-md|-json] <spec>[@g=N][@batch=N][@inflight=K] ...
-              | topo [-topo T] [-n N] | trace [-n N] [-reqs K]
-              | drive [-counter SPEC] [-queue SPEC] [-scenario SPEC] [-g N] [-ops N] [-dur D] [-mix F] [-batch N] [-inflight K] [-sample K] [-arrival A] [-seed N] [-sweep P=V1,V2,...] [-json]}`)
+              | topo [-topo T] [-n N] | trace [-n N] [-reqs K]}`)
 }
 
 // scenariosArgs parses the scenarios flags and prints the listing.
@@ -147,102 +142,6 @@ func listParams(w io.Writer, params []countq.ParamInfo) {
 	}
 }
 
-// driveCmd runs the workload driver — one steady phase or a registered
-// scenario's phase sequence — over any registered protocol pair, named by
-// spec ("sharded?shards=4&batch=16"). With -sweep it varies one counter
-// parameter over a list of values and reports one configuration per line.
-// Both paths run through the campaign layer: a plain drive is the
-// 1-structure campaign, a sweep is a campaign whose baseline is the first
-// swept value.
-func driveCmd(args []string) {
-	fs := flag.NewFlagSet("drive", flag.ExitOnError)
-	counter := fs.String("counter", "atomic", "counter spec, e.g. 'sharded?shards=4&batch=16' (empty for a pure queue workload)")
-	queue := fs.String("queue", "swap", "queue spec (empty for a pure counter workload)")
-	scenario := fs.String("scenario", "", "scenario spec, e.g. 'ramp?gmax=16' (empty for one steady phase; see countq scenarios)")
-	g := fs.Int("g", 0, "goroutines (0 = GOMAXPROCS); scenarios treat this as the contention ceiling")
-	ops := fs.Int("ops", 1<<17, "total operation budget (scenarios split it across phases)")
-	dur := fs.Duration("dur", 0, "run for a duration instead of an ops budget")
-	mix := fs.Float64("mix", 0.5, "fraction of operations that count (the rest enqueue; 0 = pure queue)")
-	batch := fs.Int("batch", 0, "issue counter ops as IncN block grants of this size (requires the batch capability)")
-	inflight := fs.Int("inflight", 0, "keep this many ops outstanding per worker (requires the async capability; 0/1 = synchronous)")
-	sample := fs.Int("sample", 0, "time every Kth operation for per-op latency (0 = default 64)")
-	arrival := fs.String("arrival", "closed", "arrival pattern: closed|uniform|bursty|fairshare")
-	seed := fs.Int64("seed", 1, "workload seed")
-	sweep := fs.String("sweep", "", "sweep one counter param over values, e.g. 'batch=16,64,256'")
-	asJSON := fs.Bool("json", false, "emit the full metrics as JSON")
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	arr, err := countq.ParseArrival(*arrival)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "countq drive:", err)
-		os.Exit(2)
-	}
-	base := countq.Workload{
-		Scenario:      *scenario,
-		Goroutines:    *g,
-		Ops:           *ops,
-		Mix:           *mix,
-		Batch:         *batch,
-		Inflight:      *inflight,
-		LatencySample: *sample,
-		Arrival:       arr,
-		Seed:          *seed,
-	}
-	if *dur > 0 {
-		base.Duration = *dur // replaces the ops budget
-	}
-	if *sweep != "" {
-		if err := checkSweepShadow(*sweep, *scenario); err != nil {
-			fmt.Fprintln(os.Stderr, "countq drive:", err)
-			os.Exit(2)
-		}
-		specs, err := sweepSpecs(*counter, *sweep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "countq drive:", err)
-			os.Exit(2)
-		}
-		c := countq.Campaign{Base: base, Name: "sweep"}
-		for _, spec := range specs {
-			c.Entries = append(c.Entries, countq.Entry{Counter: spec, Queue: *queue})
-		}
-		cmp, err := c.Run()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "countq drive:", err)
-			os.Exit(1)
-		}
-		if *asJSON {
-			printJSON(cmp)
-			return
-		}
-		for i := range cmp.Results {
-			r := &cmp.Results[i]
-			m := r.Metrics
-			line := fmt.Sprintf("%-40s %10.1f ns/op overall", m.Counter, m.NsPerOp())
-			if l := m.Aggregate.CounterLat; l != nil {
-				line += fmt.Sprintf("   counting p50 %8.1f  p99 %8.1f", l.P50Ns, l.P99Ns)
-			}
-			if !r.Baseline && r.AggregateDelta.P99Ratio > 0 {
-				line += fmt.Sprintf("   p99 %5.2fx vs %s", r.AggregateDelta.P99Ratio, cmp.Baseline)
-			}
-			fmt.Println(line)
-		}
-		return
-	}
-	c := countq.Campaign{Base: base, Entries: []countq.Entry{{Counter: *counter, Queue: *queue}}}
-	cmp, err := c.Run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "countq drive:", err)
-		os.Exit(1)
-	}
-	m := cmp.Results[0].Metrics
-	if *asJSON {
-		printJSON(m)
-		return
-	}
-	printMetrics(os.Stdout, m)
-}
-
 // checkSweepShadow rejects a sweep whose parameter name a composed
 // scenario segment also pins. The namespaces differ — -sweep varies the
 // *counter spec*, segment parameters shape the *scenario* — but the name
@@ -269,124 +168,6 @@ func checkSweepShadow(sweep, scenario string) error {
 		}
 	}
 	return nil
-}
-
-// printMetrics renders a run's metrics as the human-readable per-phase
-// table: latency quantiles per op kind, throughput, and worker fairness,
-// then the aggregate over the measured phases.
-func printMetrics(w io.Writer, m *countq.Metrics) {
-	head := fmt.Sprintf("counter=%s queue=%s", m.Counter, m.Queue)
-	if m.Scenario != "" {
-		head += " scenario=" + m.Scenario
-	}
-	fmt.Fprintf(w, "%s goroutines=%d seed=%d elapsed=%v\n", head, m.Goroutines, m.Seed, m.Elapsed.Round(time.Microsecond))
-	fmt.Fprintf(w, "%-12s %5s %5s %8s %9s %10s  %-30s %-30s %-24s %5s %9s\n",
-		"phase", "g", "mix", "ops", "ns/op", "Mops/s", "counting p50/p99/p999", "queuing p50/p99/p999", "corrected p50/p99", "fair", "allocs/op")
-	row := func(name string, g int, mix string, ops int, nsPerOp, mopsPerSec float64, cl, ql, cc, qc *countq.LatencyStats, fair string, allocs float64) {
-		fmt.Fprintf(w, "%-12s %5d %5s %8d %9.1f %10.2f  %-30s %-30s %-24s %5s %9.2f\n",
-			name, g, mix, ops, nsPerOp, mopsPerSec, latCell(cl), latCell(ql), corrCell(cc, qc), fair, allocs)
-	}
-	hasCorr := false
-	for i := range m.Phases {
-		p := &m.Phases[i]
-		name := p.Name
-		if p.Warmup {
-			name += "*"
-		}
-		tput := 0.0
-		if p.Elapsed > 0 {
-			tput = float64(p.Ops) / p.Elapsed.Seconds() / 1e6
-		}
-		if p.CounterCorr != nil || p.QueueCorr != nil {
-			hasCorr = true
-		}
-		row(name, p.Goroutines, fmt.Sprintf("%.2f", p.Mix), p.Ops, p.NsPerOp(), tput, p.CounterLat, p.QueueLat, p.CounterCorr, p.QueueCorr, fmt.Sprintf("%.2f", p.Fairness), p.AllocsPerOp)
-	}
-	a := &m.Aggregate
-	tput := 0.0
-	if a.Elapsed > 0 {
-		tput = float64(a.Ops) / a.Elapsed.Seconds() / 1e6
-	}
-	row("aggregate", m.Goroutines, "", a.Ops, a.NsPerOp(), tput, a.CounterLat, a.QueueLat, a.CounterCorr, a.QueueCorr, fmt.Sprintf("%.2f", a.Fairness), a.AllocsPerOp)
-	if len(a.Timeline) > 1 {
-		fmt.Fprintf(w, "throughput timeline (Mops/s): %s\n", timelineCells(a.Timeline))
-	}
-	if a.LivePeakBytes > 0 {
-		fmt.Fprintf(w, "live heap peak: %s", byteCell(a.LivePeakBytes))
-		if len(a.MemTimeline) > 1 {
-			fmt.Fprintf(w, "   timeline: %s", memTimelineCells(a.MemTimeline))
-		}
-		fmt.Fprintln(w)
-	}
-	for i := range m.Phases {
-		if m.Phases[i].Warmup {
-			fmt.Fprintln(w, "(*) warmup phase, excluded from the aggregate")
-			break
-		}
-	}
-	if hasCorr {
-		fmt.Fprintln(w, "corrected p50/p99: coordinated-omission-corrected (completion vs the arrival schedule's intended start)")
-	}
-	fmt.Fprintf(w, "validated in %v: counts distinct and gap-free, predecessors form one total order\n", m.ValidateElapsed.Round(time.Microsecond))
-}
-
-// latCell renders one op kind's latency quantiles, or "-" when the run
-// had no operations of that kind.
-func latCell(l *countq.LatencyStats) string {
-	if l == nil {
-		return "-"
-	}
-	return fmt.Sprintf("%.0f/%.0f/%.0f ns", l.P50Ns, l.P99Ns, l.P999Ns)
-}
-
-// corrCell renders the coordinated-omission-corrected quantiles, counter
-// side first (the paper's expensive side), or "-" for plain closed loops
-// where none were recorded.
-func corrCell(c, q *countq.LatencyStats) string {
-	l := countq.PickLatency(c, q)
-	if l == nil {
-		return "-"
-	}
-	return fmt.Sprintf("%.0f/%.0f ns", l.P50Ns, l.P99Ns)
-}
-
-// byteCell renders a byte count human-readably.
-func byteCell(b int64) string {
-	switch {
-	case b < 1<<10:
-		return fmt.Sprintf("%dB", b)
-	case b < 1<<20:
-		return fmt.Sprintf("%.1fKiB", float64(b)/(1<<10))
-	case b < 1<<30:
-		return fmt.Sprintf("%.1fMiB", float64(b)/(1<<20))
-	default:
-		return fmt.Sprintf("%.2fGiB", float64(b)/(1<<30))
-	}
-}
-
-// memTimelineCells renders the live-heap timeline as one peak per window.
-func memTimelineCells(tl []countq.MemWindow) string {
-	var b strings.Builder
-	for i, win := range tl {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(byteCell(win.PeakBytes))
-	}
-	return b.String()
-}
-
-// timelineCells renders the aggregate throughput timeline as one number
-// per window.
-func timelineCells(tl []countq.Window) string {
-	var b strings.Builder
-	for i, win := range tl {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%.2f", win.OpsPerSec()/1e6)
-	}
-	return b.String()
 }
 
 // sweepSpecs expands a base counter spec and a "param=v1,v2,..." sweep
@@ -417,7 +198,7 @@ func sweepSpecs(counter, sweep string) ([]string, error) {
 func printJSON(v interface{}) {
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "countq drive:", err)
+		fmt.Fprintln(os.Stderr, "countq:", err)
 		os.Exit(1)
 	}
 	fmt.Println(string(out))
@@ -482,9 +263,8 @@ func runCmd(args []string) {
 	}
 }
 
-// topoCmd (formerly `compare`) contrasts the distributed protocols on a
-// chosen message-passing topology; `compare` now names the shared-memory
-// campaign comparison.
+// topoCmd contrasts the distributed protocols on a chosen
+// message-passing topology.
 func topoCmd(args []string) {
 	fs := flag.NewFlagSet("topo", flag.ExitOnError)
 	topo := fs.String("topo", "mesh2d", "topology: complete|mesh2d|mesh3d|hypercube|list|star|mary|caterpillar|ccc|debruijn")

@@ -55,7 +55,7 @@ func TestListVerboseShowsParams(t *testing.T) {
 
 // TestDriveRegistryResolution runs the driver end-to-end over a registered
 // pair — including a parameterized spec, the acceptance-criteria path —
-// as the drive subcommand does.
+// as a one-entry compare does.
 func TestDriveRegistryResolution(t *testing.T) {
 	res, err := countq.Run(countq.Workload{
 		Counter: "sharded", Queue: "swap", Goroutines: 4, Ops: 2000, Mix: 0.5, Seed: 1,
@@ -104,34 +104,34 @@ func TestScenariosListIsRegistryDriven(t *testing.T) {
 	}
 }
 
-// TestDriveScenarioMetrics runs the acceptance-criteria path — drive with
-// a scenario — and checks the rendered table carries the per-phase
-// quantities (quantiles, fairness, warmup marker) the engine produces.
-func TestDriveScenarioMetrics(t *testing.T) {
-	m, err := countq.Run(countq.Workload{
-		Counter: "sharded", Queue: "swap", Scenario: "ramp?gmax=4",
-		Goroutines: 4, Ops: 4000, Mix: 0.5, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestCompareOneEntry runs the one-entry campaign — compare with a single
+// spec and a scenario — and checks the rendered table carries the
+// per-phase quantities (quantiles, fairness, warmup marker) the engine
+// produces, with self-ratios on the lone baseline row.
+func TestCompareOneEntry(t *testing.T) {
+	table := func(base countq.Workload, e countq.Entry) string {
+		t.Helper()
+		cmp, err := countq.Campaign{Base: base, Entries: []countq.Entry{e}}.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := cmp.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	var b strings.Builder
-	printMetrics(&b, m)
-	out := b.String()
-	for _, want := range []string{"scenario=ramp?gmax=4", "g=1", "g=2", "g=4", "aggregate", "fair", "p50/p99", "validated"} {
+	out := table(countq.Workload{Scenario: "ramp?gmax=4", Goroutines: 4, Ops: 4000, Mix: 0.5, Seed: 1},
+		countq.Entry{Counter: "sharded", Queue: "swap"})
+	for _, want := range []string{"scenario=ramp?gmax=4", "sharded+swap*", "g=1", "g=2", "g=4", "aggregate", "fair", "p99", "1.00x", "validated"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("metrics table missing %q in:\n%s", want, out)
+			t.Errorf("one-entry table missing %q in:\n%s", want, out)
 		}
 	}
 	// Warmup phases are flagged and footnoted.
-	m, err = countq.Run(countq.Workload{Counter: "atomic", Scenario: "steady", Ops: 2000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Reset()
-	printMetrics(&b, m)
-	if !strings.Contains(b.String(), "warmup*") || !strings.Contains(b.String(), "excluded from the aggregate") {
-		t.Errorf("warmup marker missing in:\n%s", b.String())
+	out = table(countq.Workload{Scenario: "steady", Ops: 2000, Seed: 1}, countq.Entry{Counter: "atomic"})
+	if !strings.Contains(out, "warmup~") || !strings.Contains(out, "excluded from the aggregate") {
+		t.Errorf("warmup marker missing in:\n%s", out)
 	}
 }
 
@@ -185,7 +185,9 @@ func TestCompareCampaignTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	printComparison(&b, cmp)
+	if err := cmp.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
 	out := b.String()
 	for _, want := range []string{
 		"scenario=ramp?gmax=2;spike?cycles=1", "baseline=atomic",

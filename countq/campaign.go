@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"io"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -141,8 +143,9 @@ type StructureResult struct {
 
 // Comparison is a campaign's outcome: per-structure Metrics under the
 // identical phase sequence, plus deltas against the baseline entry. It
-// marshals to JSON as-is, and to CSV and Markdown via MarshalCSV and
-// MarshalMarkdown for plots and reports.
+// marshals to JSON as-is, to CSV and Markdown via MarshalCSV and
+// MarshalMarkdown for plots and reports, and to a terminal table via
+// WriteText.
 type Comparison struct {
 	Name       string            `json:"name,omitempty"`
 	Scenario   string            `json:"scenario,omitempty"`
@@ -230,31 +233,26 @@ func (c Campaign) Run() (*Comparison, error) {
 		r := &cmp.Results[i]
 		r.Baseline = i == c.Baseline
 		for j := range r.Metrics.Phases {
-			p, bp := &r.Metrics.Phases[j], &bm.Phases[j]
-			r.PhaseDeltas = append(r.PhaseDeltas, Delta{
-				Phase:           p.Name,
-				NsPerOpRatio:    ratio(p.NsPerOp(), bp.NsPerOp()),
-				ThroughputRatio: ratio(p.OpsPerSec(), bp.OpsPerSec()),
-				P50Ratio:        latRatio(p.CounterLat, bp.CounterLat, p.QueueLat, bp.QueueLat, func(l *LatencyStats) float64 { return l.P50Ns }),
-				P99Ratio:        latRatio(p.CounterLat, bp.CounterLat, p.QueueLat, bp.QueueLat, func(l *LatencyStats) float64 { return l.P99Ns }),
-				FairnessRatio:   ratio(p.Fairness, bp.Fairness),
-				AllocsRatio:     ratio(p.AllocsPerOp, bp.AllocsPerOp),
-				LivePeakRatio:   ratio(float64(p.LivePeakBytes), float64(bp.LivePeakBytes)),
-			})
+			p := &r.Metrics.Phases[j]
+			r.PhaseDeltas = append(r.PhaseDeltas, newDelta(p.Name, &p.Measurement, &bm.Phases[j].Measurement))
 		}
-		a, ba := &r.Metrics.Aggregate, &bm.Aggregate
-		r.AggregateDelta = Delta{
-			Phase:           "aggregate",
-			NsPerOpRatio:    ratio(a.NsPerOp(), ba.NsPerOp()),
-			ThroughputRatio: ratio(a.OpsPerSec(), ba.OpsPerSec()),
-			P50Ratio:        latRatio(a.CounterLat, ba.CounterLat, a.QueueLat, ba.QueueLat, func(l *LatencyStats) float64 { return l.P50Ns }),
-			P99Ratio:        latRatio(a.CounterLat, ba.CounterLat, a.QueueLat, ba.QueueLat, func(l *LatencyStats) float64 { return l.P99Ns }),
-			FairnessRatio:   ratio(a.Fairness, ba.Fairness),
-			AllocsRatio:     ratio(a.AllocsPerOp, ba.AllocsPerOp),
-			LivePeakRatio:   ratio(float64(a.LivePeakBytes), float64(ba.LivePeakBytes)),
-		}
+		r.AggregateDelta = newDelta("aggregate", &r.Metrics.Aggregate, &bm.Aggregate)
 	}
 	return cmp, nil
+}
+
+// newDelta is m's ratios against the baseline's same row b.
+func newDelta(phase string, m, b *Measurement) Delta {
+	return Delta{
+		Phase:           phase,
+		NsPerOpRatio:    ratio(m.NsPerOp(), b.NsPerOp()),
+		ThroughputRatio: ratio(m.OpsPerSec(), b.OpsPerSec()),
+		P50Ratio:        latRatio(m, b, func(l *LatencyStats) float64 { return l.P50Ns }),
+		P99Ratio:        latRatio(m, b, func(l *LatencyStats) float64 { return l.P99Ns }),
+		FairnessRatio:   ratio(m.Fairness, b.Fairness),
+		AllocsRatio:     ratio(m.AllocsPerOp, b.AllocsPerOp),
+		LivePeakRatio:   ratio(float64(m.LivePeakBytes), float64(b.LivePeakBytes)),
+	}
 }
 
 // ratio is n/d, or 0 (omitted) when either side is non-positive — a
@@ -266,16 +264,63 @@ func ratio(n, d float64) float64 {
 	return n / d
 }
 
-// latRatio picks the op kind both runs measured — counter first, the
+// latRatio picks the op kind both rows measured — counter first, the
 // paper's expensive side — and returns the chosen quantile's ratio.
-func latRatio(c, bc, q, bq *LatencyStats, pick func(*LatencyStats) float64) float64 {
-	if c != nil && bc != nil {
-		return ratio(pick(c), pick(bc))
+func latRatio(m, b *Measurement, pick func(*LatencyStats) float64) float64 {
+	if m.CounterLat != nil && b.CounterLat != nil {
+		return ratio(pick(m.CounterLat), pick(b.CounterLat))
 	}
-	if q != nil && bq != nil {
-		return ratio(pick(q), pick(bq))
+	if m.QueueLat != nil && b.QueueLat != nil {
+		return ratio(pick(m.QueueLat), pick(b.QueueLat))
 	}
 	return 0
+}
+
+// row is one line of every campaign table: a phase of one entry's run,
+// or (phase nil) that entry's aggregate over its measured phases.
+type row struct {
+	res   *StructureResult
+	phase *PhaseMetrics
+	m     *Measurement
+	delta Delta
+}
+
+// name is the row's phase column: the phase name, or "aggregate".
+func (rw row) name() string {
+	if rw.phase == nil {
+		return "aggregate"
+	}
+	return rw.phase.Name
+}
+
+func (rw row) warmup() bool { return rw.phase != nil && rw.phase.Warmup }
+
+// eachRow calls fn on every table row in order: each entry's phases,
+// then its aggregate. Every format renders from it, so a new column is
+// one edit per format.
+func (c *Comparison) eachRow(fn func(row)) {
+	for i := range c.Results {
+		r := &c.Results[i]
+		for j := range r.Metrics.Phases {
+			p := &r.Metrics.Phases[j]
+			fn(row{r, p, &p.Measurement, r.PhaseDeltas[j]})
+		}
+		fn(row{r, nil, &r.Metrics.Aggregate, r.AggregateDelta})
+	}
+}
+
+// cells renders the columns text and Markdown share: none marks a missing
+// value and times suffixes a ratio.
+func (rw row) cells(label, phase, none, times string) []string {
+	m, d := rw.m, rw.delta
+	p50, p99 := quantiles(PickLatency(m.CounterLat, m.QueueLat), "%.0f", none)
+	cp50, cp99 := quantiles(PickLatency(m.CounterCorr, m.QueueCorr), "%.0f", none)
+	ratio := func(v float64) string { return cell(v, "%.2f"+times, none) }
+	return []string{
+		label, phase, strconv.Itoa(m.Ops), fmt.Sprintf("%.1f", m.NsPerOp()), fmt.Sprintf("%.2f", m.OpsPerSec()/1e6),
+		p50, p99, cp50, cp99, fmt.Sprintf("%.2f", m.Fairness), fmt.Sprintf("%.2f", m.AllocsPerOp), bytesCell(m.LivePeakBytes, none),
+		ratio(d.NsPerOpRatio), ratio(d.P99Ratio), ratio(d.ThroughputRatio), ratio(d.AllocsRatio),
+	}
 }
 
 // csvHeader is the column set MarshalCSV emits: one row per structure per
@@ -293,66 +338,32 @@ var csvHeader = []string{
 
 // MarshalCSV renders the comparison as CSV: the header above, then one row
 // per structure per phase (warmup flagged, delta ratios against the
-// baseline) and one aggregate row per structure.
+// baseline) and one aggregate row per structure, whose shape columns
+// carry only the peak goroutine count.
 func (c *Comparison) MarshalCSV() ([]byte, error) {
 	var buf bytes.Buffer
 	w := csv.NewWriter(&buf)
-	if err := w.Write(csvHeader); err != nil {
-		return nil, err
-	}
-	for i := range c.Results {
-		r := &c.Results[i]
-		for j := range r.Metrics.Phases {
-			p := &r.Metrics.Phases[j]
-			d := r.PhaseDeltas[j]
-			row := []string{
-				r.Label, p.Name, strconv.FormatBool(p.Warmup),
-				strconv.Itoa(p.Goroutines), num(p.Mix), p.Arrival, strconv.Itoa(p.Batch), strconv.Itoa(p.Inflight),
-				strconv.Itoa(p.Ops), strconv.FormatInt(p.Elapsed.Nanoseconds(), 10),
-				num(p.NsPerOp()), num(p.OpsPerSec()),
-				latNum(p.CounterLat, func(l *LatencyStats) float64 { return l.P50Ns }),
-				latNum(p.CounterLat, func(l *LatencyStats) float64 { return l.P99Ns }),
-				latNum(p.QueueLat, func(l *LatencyStats) float64 { return l.P50Ns }),
-				latNum(p.QueueLat, func(l *LatencyStats) float64 { return l.P99Ns }),
-				latNum(p.CounterCorr, func(l *LatencyStats) float64 { return l.P50Ns }),
-				latNum(p.CounterCorr, func(l *LatencyStats) float64 { return l.P99Ns }),
-				latNum(p.QueueCorr, func(l *LatencyStats) float64 { return l.P50Ns }),
-				latNum(p.QueueCorr, func(l *LatencyStats) float64 { return l.P99Ns }),
-				num(p.Fairness),
-				num(p.AllocsPerOp), num(p.AllocBytesPerOp), strconv.FormatInt(p.LivePeakBytes, 10),
-				ratioNum(d.NsPerOpRatio), ratioNum(d.ThroughputRatio),
-				ratioNum(d.P50Ratio), ratioNum(d.P99Ratio), ratioNum(d.FairnessRatio),
-				ratioNum(d.AllocsRatio), ratioNum(d.LivePeakRatio),
-			}
-			if err := w.Write(row); err != nil {
-				return nil, err
-			}
+	// A failed write sticks in w and surfaces from w.Error below.
+	w.Write(csvHeader)
+	c.eachRow(func(rw row) {
+		m, d := rw.m, rw.delta
+		out := []string{rw.res.Label, rw.name(), strconv.FormatBool(rw.warmup())}
+		if p := rw.phase; p != nil {
+			out = append(out, strconv.Itoa(p.Goroutines), num(p.Mix), p.Arrival, strconv.Itoa(p.Batch), strconv.Itoa(p.Inflight))
+		} else {
+			out = append(out, strconv.Itoa(rw.res.Metrics.Goroutines), "", "", "", "")
 		}
-		a := &r.Metrics.Aggregate
-		d := r.AggregateDelta
-		row := []string{
-			r.Label, "aggregate", "false",
-			strconv.Itoa(r.Metrics.Goroutines), "", "", "", "",
-			strconv.Itoa(a.Ops), strconv.FormatInt(a.Elapsed.Nanoseconds(), 10),
-			num(a.NsPerOp()), num(a.OpsPerSec()),
-			latNum(a.CounterLat, func(l *LatencyStats) float64 { return l.P50Ns }),
-			latNum(a.CounterLat, func(l *LatencyStats) float64 { return l.P99Ns }),
-			latNum(a.QueueLat, func(l *LatencyStats) float64 { return l.P50Ns }),
-			latNum(a.QueueLat, func(l *LatencyStats) float64 { return l.P99Ns }),
-			latNum(a.CounterCorr, func(l *LatencyStats) float64 { return l.P50Ns }),
-			latNum(a.CounterCorr, func(l *LatencyStats) float64 { return l.P99Ns }),
-			latNum(a.QueueCorr, func(l *LatencyStats) float64 { return l.P50Ns }),
-			latNum(a.QueueCorr, func(l *LatencyStats) float64 { return l.P99Ns }),
-			num(a.Fairness),
-			num(a.AllocsPerOp), num(a.AllocBytesPerOp), strconv.FormatInt(a.LivePeakBytes, 10),
-			ratioNum(d.NsPerOpRatio), ratioNum(d.ThroughputRatio),
-			ratioNum(d.P50Ratio), ratioNum(d.P99Ratio), ratioNum(d.FairnessRatio),
-			ratioNum(d.AllocsRatio), ratioNum(d.LivePeakRatio),
+		out = append(out, strconv.Itoa(m.Ops), strconv.FormatInt(m.Elapsed.Nanoseconds(), 10), num(m.NsPerOp()), num(m.OpsPerSec()))
+		for _, l := range []*LatencyStats{m.CounterLat, m.QueueLat, m.CounterCorr, m.QueueCorr} {
+			p50, p99 := quantiles(l, "%.1f", "")
+			out = append(out, p50, p99)
 		}
-		if err := w.Write(row); err != nil {
-			return nil, err
+		out = append(out, num(m.Fairness), num(m.AllocsPerOp), num(m.AllocBytesPerOp), strconv.FormatInt(m.LivePeakBytes, 10))
+		for _, v := range []float64{d.NsPerOpRatio, d.ThroughputRatio, d.P50Ratio, d.P99Ratio, d.FairnessRatio, d.AllocsRatio, d.LivePeakRatio} {
+			out = append(out, cell(v, "%.4f", ""))
 		}
-	}
+		w.Write(out)
+	})
 	w.Flush()
 	if err := w.Error(); err != nil {
 		return nil, err
@@ -370,40 +381,22 @@ func (c *Comparison) MarshalMarkdown() ([]byte, error) {
 		head += " " + c.Name
 	}
 	fmt.Fprintf(&buf, "%s\n\n", head)
-	fmt.Fprintf(&buf, "scenario `%s` · goroutines %d · seed %d · baseline `%s`\n\n", orDash(c.Scenario), c.Goroutines, c.Seed, c.Baseline)
+	fmt.Fprintf(&buf, "scenario `%s` · goroutines %d · seed %d · baseline `%s`\n\n", scenarioName(c.Scenario), c.Goroutines, c.Seed, c.Baseline)
 	fmt.Fprintln(&buf, "| structure | phase | ops | ns/op | Mops/s | p50 ns | p99 ns | corr p50 | corr p99 | fairness | allocs/op | live peak | Δns/op | Δp99 | Δtput | Δalloc |")
 	fmt.Fprintln(&buf, "|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
-	latPair := func(c, q *LatencyStats) (string, string) {
-		lat := PickLatency(c, q)
-		if lat == nil {
-			return "–", "–"
-		}
-		return fmt.Sprintf("%.0f", lat.P50Ns), fmt.Sprintf("%.0f", lat.P99Ns)
-	}
-	row := func(label, phase string, warm bool, ops int, nsPerOp, opsPerSec float64, cl, ql, cc, qc *LatencyStats, fair, allocs float64, peak int64, d Delta) {
-		if warm {
-			phase += "\\*"
-		}
-		p50, p99 := latPair(cl, ql)
-		cp50, cp99 := latPair(cc, qc)
-		fmt.Fprintf(&buf, "| %s | %s | %d | %.1f | %.2f | %s | %s | %s | %s | %.2f | %.2f | %s | %s | %s | %s | %s |\n",
-			label, phase, ops, nsPerOp, opsPerSec/1e6, p50, p99, cp50, cp99, fair,
-			allocs, mdBytes(peak),
-			mdRatio(d.NsPerOpRatio), mdRatio(d.P99Ratio), mdRatio(d.ThroughputRatio), mdRatio(d.AllocsRatio))
-	}
-	for i := range c.Results {
-		r := &c.Results[i]
-		label := "`" + r.Label + "`"
-		if r.Baseline {
+	c.eachRow(func(rw row) {
+		label := "`" + rw.res.Label + "`"
+		if rw.res.Baseline {
 			label += " (baseline)"
 		}
-		for j := range r.Metrics.Phases {
-			p := &r.Metrics.Phases[j]
-			row(label, p.Name, p.Warmup, p.Ops, p.NsPerOp(), p.OpsPerSec(), p.CounterLat, p.QueueLat, p.CounterCorr, p.QueueCorr, p.Fairness, p.AllocsPerOp, p.LivePeakBytes, r.PhaseDeltas[j])
+		phase := rw.name()
+		if rw.phase == nil {
+			phase = "**aggregate**"
+		} else if rw.warmup() {
+			phase += "\\*"
 		}
-		a := &r.Metrics.Aggregate
-		row(label, "**aggregate**", false, a.Ops, a.NsPerOp(), a.OpsPerSec(), a.CounterLat, a.QueueLat, a.CounterCorr, a.QueueCorr, a.Fairness, a.AllocsPerOp, a.LivePeakBytes, r.AggregateDelta)
-	}
+		fmt.Fprintf(&buf, "| %s |\n", strings.Join(rw.cells(label, phase, "–", "×"), " | "))
+	})
 	fmt.Fprintln(&buf, "\nΔ columns are ratios against the baseline's same phase (Δns/op, Δp99 and Δalloc below 1"+
 		" are better for this entry, Δtput above 1 is higher throughput); \\* marks warmup phases, excluded from the"+
 		" aggregate. allocs/op is heap allocations per operation over the whole phase (workers preallocate before the"+
@@ -418,6 +411,52 @@ func (c *Comparison) MarshalMarkdown() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// textWidths are the text table's column widths, negative for
+// left-aligned; the columns are those of row.cells.
+var textWidths = []int{-28, -12, 8, 9, 8, 8, 8, 8, 8, 5, 9, 9, 8, 7, 7, 7}
+
+// WriteText renders the comparison as the human-readable table countq
+// compare prints: every structure under the identical phase sequence,
+// the columns of the Markdown table, and footnotes.
+func (c *Comparison) WriteText(w io.Writer) error {
+	var buf bytes.Buffer
+	line := func(cells []string) {
+		for i, s := range cells {
+			if i > 0 {
+				buf.WriteByte(' ')
+			}
+			fmt.Fprintf(&buf, "%*s", textWidths[i], s)
+		}
+		buf.WriteByte('\n')
+	}
+	fmt.Fprintf(&buf, "campaign scenario=%s goroutines=%d seed=%d baseline=%s\n", scenarioName(c.Scenario), c.Goroutines, c.Seed, c.Baseline)
+	line([]string{"structure", "phase", "ops", "ns/op", "Mops/s", "p50", "p99", "cp50", "cp99", "fair", "allocs/op", "live peak", "Δns/op", "Δp99", "Δtput", "Δalloc"})
+	hasWarmup := false
+	c.eachRow(func(rw row) {
+		label := rw.res.Label
+		if rw.res.Baseline {
+			label += "*"
+		}
+		phase := rw.name()
+		if rw.warmup() {
+			phase += "~"
+			hasWarmup = true
+		}
+		line(rw.cells(label, phase, "-", "x"))
+	})
+	notes := "(*) baseline structure; Δ columns are this/baseline ratios"
+	if hasWarmup {
+		notes += "; (~) warmup phase, excluded from the aggregate"
+	}
+	fmt.Fprintln(&buf, notes)
+	fmt.Fprintln(&buf, "cp50/cp99 are coordinated-omission-corrected quantiles (completion vs intended start); '-' for plain closed loops")
+	fmt.Fprintln(&buf, "allocs/op is heap allocations per operation (workers preallocate, so allocation-free structures report 0.00; Δalloc '-' when either side is 0)")
+	fmt.Fprintln(&buf, "every structure validated independently: counts distinct and gap-free, predecessors one total order")
+	fmt.Fprintln(&buf, "fairness is min/max worker ops; ≈ 0 on a single-core host is the scheduler, not the structure (see compare -h)")
+	_, err := w.Write(buf.Bytes())
+	return err
+}
+
 // num renders a float compactly for CSV (6 significant digits; zero stays
 // "0" — only the ratio columns use empty cells, for "not measured").
 func num(v float64) string {
@@ -427,35 +466,28 @@ func num(v float64) string {
 	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
-// ratioNum renders a delta ratio, empty when omitted (0).
-func ratioNum(v float64) string {
+// cell renders v with format, or none when v is 0 (omitted).
+func cell(v float64, format, none string) string {
 	if v == 0 {
-		return ""
+		return none
 	}
-	return strconv.FormatFloat(v, 'f', 4, 64)
+	return fmt.Sprintf(format, v)
 }
 
-// latNum renders one quantile of a possibly-absent latency record.
-func latNum(l *LatencyStats, pick func(*LatencyStats) float64) string {
+// quantiles renders l's p50 and p99 with format, or none twice when the
+// record is absent.
+func quantiles(l *LatencyStats, format, none string) (string, string) {
 	if l == nil {
-		return ""
+		return none, none
 	}
-	return strconv.FormatFloat(pick(l), 'f', 1, 64)
+	return fmt.Sprintf(format, l.P50Ns), fmt.Sprintf(format, l.P99Ns)
 }
 
-// mdRatio renders a ratio for the Markdown table ("–" when omitted).
-func mdRatio(v float64) string {
-	if v == 0 {
-		return "–"
-	}
-	return fmt.Sprintf("%.2f×", v)
-}
-
-// mdBytes renders a byte count human-readably for the Markdown table.
-func mdBytes(b int64) string {
+// bytesCell renders a byte count human-readably, or none when it is 0.
+func bytesCell(b int64, none string) string {
 	switch {
 	case b <= 0:
-		return "–"
+		return none
 	case b < 1<<10:
 		return fmt.Sprintf("%dB", b)
 	case b < 1<<20:
@@ -467,8 +499,8 @@ func mdBytes(b int64) string {
 	}
 }
 
-// orDash substitutes "steady (no scenario)" for an empty scenario spec.
-func orDash(s string) string {
+// scenarioName is the scenario spec, or "steady" when there is none.
+func scenarioName(s string) string {
 	if s == "" {
 		return "steady"
 	}

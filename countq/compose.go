@@ -29,32 +29,6 @@ import (
 // second ramp's g=1 collides — rename via different params or scenarios),
 // and at least one measured phase across the composition.
 
-// Composition builds a multi-segment scenario spec programmatically — the
-// combinator form of the ';' syntax. It is an immutable value: Then
-// returns a new Composition, so a base can fan out into variants.
-//
-//	spec := countq.Compose("ramp?gmax=8").Then("spike?weight=2").String()
-//	// "ramp?gmax=8;spike?weight=2"
-type Composition struct{ spec string }
-
-// Compose starts a composition from one scenario segment spec.
-func Compose(spec string) Composition { return Composition{spec: spec} }
-
-// Then appends a segment to the composition and returns the result.
-func (c Composition) Then(spec string) Composition {
-	return Composition{spec: c.spec + ";" + spec}
-}
-
-// String returns the composed scenario spec, ready for Workload.Scenario
-// or ExpandScenario. Validation happens at expansion time.
-func (c Composition) String() string { return c.spec }
-
-// Expand expands the composition against a base workload, exactly as
-// ExpandScenario would expand the equivalent spec string.
-func (c Composition) Expand(base Workload) (*Scenario, error) {
-	return ExpandScenario(c.spec, base)
-}
-
 // Segments parses a (possibly composed) scenario spec into its per-segment
 // Specs, reserved keys stripped — the inspection surface callers use to
 // reason about a composition without expanding it (the CLI rejects a sweep

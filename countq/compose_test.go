@@ -40,35 +40,6 @@ var registerComposeTestScenario = sync.OnceFunc(func() {
 	})
 })
 
-func TestComposeCombinator(t *testing.T) {
-	spec := Compose("ramp?gmax=8").Then("spike").String()
-	if spec != "ramp?gmax=8;spike" {
-		t.Errorf("composed spec = %q", spec)
-	}
-	// The combinator and the spec syntax expand identically.
-	registerTestImpls()
-	base := Workload{Counter: "test-alpha", Goroutines: 4, Ops: 8000}
-	viaString, err := ExpandScenario("ramp?gmax=4;spike?cycles=1", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCombinator, err := Compose("ramp?gmax=4").Then("spike?cycles=1").Expand(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaString.Spec != viaCombinator.Spec {
-		t.Errorf("specs diverge: %q vs %q", viaString.Spec, viaCombinator.Spec)
-	}
-	if len(viaString.Phases) != len(viaCombinator.Phases) {
-		t.Fatalf("phase counts diverge: %d vs %d", len(viaString.Phases), len(viaCombinator.Phases))
-	}
-	for i := range viaString.Phases {
-		if viaString.Phases[i] != viaCombinator.Phases[i] {
-			t.Errorf("phase %d diverges: %+v vs %+v", i, viaString.Phases[i], viaCombinator.Phases[i])
-		}
-	}
-}
-
 func TestCompositionSequencesSegments(t *testing.T) {
 	registerTestImpls()
 	base := Workload{Counter: "test-alpha", Goroutines: 4, Ops: 8000}

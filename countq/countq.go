@@ -55,7 +55,7 @@
 // as the throughput timeline. The driver itself measures from outside
 // the allocator — workers preallocate their evidence logs and claim op
 // budget in chunks before the phase barrier, so the steady-state loops
-// run at zero allocations per op (gated by testing.AllocsPerRun in CI)
+// run at zero allocations per op (gated in CI by exact Mallocs counts)
 // and the reported numbers belong to the structure under test, not to
 // the harness.
 //

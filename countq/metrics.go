@@ -43,19 +43,12 @@ type MemWindow struct {
 	PeakBytes int64 `json:"peak_bytes"`
 }
 
-// PhaseMetrics reports one phase of a run: the shape it ran under, exact
-// op totals, sampled latency distributions per kind, a windowed throughput
-// timeline, memory footprint, and per-worker op counts with the fairness
-// ratio they imply.
-type PhaseMetrics struct {
-	Name       string        `json:"name"`
-	Warmup     bool          `json:"warmup,omitempty"`
-	Goroutines int           `json:"goroutines"`
-	Mix        float64       `json:"mix"`
-	Arrival    string        `json:"arrival"`
-	Batch      int           `json:"batch,omitempty"`
-	Inflight   int           `json:"inflight,omitempty"`
-	StartNs    int64         `json:"start_ns"`
+// Measurement is what a phase (or the fold of a run's measured phases)
+// measured: exact op totals, sampled latency distributions per kind, a
+// windowed throughput timeline, memory footprint and worker fairness.
+// PhaseMetrics embeds it and Metrics.Aggregate is one, so every table
+// renders a phase row and an aggregate row from the same record.
+type Measurement struct {
 	Elapsed    time.Duration `json:"elapsed_ns"`
 	Ops        int           `json:"ops"`
 	CounterOps int           `json:"counter_ops"`
@@ -83,73 +76,44 @@ type PhaseMetrics struct {
 	// into the same windows as Timeline; LivePeakBytes is its maximum.
 	MemTimeline   []MemWindow `json:"mem_timeline,omitempty"`
 	LivePeakBytes int64       `json:"live_peak_bytes,omitempty"`
+	// Fairness is min/max over per-worker op counts: 1 is perfectly fair
+	// service, values near 0 mean some worker was starved. 1 when
+	// trivially fair (a single worker).
+	Fairness float64 `json:"fairness"`
+}
+
+// NsPerOp reports average wall nanoseconds per operation.
+func (r *Measurement) NsPerOp() float64 {
+	if r.Ops == 0 {
+		return 0
+	}
+	return float64(r.Elapsed.Nanoseconds()) / float64(r.Ops)
+}
+
+// OpsPerSec reports the throughput in operations per second.
+func (r *Measurement) OpsPerSec() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(r.Ops) / r.Elapsed.Seconds()
+}
+
+// PhaseMetrics reports one phase of a run: the shape it ran under, its
+// Measurement, and the per-worker op counts behind its fairness ratio.
+type PhaseMetrics struct {
+	Name       string  `json:"name"`
+	Warmup     bool    `json:"warmup,omitempty"`
+	Goroutines int     `json:"goroutines"`
+	Mix        float64 `json:"mix"`
+	Arrival    string  `json:"arrival"`
+	Batch      int     `json:"batch,omitempty"`
+	Inflight   int     `json:"inflight,omitempty"`
+	StartNs    int64   `json:"start_ns"`
+	Measurement
 	// WorkerOps is how many operations each worker completed. The op
 	// budget is a shared pool, so a worker the structure starves shows up
 	// here instead of being hidden by a preassigned per-worker quota.
 	WorkerOps []int64 `json:"worker_ops,omitempty"`
-	// Fairness is min/max over WorkerOps: 1 is perfectly fair service,
-	// values near 0 mean some worker was starved. 1 when trivially fair
-	// (a single worker).
-	Fairness float64 `json:"fairness"`
-}
-
-// NsPerOp reports the phase's average wall nanoseconds per operation.
-func (p *PhaseMetrics) NsPerOp() float64 {
-	if p.Ops == 0 {
-		return 0
-	}
-	return float64(p.Elapsed.Nanoseconds()) / float64(p.Ops)
-}
-
-// OpsPerSec reports the phase's throughput in operations per second.
-func (p *PhaseMetrics) OpsPerSec() float64 {
-	if p.Elapsed <= 0 {
-		return 0
-	}
-	return float64(p.Ops) / p.Elapsed.Seconds()
-}
-
-// Aggregate folds the measured (non-warmup) phases of a run together:
-// summed op totals and elapsed time, merged latency histograms, the
-// concatenated throughput timeline, and the worst per-phase fairness.
-type Aggregate struct {
-	Ops        int           `json:"ops"`
-	CounterOps int           `json:"counter_ops"`
-	QueueOps   int           `json:"queue_ops"`
-	Elapsed    time.Duration `json:"elapsed_ns"`
-	CounterLat *LatencyStats `json:"counter_latency,omitempty"`
-	QueueLat   *LatencyStats `json:"queue_latency,omitempty"`
-	// CounterCorr and QueueCorr merge the per-phase corrected
-	// distributions (see PhaseMetrics); nil when no measured phase
-	// recorded one.
-	CounterCorr *LatencyStats `json:"counter_corrected,omitempty"`
-	QueueCorr   *LatencyStats `json:"queue_corrected,omitempty"`
-	Timeline    []Window      `json:"timeline,omitempty"`
-	// AllocsPerOp and AllocBytesPerOp are the op-weighted means over the
-	// measured phases; MemTimeline concatenates the per-phase live-heap
-	// windows and LivePeakBytes is the peak across them.
-	AllocsPerOp     float64     `json:"allocs_per_op"`
-	AllocBytesPerOp float64     `json:"alloc_bytes_per_op"`
-	MemTimeline     []MemWindow `json:"mem_timeline,omitempty"`
-	LivePeakBytes   int64       `json:"live_peak_bytes,omitempty"`
-	Fairness        float64     `json:"fairness"`
-}
-
-// NsPerOp reports average wall nanoseconds per measured operation.
-func (a *Aggregate) NsPerOp() float64 {
-	if a.Ops == 0 {
-		return 0
-	}
-	return float64(a.Elapsed.Nanoseconds()) / float64(a.Ops)
-}
-
-// OpsPerSec reports the aggregate throughput in operations per second
-// over the measured phases.
-func (a *Aggregate) OpsPerSec() float64 {
-	if a.Elapsed <= 0 {
-		return 0
-	}
-	return float64(a.Ops) / a.Elapsed.Seconds()
 }
 
 // PickLatency returns the preferred latency record of an op-kind pair:
@@ -166,7 +130,7 @@ func PickLatency(counter, queue *LatencyStats) *LatencyStats {
 // Metrics reports one driver run. Counts (including block grants) and
 // predecessor chains have already been validated — once, across all phases
 // — when Run returns it. Phases holds the per-phase record in run order
-// (warmup included, flagged); Aggregate folds the measured phases.
+// (warmup included, flagged).
 type Metrics struct {
 	Counter    string         `json:"counter,omitempty"`
 	Queue      string         `json:"queue,omitempty"`
@@ -175,7 +139,11 @@ type Metrics struct {
 	Seed       int64          `json:"seed"`
 	Elapsed    time.Duration  `json:"elapsed_ns"` // every phase, warmup included; stops before validation
 	Phases     []PhaseMetrics `json:"phases"`
-	Aggregate  Aggregate      `json:"aggregate"`
+	// Aggregate folds the measured (non-warmup) phases: summed op totals
+	// and elapsed time, merged latency histograms, concatenated timelines,
+	// op-weighted allocation means, the peak live heap and the worst
+	// per-phase fairness.
+	Aggregate Measurement `json:"aggregate"`
 	// ValidateElapsed is the wall time of the post-run pass: draining
 	// leased counts, then the counts and order checks over the whole run's
 	// evidence. It follows Elapsed and is part of no phase.

@@ -109,11 +109,6 @@ func NewStructure(spec string, kind Kind) (Structure, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewStructureFromSpec(s, kind)
-}
-
-// NewStructureFromSpec is NewStructure for an already-parsed Spec.
-func NewStructureFromSpec(s Spec, kind Kind) (Structure, error) {
 	st, _, err := newStructureFromSpec(s, kind)
 	return st, err
 }

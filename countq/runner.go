@@ -201,7 +201,7 @@ func runPhases(base Workload, scenarioSpec string, phases []Phase, cs, qs Struct
 	all.reserve(phases)
 	var aggHists phaseHists
 	var totalAllocs, totalAllocBytes float64
-	agg := Aggregate{Fairness: 1}
+	agg := Measurement{Fairness: 1}
 	runStart := time.Now()
 	for pi := range phases {
 		pm, hists, err := runPhase(cs, qs, base, pi, phases[pi], runStart, &all)
@@ -442,8 +442,8 @@ type lane struct {
 // sits on lines no other worker touches. Everything it allocates —
 // evidence capacity, histograms, the rng — is set up before the start
 // barrier, and the per-op methods (issueSync, submitOne, reap) are written
-// to run at zero heap allocations; alloc_test.go gates them with
-// testing.AllocsPerRun.
+// to run at zero heap allocations; alloc_test.go gates them by counting
+// runtime Mallocs exactly.
 type laneRunner struct {
 	ln     lane
 	p      *Phase
@@ -1125,30 +1125,31 @@ func (ph *phaseRun) fold(lanes []*lane, all *laneData) (PhaseMetrics, *phaseHist
 		allocBytesPerOp = float64(ph.bytes) / float64(ops)
 	}
 	pm := PhaseMetrics{
-		Name:        p.Name,
-		Warmup:      p.Warmup,
-		Goroutines:  p.Goroutines,
-		Mix:         p.Mix,
-		Arrival:     p.Arrival.String(),
-		Batch:       ph.batch,
-		Inflight:    p.Inflight,
-		StartNs:     ph.startNs,
-		Elapsed:     ph.elapsed,
-		Ops:         counterOps + queueOps,
-		CounterOps:  counterOps,
-		QueueOps:    queueOps,
-		CounterLat:  hists.c.Stats(),
-		QueueLat:    hists.q.Stats(),
-		CounterCorr: hists.ccorr.Stats(),
-		QueueCorr:   hists.qcorr.Stats(),
-		Timeline:    buildTimeline(events, ph.startNs, ph.elapsed.Nanoseconds()),
-		WorkerOps:   workers,
-		Fairness:    fairness(workers),
-
-		AllocsPerOp:     allocsPerOp,
-		AllocBytesPerOp: allocBytesPerOp,
-		MemTimeline:     ph.mem,
-		LivePeakBytes:   peakMem(ph.mem),
+		Name:       p.Name,
+		Warmup:     p.Warmup,
+		Goroutines: p.Goroutines,
+		Mix:        p.Mix,
+		Arrival:    p.Arrival.String(),
+		Batch:      ph.batch,
+		Inflight:   p.Inflight,
+		StartNs:    ph.startNs,
+		Measurement: Measurement{
+			Elapsed:         ph.elapsed,
+			Ops:             counterOps + queueOps,
+			CounterOps:      counterOps,
+			QueueOps:        queueOps,
+			CounterLat:      hists.c.Stats(),
+			QueueLat:        hists.q.Stats(),
+			CounterCorr:     hists.ccorr.Stats(),
+			QueueCorr:       hists.qcorr.Stats(),
+			Timeline:        buildTimeline(events, ph.startNs, ph.elapsed.Nanoseconds()),
+			AllocsPerOp:     allocsPerOp,
+			AllocBytesPerOp: allocBytesPerOp,
+			MemTimeline:     ph.mem,
+			LivePeakBytes:   peakMem(ph.mem),
+			Fairness:        fairness(workers),
+		},
+		WorkerOps: workers,
 	}
 	return pm, &hists, nil
 }

@@ -100,7 +100,7 @@
 //
 //	go run ./cmd/countq list -v                               # structures, kinds, caps, tunables
 //	go run ./cmd/countq scenarios -v                          # scenario catalogue + declared params
-//	go run ./cmd/countq drive -counter sim-counter -inflight 16 -scenario 'ramp?gmax=8' -json
+//	go run ./cmd/countq compare -inflight 16 -scenario 'ramp?gmax=8' -json sim-counter
 //	go run ./cmd/countq compare "sharded?shards=8,sim-counter?hoplat=1us" -scenario "ramp?gmax=8"
 //	go run ./cmd/countq compare -sweep shards=2,8,32 sharded
 //
@@ -131,8 +131,9 @@
 // `go run ./cmd/countqlint ./...` on every push (`-only a,b` selects
 // analyzers); see DESIGN.md ("Static invariants") for the contract.
 //
-// The cmd/countq, cmd/nntsp and cmd/bounds executables expose the same
-// functionality on the command line, and examples/ holds runnable
-// walkthroughs (quickstart, ordered multicast, distributed locking, a
-// ticket office, and a topology atlas).
+// The cmd/countq executable exposes the same functionality on the command
+// line. The packages' Example functions are runnable walkthroughs that
+// go test checks: ordered multicast and a ticket office in internal/arrow,
+// distributed locking in internal/raymond, the bound tables in
+// internal/bounds.
 package repro
