@@ -2,7 +2,9 @@ package countq
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,6 +85,49 @@ func gate(t *testing.T, name string, runs int, body func()) {
 	t.Helper()
 	if avg := allocsPerOp(runs, body); avg != 0 {
 		t.Errorf("%s: %.5f allocs/op in steady state, want 0", name, avg)
+	}
+}
+
+// TestValidateAllocs holds the post-run validators to their exact
+// allocation counts over valid evidence of k = 4096 operations, stored in
+// shuffled order as concurrent workers leave it: the counts check makes one
+// bit set, its block-grant path one span slice, the order check one id
+// table and one successor array — nothing per entry.
+func TestValidateAllocs(t *testing.T) {
+	const k = 4096
+	counts, ids, preds := make([]int64, k), make([]int64, k), make([]int64, k)
+	var singles []int64 // with blocks, a tiling of 1..5k/2: k/2 singles and k/2 four-count blocks
+	var blocks []CountRange
+	for i, p := range rand.New(rand.NewSource(1)).Perm(k) {
+		counts[i] = int64(p) + 1
+		ids[i], preds[i] = int64(p), int64(p)-1 // one chain: id 0 queues behind Head, which is -1
+		if first := int64(p/2)*5 + 1; p%2 == 0 {
+			singles = append(singles, first)
+		} else {
+			blocks = append(blocks, CountRange{First: first + 1, N: 4})
+		}
+	}
+	// No collection in the window: a GC cycle allocates runtime bookkeeping
+	// (mark-worker nodes, sudogs, timer-heap growth) that the global count
+	// would charge to the validator.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name string
+		want float64
+		run  func() error
+	}{
+		{"ValidateCounts", 1, func() error { return ValidateCounts(counts) }},
+		{"ValidateCountRanges", 1, func() error { return ValidateCountRanges(singles, blocks) }},
+		{"ValidateOrder", 2, func() error { return ValidateOrder(ids, preds) }},
+	} {
+		var err error
+		got := allocsPerOp(64, func() { err = tc.run() })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: %.4f allocs per call, want %.0f", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@
 // named Scenario: a self-registering sequence of Phases that ramps
 // goroutines, alternates arrival bursts, shifts the operation mix, or
 // toggles batching while the structures persist. Scenarios compose with
-// ';' (or the Compose/Then combinator), and the Campaign layer runs
+// ';' ("ramp?gmax=8;spike", see compose.go), and the Campaign layer runs
 // several structure specs under one scenario's byte-identical phase
 // sequence, reporting per-structure Metrics plus deltas against a
 // baseline. The paper's counting-versus-queuing contrast as one function

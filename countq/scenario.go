@@ -107,8 +107,8 @@ type Scenario struct {
 // expansion is validated structurally — at least one phase, distinct
 // non-empty names across the whole expansion, at least one measured
 // (non-warmup) phase — and the per-phase workload shapes are validated
-// again by Run. See Compose for the composition semantics (per-segment
-// weight and warmup, duration-weighted budget splits).
+// again by Run. compose.go documents the ';' composition semantics
+// (per-segment weight and warmup, duration-weighted budget splits).
 func ExpandScenario(spec string, base Workload) (*Scenario, error) {
 	if strings.Contains(spec, ";") {
 		return expandComposition(spec, base.withDefaults())

@@ -104,16 +104,17 @@
 //	go run ./cmd/countq compare "sharded?shards=8,sim-counter?hoplat=1us" -scenario "ramp?gmax=8"
 //	go run ./cmd/countq compare -sweep shards=2,8,32 sharded
 //
-// The repository's benchmark is `go run ./bench` (seven end-to-end
-// workloads, BENCHMARK.json); the Go benchmarks in bench_test.go iterate
-// the registry and sweep the declared tunables, so every registered
-// implementation is measured for free. What the registry costs per
-// operation is a test: TestRegistryCost (countq/conformance_test.go)
-// holds every entry and canonical variant to its exact allocations per
-// operation on each declared path and to bounded growth of its time per
-// operation between 2¹² and 2¹⁶ operations.
+// The repository's one timing instrument is `go run ./bench` (seven
+// end-to-end workloads, BENCHMARK.json; `-trace 1` adds the per-layer
+// ladder). Any registered structure or variant is timed through
+// `countq compare`. What the registry costs per operation is a test:
+// TestRegistryCost (countq/conformance_test.go) holds every entry and
+// canonical variant to its exact allocations per operation on each
+// declared path and to bounded growth of its time per operation between
+// 2¹² and 2¹⁶ operations.
 //
-//	go test -bench=. -benchmem
+//	go run ./bench -trace 1 -workload shm-runner
+//	go run ./cmd/countq compare -g 4 atomic sharded 'sharded?shards=64'
 //	go test -run TestRegistryCost -v ./countq
 //
 // The measured invariants are also proved statically: cmd/countqlint runs

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/bounds"
 	"repro/internal/graph"
@@ -43,8 +44,13 @@ func CompareOn(g *graph.Graph) (*Table, error) {
 		Columns: []string{"quantity", "value"},
 	}
 	t.AddRow("C_Q arrow on "+arrowTreeName, fmt.Sprint(cq))
-	for name, total := range totals {
-		t.AddRow("C_C "+name, fmt.Sprint(total))
+	names := make([]string, 0, len(totals))
+	for name := range totals {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.AddRow("C_C "+name, fmt.Sprint(totals[name]))
 	}
 	t.AddRow("C_C best ("+bestName+")", fmt.Sprint(cc))
 	t.AddRow("counting LB (Thm 3.5)", fmt.Sprint(bounds.CountingLowerBoundTheorem35(n)))

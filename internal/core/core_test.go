@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // TestAllExperimentsQuick runs the entire experiment suite in quick mode.
@@ -58,6 +60,25 @@ func TestTableRender(t *testing.T) {
 	for _, want := range []string{"T — test (ref)", "long-column", "wide-cell", "note: note 42"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCompareOnDeterministic renders the queuing-versus-counting table that
+// `countq topo` prints twenty times: one row per counting protocol, in the
+// same order every time.
+func TestCompareOnDeterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 20; i++ {
+		tbl, err := CompareOn(graph.Mesh(4, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := tbl.Render()
+		if i == 0 {
+			first = out
+		} else if out != first {
+			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i, out, first)
 		}
 	}
 }

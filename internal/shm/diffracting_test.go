@@ -3,7 +3,6 @@ package shm
 import (
 	"math/bits"
 	"runtime"
-	"sync"
 	"testing"
 )
 
@@ -154,62 +153,5 @@ func TestDiffractingMeasured(t *testing.T) {
 	}
 	if m.Ops != 800 {
 		t.Errorf("ops = %d", m.Ops)
-	}
-}
-
-func TestCLHLockMutualExclusion(t *testing.T) {
-	l := NewCLHLock()
-	const goroutines, opsPerG = 8, 2000
-	counter := 0
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < opsPerG; i++ {
-				h := l.Lock()
-				counter++
-				l.Unlock(h)
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != goroutines*opsPerG {
-		t.Errorf("counter = %d, want %d (lost updates ⇒ broken mutual exclusion)", counter, goroutines*opsPerG)
-	}
-}
-
-func TestMCSLockMutualExclusion(t *testing.T) {
-	l := NewMCSLock()
-	const goroutines, opsPerG = 8, 2000
-	counter := 0
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < opsPerG; i++ {
-				h := l.Lock()
-				counter++
-				l.Unlock(h)
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != goroutines*opsPerG {
-		t.Errorf("counter = %d, want %d", counter, goroutines*opsPerG)
-	}
-}
-
-func TestLocksSequentialReuse(t *testing.T) {
-	clh := NewCLHLock()
-	for i := 0; i < 100; i++ {
-		h := clh.Lock()
-		clh.Unlock(h)
-	}
-	mcs := NewMCSLock()
-	for i := 0; i < 100; i++ {
-		h := mcs.Lock()
-		mcs.Unlock(h)
 	}
 }

@@ -22,7 +22,7 @@ import (
 	"repro/internal/sim"
 )
 
-// stepEcho is the microbench protocol: every leaf pings the hub each
+// stepEcho saturates a star: every leaf pings the hub each
 // round, the hub echoes — a full-contention star with 2(n-1) messages per
 // round and no termination.
 type stepEcho struct{ hub int }
