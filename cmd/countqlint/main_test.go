@@ -26,7 +26,7 @@ func TestList(t *testing.T) {
 		}
 		names = append(names, name)
 	}
-	want := "hotpath,ringrole,grantlife,simdet"
+	want := "hotpath,ringrole,simdet"
 	if got := strings.Join(names, ","); got != want {
 		t.Errorf("-list analyzers = %s, want %s", got, want)
 	}

@@ -275,12 +275,14 @@ func TestAsyncSessionContextCancellation(t *testing.T) {
 }
 
 // TestSessionKindGating pins ErrUnsupported: the wrong op kind on a
-// single-kind structure's session reports the sentinel, for every
-// registered structure.
+// single-kind structure's session, and an op of no known kind submitted to
+// any async session, report the sentinel, for every registered structure.
 func TestSessionKindGating(t *testing.T) {
 	for _, info := range countq.Structures() {
-		if info.Kinds.Has(countq.KindCounter) && info.Kinds.Has(countq.KindQueue) {
-			continue // dual-kind structures gate nothing
+		dual := info.Kinds.Has(countq.KindCounter) && info.Kinds.Has(countq.KindQueue)
+		async := info.Caps.Has(countq.CapAsync)
+		if dual && !async {
+			continue // dual-kind structures gate no kind
 		}
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
@@ -298,17 +300,81 @@ func TestSessionKindGating(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sess.Close()
-			if kind == countq.KindCounter {
-				_, err = sess.Enqueue(context.Background(), 1)
-			} else {
-				_, err = sess.Inc(context.Background())
+			if !dual {
+				if kind == countq.KindCounter {
+					_, err = sess.Enqueue(context.Background(), 1)
+				} else {
+					_, err = sess.Inc(context.Background())
+				}
+				wantUnsupported(t, "wrong-kind operation", err)
 			}
-			if err == nil {
-				t.Fatal("wrong-kind operation accepted")
+			if async {
+				err := sess.(countq.AsyncSession).Submit(context.Background(), countq.Op{Kind: countq.OpKind(7)})
+				wantUnsupported(t, "unknown-kind Submit", err)
 			}
-			if !strings.Contains(err.Error(), countq.ErrUnsupported.Error()) {
-				t.Errorf("wrong-kind error does not wrap ErrUnsupported: %v", err)
+		})
+	}
+}
+
+// wantUnsupported fails unless err wraps ErrUnsupported.
+func wantUnsupported(t *testing.T, what string, err error) {
+	t.Helper()
+	if err == nil {
+		t.Errorf("%s accepted", what)
+	} else if !errors.Is(err, countq.ErrUnsupported) {
+		t.Errorf("%s error does not wrap ErrUnsupported: %v", what, err)
+	}
+}
+
+// TestAsyncNonPositiveBlock: countq.Op documents N ≤ 1 as one count, so
+// every async counter completes a Submit of N = 0 and of N = −1 as exactly
+// one count each, and the two validate. The wait has a deadline: a core
+// that drops such an operation leaks its grant, which must fail the test
+// rather than hang it.
+func TestAsyncNonPositiveBlock(t *testing.T) {
+	for _, info := range countq.Structures() {
+		if !info.Kinds.Has(countq.KindCounter) || !info.Caps.Has(countq.CapAsync) {
+			continue
+		}
+		info := info
+		t.Run(info.Name, func(t *testing.T) {
+			// Nothing is closed on a failure: a leaked grant keeps a
+			// bridge's pump stepping and both Closes waiting for it.
+			st, err := countq.NewStructure(conformanceSpec(info), countq.KindCounter)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sess, err := st.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			as := sess.(countq.AsyncSession)
+			for _, n := range []int64{0, -1} {
+				if err := as.Submit(context.Background(), countq.Op{Kind: countq.OpInc, N: n}); err != nil {
+					t.Fatalf("Submit N=%d: %v", n, err)
+				}
+			}
+			var counts []int64
+			deadline := time.After(5 * time.Second)
+			for len(counts) < 2 {
+				select {
+				case c := <-as.Completions():
+					if c.Err != nil {
+						t.Fatalf("N=%d completed with %v", c.Op.N, c.Err)
+					}
+					counts = append(counts, c.Value)
+				case <-deadline:
+					t.Fatalf("%d of 2 non-positive blocks completed within 5 s: %v", len(counts), counts)
+				}
+			}
+			if d, ok := st.(countq.Drainer); ok {
+				counts = append(counts, d.Drain()...)
+			}
+			if err := countq.ValidateCounts(counts); err != nil {
+				t.Errorf("counts %v: %v", counts, err)
+			}
+			sess.Close()
+			closeIfCloser(st)
 		})
 	}
 }

@@ -120,15 +120,17 @@
 // The measured invariants are also proved statically: cmd/countqlint runs
 // the repo's own analyzers (internal/lint) over the tree — functions
 // marked //countq:hotpath must be allocation-free with a declared clock
-// budget. Three interprocedural analyzers over a
+// budget. Two interprocedural analyzers over a
 // CHA call graph add the concurrency-protocol contracts: ringrole checks
 // //countq:role=producer|consumer annotations against the ring methods
 // each function can reach (one goroutine per SPSC side, lossless parks),
-// grantlife proves every BridgeProtocol.Issue settles its grant token
-// exactly once on every path, and simdet proves everything reachable
-// from the simulator's round loop deterministic — no clocks, unseeded
-// rand, map iteration, or goroutine/channel operations, so golden traces
-// stay byte-identical by construction. CI runs
+// and simdet proves everything reachable from the simulator's round loop
+// deterministic — no clocks, unseeded rand, map iteration, or
+// goroutine/channel operations, so golden traces stay byte-identical by
+// construction. That every accepted operation is granted exactly once is
+// executed, not proved: TestGrantLedger (internal/sim) drives every
+// registered sim-* protocol core from seeded schedules and holds each
+// issued token to one grant. CI runs
 // `go run ./cmd/countqlint ./...` on every push (`-only a,b` selects
 // analyzers); see DESIGN.md ("Static invariants") for the contract.
 //

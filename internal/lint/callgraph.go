@@ -10,8 +10,8 @@ import (
 
 // The interprocedural core: a CHA-style call graph over one typechecked
 // package, shared by the concurrency-protocol analyzers (ringrole,
-// grantlife, simdet). Per-function summaries are cached per package so
-// the three analyzers pay for one build.
+// simdet). Per-function summaries are cached per package so the two
+// analyzers pay for one build.
 //
 // Resolution rules, chosen for the soundness direction the analyzers
 // need (never miss a reachable callee; over-approximating is fine):

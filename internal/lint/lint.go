@@ -77,7 +77,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		HotPathAnalyzer,
 		RingRoleAnalyzer,
-		GrantLifeAnalyzer,
 		SimDetAnalyzer,
 	}
 }

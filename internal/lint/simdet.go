@@ -6,6 +6,10 @@ import (
 	"go/types"
 )
 
+// simPath is the import path of the simulator package whose determinism
+// contract simdet enforces.
+const simPath = "repro/internal/sim"
+
 // SimDetAnalyzer proves the simulator's determinism claim structurally:
 // the engine's correctness story is byte-identical golden traces, which
 // holds only if nothing reachable from the round loop consults a clock,
@@ -175,4 +179,15 @@ func checkDeterministic(pass *Pass, fd *ast.FuncDecl, root string) {
 		}
 		return true
 	})
+}
+
+// implName renders a pointer-to-named implementation type bare.
+func implName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return t.String()
 }

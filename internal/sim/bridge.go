@@ -141,8 +141,8 @@ type Grants interface {
 type BridgeProtocol interface {
 	Protocol
 	// Issue injects the operation op, identified by token, at node. The
-	// protocol must eventually Grant the token (the pump keeps stepping
-	// rounds while any token is outstanding).
+	// protocol must eventually Grant the token, exactly once (the pump
+	// keeps stepping rounds while any token is outstanding).
 	Issue(env *Env, node int, token int, op countq.Op)
 }
 
@@ -872,7 +872,8 @@ func (s *bridgeSession) Enqueue(ctx context.Context, id int64) (int64, error) {
 	return s.roundTrip(ctx, countq.Op{Kind: countq.OpEnqueue, ID: id})
 }
 
-// wrongKind reports an operation against the wrong bridge side.
+// wrongKind reports an operation the bridge side does not serve: the
+// other side's kind, or no known kind at all.
 func (s *bridgeSession) wrongKind(op countq.Op) error {
 	side := "counter"
 	if s.b.cfg.Queue {
@@ -892,7 +893,11 @@ func (s *bridgeSession) badID(id int64) error {
 //
 //countq:hotpath
 func (s *bridgeSession) Submit(ctx context.Context, op countq.Op) error {
-	if s.b.cfg.Queue != (op.Kind == countq.OpEnqueue) {
+	want := countq.OpInc
+	if s.b.cfg.Queue {
+		want = countq.OpEnqueue
+	}
+	if op.Kind != want {
 		return s.wrongKind(op)
 	}
 	if op.Kind == countq.OpEnqueue && (int64(int(op.ID)) != op.ID || op.ID < 0) {

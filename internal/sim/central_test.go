@@ -11,52 +11,123 @@ import (
 	"repro/internal/tree"
 )
 
-// scheduledCentral runs sim.Central offline from an arrival schedule, each
-// operation under its index in the arrival slice — the form production code
-// has no use for (counting.Central is one-shot, the bridge is live), and the
-// only way to reach the core's queue mode without a bridge.
-type scheduledCentral struct {
-	core  sim.Central
-	sched sim.Schedule
-	queue bool
-	env   *sim.Env
-	value []int64 // per op: granted count, or predecessor id
-	done  []int   // per op: completion round
+// scheduled runs any BridgeProtocol offline from an arrival schedule, the
+// way the bridge's pump runs it live: each round it issues the operations
+// due at a node, operation i as ops[i] under token i, then forwards Tick to
+// a core that is a sim.Ticker. It is the only way to reach a core's
+// scheduled form without a bridge (counting.Central is one-shot, the bridge
+// is live), and it keeps the grant ledger: a grant of a token not yet
+// issued, or of one already granted, fails the test, and run fails on any
+// operation left ungranted.
+type scheduled struct {
+	t      *testing.T
+	core   sim.BridgeProtocol
+	ticker sim.Ticker // core's Ticker view; nil if it has none
+	sched  sim.Schedule
+	ops    []countq.Op
+	env    *sim.Env
+	issued []bool
+	value  []int64 // per op: granted count, or predecessor id
+	done   []int   // per op: completion round; -1 until granted
+	trace  []grant // every grant, in the order the core made it
 }
 
-func newScheduledCentral(t *testing.T, tr *tree.Tree, queue bool, arrivals []sim.Arrival) *scheduledCentral {
+// grant is one ledger entry.
+type grant struct {
+	token int
+	value int64
+	round int
+}
+
+// newScheduled builds the core proto makes on (g, tr) — the central
+// protocol when proto is nil — over arrivals. Nil ops issue unit counts, or
+// (queue) enqueues of each operation's own index.
+func newScheduled(t *testing.T, g *graph.Graph, tr *tree.Tree, proto sim.ProtoMaker, queue bool, arrivals []sim.Arrival, ops []countq.Op) *scheduled {
 	t.Helper()
-	p := &scheduledCentral{queue: queue, value: make([]int64, len(arrivals)), done: make([]int, len(arrivals))}
-	p.core = sim.NewCentral(tr, queue, p, len(arrivals))
+	if ops == nil {
+		ops = make([]countq.Op, len(arrivals))
+		for op := range ops {
+			ops[op] = countq.Op{Kind: countq.OpInc, N: 1}
+			if queue {
+				ops[op] = countq.Op{Kind: countq.OpEnqueue, ID: int64(op)}
+			}
+		}
+	}
+	p := &scheduled{t: t, ops: ops, issued: make([]bool, len(ops)), value: make([]int64, len(ops)), done: make([]int, len(ops))}
+	for op := range p.done {
+		p.done[op] = -1
+	}
 	var err error
+	if proto == nil {
+		central := sim.NewCentral(tr, queue, p, len(ops))
+		p.core = &central
+	} else if p.core, err = proto(g, tr, p); err != nil {
+		t.Fatal(err)
+	}
+	p.ticker, _ = p.core.(sim.Ticker)
 	if p.sched, err = sim.NewSchedule(tr.N(), arrivals); err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-func (p *scheduledCentral) PendingUntil() int            { return p.sched.PendingUntil() }
-func (p *scheduledCentral) Start(env *sim.Env, node int) { p.Tick(env, node) }
-func (p *scheduledCentral) Tick(env *sim.Env, node int) {
+// run executes the schedule to quiescence on cfg and fails the test on an
+// engine error or an operation left ungranted.
+func (p *scheduled) run(cfg sim.Config) sim.Stats {
+	p.t.Helper()
+	stats, err := sim.New(cfg, p).Run()
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	for op, round := range p.done {
+		if round < 0 {
+			p.t.Errorf("op %d (N=%d, ID=%d) still ungranted after %d rounds", op, p.ops[op].N, p.ops[op].ID, stats.Rounds)
+		}
+	}
+	return stats
+}
+
+func (p *scheduled) PendingUntil() int { return p.sched.PendingUntil() }
+
+// Start seeds the core and issues the round-zero operations; round 0 has no
+// Tick.
+func (p *scheduled) Start(env *sim.Env, node int) {
+	p.core.Start(env, node)
+	p.Tick(env, node)
+}
+
+func (p *scheduled) Tick(env *sim.Env, node int) {
 	p.env = env
 	for _, op := range p.sched.Due(env.Round(), node) {
-		o := countq.Op{Kind: countq.OpInc, N: 1}
-		if p.queue {
-			o = countq.Op{Kind: countq.OpEnqueue, ID: int64(op)}
-		}
-		p.core.Issue(env, node, op, o)
+		p.issued[op] = true
+		p.core.Issue(env, node, op, p.ops[op])
+	}
+	if p.ticker != nil {
+		p.ticker.Tick(env, node)
 	}
 }
-func (p *scheduledCentral) Deliver(env *sim.Env, node int, m sim.Message) {
+
+func (p *scheduled) Deliver(env *sim.Env, node int, m sim.Message) {
 	p.core.Deliver(env, node, m)
 }
-func (p *scheduledCentral) Grant(token int, value int64) {
-	p.value[token], p.done[token] = value, p.env.Round()
+
+// Grant is the ledger: a token is granted once, after it was issued.
+func (p *scheduled) Grant(token int, value int64) {
+	round := p.env.Round()
+	switch {
+	case token < 0 || token >= len(p.ops) || !p.issued[token]:
+		p.t.Errorf("round %d: grant of un-issued token %d", round, token)
+	case p.done[token] >= 0:
+		p.t.Errorf("round %d: token %d granted again (%d; first %d in round %d)", round, token, value, p.value[token], p.done[token])
+	default:
+		p.value[token], p.done[token] = value, round
+	}
+	p.trace = append(p.trace, grant{token, value, round})
 }
 
 // runCentralQueue queues one operation per requesting node at time zero
 // through the central core and checks the predecessors form one total order.
-func runCentralQueue(t *testing.T, g *graph.Graph, tr *tree.Tree, requests []bool) (*scheduledCentral, sim.Stats) {
+func runCentralQueue(t *testing.T, g *graph.Graph, tr *tree.Tree, requests []bool) (*scheduled, sim.Stats) {
 	t.Helper()
 	var arrivals []sim.Arrival
 	for v, b := range requests {
@@ -64,11 +135,8 @@ func runCentralQueue(t *testing.T, g *graph.Graph, tr *tree.Tree, requests []boo
 			arrivals = append(arrivals, sim.Arrival{Node: v})
 		}
 	}
-	p := newScheduledCentral(t, tr, true, arrivals)
-	stats, err := sim.New(sim.Config{Graph: g}, p).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newScheduled(t, g, tr, nil, true, arrivals, nil)
+	stats := p.run(sim.Config{Graph: g})
 	ids := make([]int64, len(arrivals))
 	for op := range ids {
 		ids[op] = int64(op)
@@ -79,7 +147,7 @@ func runCentralQueue(t *testing.T, g *graph.Graph, tr *tree.Tree, requests []boo
 	return p, stats
 }
 
-func totalDelay(p *scheduledCentral) int {
+func totalDelay(p *scheduled) int {
 	total := 0
 	for _, d := range p.done {
 		total += d

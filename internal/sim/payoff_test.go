@@ -94,7 +94,7 @@ func TestLiveBridgeEqualsOfflineRun(t *testing.T) {
 			return run(t, p, func(op int) int64 { return int64(p.CountOf(op)) }, p.CompletedAt)
 		}},
 		{"central", "sim-counter", countq.KindCounter, 0, rootTripSpec, func(t *testing.T) offlineRun {
-			p := newScheduledCentral(t, tr, false, arrivals)
+			p := newScheduled(t, g, tr, nil, false, arrivals, nil)
 			return run(t, p, func(op int) int64 { return p.value[op] }, func(op int) int { return p.done[op] })
 		}},
 	} {

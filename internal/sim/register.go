@@ -29,11 +29,17 @@ func init() {
 		countq.KindQueue, countq.CapAsync, nil)
 }
 
+// bridgeProtos records the ProtoMaker behind every RegisterBridge entry
+// (nil for the central protocol), so the package's tests can drive each
+// registered core offline.
+var bridgeProtos = map[string]ProtoMaker{}
+
 // RegisterBridge registers a sim-* structure: a bridge of the given kind
 // routing the protocol proto builds (nil selects the central protocol),
 // under the option vocabulary every bridge shares so `countq ls` reads
 // uniformly.
 func RegisterBridge(name, summary string, kinds countq.Kind, caps countq.Caps, proto ProtoMaker) {
+	bridgeProtos[name] = proto
 	countq.RegisterStructure(countq.StructureInfo{
 		Name:         name,
 		Summary:      summary,
