@@ -29,9 +29,10 @@ func newTestBridge(t *testing.T, topo string, nodes int, delay sim.DelayModel) *
 }
 
 // settledSimStats reads the bridge's simulated rounds and messages once
-// they have stopped moving: the pump publishes them after each round, a
-// moment after that round's grants reach the sessions, so a caller that
-// reads straight after its grant can still see the round before.
+// they have stopped moving: the pump publishes them after a round that
+// granted an operation, a moment after that round's grants reach the
+// sessions, and exactly once the network is idle, so a caller that reads
+// straight after its grant can still see an earlier round.
 func settledSimStats(b *sim.Bridge) (rounds, msgs int64) {
 	rounds, msgs = b.SimStats()
 	for {

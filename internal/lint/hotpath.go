@@ -24,6 +24,8 @@ import (
 //   - go statements (a goroutine launch allocates its stack)
 //   - make/new of any kind, and &T{...} composite-literal addresses
 //   - composite literals escaping into interface-typed contexts (boxing)
+//   - &x of a local variable or parameter in an interface-typed context
+//     (pool.Put(&local)): the pointer escapes, so x moves to the heap
 //   - map iteration (range over a map allocates its iterator)
 //   - fmt.* calls, except feeding a return statement or a panic — the
 //     cold error paths
@@ -45,7 +47,7 @@ const hotPathDirective = "//countq:hotpath"
 var HotPathAnalyzer = &Analyzer{
 	Name: "hotpath",
 	Doc: "functions annotated //countq:hotpath must not contain heap-allocating constructs " +
-		"(closures, defer, make, interface-escaping composites, map ranges, non-cold fmt, " +
+		"(closures, defer, make, interface-escaping composites or local addresses, map ranges, non-cold fmt, " +
 		"spread appends, non-constant string concatenation) or clock reads beyond the " +
 		"clocks=N budget",
 	Run: runHotPath,
@@ -144,9 +146,18 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl, clockBudget int) {
 				}
 			}
 		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				if cl, ok := unparen(x.X).(*ast.CompositeLit); ok {
-					pass.Reportf(cl.Pos(), "%s: &composite literal in a //countq:hotpath function escapes to the heap", name)
+			if x.Op != token.AND {
+				break
+			}
+			switch operand := unparen(x.X).(type) {
+			case *ast.CompositeLit:
+				pass.Reportf(operand.Pos(), "%s: &composite literal in a //countq:hotpath function escapes to the heap", name)
+			case *ast.Ident:
+				if !isLocalVar(info.Uses[operand]) {
+					break
+				}
+				if iface := interfaceContext(info, x, stack); iface != "" {
+					pass.Reportf(x.Pos(), "%s: &%s escapes to interface %s in a //countq:hotpath function (the local variable moves to the heap)", name, operand.Name, iface)
 				}
 			}
 		case *ast.CompositeLit:
@@ -262,10 +273,20 @@ func coldPath(stack []ast.Node) bool {
 	return false
 }
 
-// interfaceContext reports the interface type a composite literal is
-// assigned, passed or returned into, or "" when it stays concrete. Only
-// the literal's immediate use is inspected — the boxing site.
-func interfaceContext(info *types.Info, lit *ast.CompositeLit, stack []ast.Node) string {
+// isLocalVar reports whether obj is a variable declared inside a function
+// (a local, a parameter or a named result) rather than at package level or
+// as a struct field: the variables escape analysis would otherwise keep on
+// the stack.
+func isLocalVar(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && !v.IsField() && v.Pkg() != nil && v.Parent() != nil && v.Parent() != v.Pkg().Scope()
+}
+
+// interfaceContext reports the interface type an expression (a composite
+// literal, or the address of a local) is assigned, passed or returned
+// into, or "" when it stays concrete. Only the expression's immediate use
+// is inspected — the boxing site.
+func interfaceContext(info *types.Info, lit ast.Expr, stack []ast.Node) string {
 	if len(stack) == 0 {
 		return ""
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // TestHotPathBad proves every banned construct fires: closures, defer, go,
-// map ranges, make/new, escaping composites, non-cold fmt, clock-budget
-// overruns, malformed directives, misplaced directives. vet and
+// map ranges, make/new, escaping composites, &local into an interface,
+// non-cold fmt, clock-budget overruns, malformed directives, misplaced
+// directives. vet and
 // staticcheck accept all of the fixture — the allocations are invisible to
 // them because they are not bugs, just costs.
 func TestHotPathBad(t *testing.T) {

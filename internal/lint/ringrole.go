@@ -36,7 +36,7 @@ const ringPath = "repro/internal/ring"
 var RingRoleAnalyzer = &Analyzer{
 	Name: "ringrole",
 	Doc: "functions reaching ring.SPSC/Lanes/Event producer-only methods (Push, Wake) or " +
-		"consumer-only methods (Pop, DrainTo, Snapshot, Prepare, WakeChan, Unpark) must carry a " +
+		"consumer-only methods (Pop, DrainTo, Snapshot, Claim, Prepare, WakeChan, Unpark) must carry a " +
 		"matching //countq:role=producer|consumer annotation; mixed or unannotated reachability " +
 		"is flagged, and WakeChan receives must be dominated by Prepare with a re-check between",
 	Run: runRingRole,
@@ -56,6 +56,7 @@ var ringMethodRoles = map[string]string{
 	"Event.WakeChan": "consumer",
 	"Event.Unpark":   "consumer",
 	"Lanes.Snapshot": "consumer",
+	"Lanes.Claim":    "consumer",
 	"Lanes.Prepare":  "consumer",
 	"Lanes.WakeChan": "consumer",
 	"Lanes.Unpark":   "consumer",

@@ -5,6 +5,7 @@ package bad
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -62,6 +63,18 @@ func hotAddr() *ring {
 //countq:hotpath
 func hotBox() {
 	sink = ring{} // want "composite literal escapes to interface"
+}
+
+var pool sync.Pool
+
+// hotRepool hands the pool a pointer to a local and to a parameter: both
+// escape through the interface argument, so both move to the heap.
+//
+//countq:hotpath
+func hotRepool(shard int) {
+	idx := shard + 1
+	pool.Put(&idx) // want "&idx escapes to interface any in a //countq:hotpath function"
+	sink = &shard  // want "&shard escapes to interface interface\\{\\} in a //countq:hotpath function"
 }
 
 //countq:hotpath

@@ -98,3 +98,21 @@ func spreadCold(l *lane, vals []int) {
 	l.reserve(len(vals))
 	l.buf = append(l.buf, vals...)
 }
+
+var hits int
+
+func bumpInt(p *int) { *p++ }
+
+// addrConcrete takes addresses the compiler keeps where they are: a local
+// passed as a concrete *int, a package-level variable boxed into an
+// interface (it is static already), and an element of a slice the caller
+// owns.
+//
+//countq:hotpath
+func addrConcrete(l *lane, sink func(any)) int {
+	n := len(l.buf)
+	bumpInt(&n)
+	sink(&hits)
+	bumpInt(&l.buf[0])
+	return n
+}

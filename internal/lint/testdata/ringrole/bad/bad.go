@@ -39,6 +39,15 @@ func wrongSide(q *queues) {
 	q.in.Push(9) // want "wrongSide is annotated //countq:role=consumer but calls the producer-only method ring.SPSC.Push"
 }
 
+// claimer declares producer but clears the lanes' posted mark, which
+// only the one sweeping consumer may do.
+//
+//countq:role=producer
+func claimer(q *queues) bool {
+	q.in.Push(1)
+	return q.l.Claim() // want "claimer is annotated //countq:role=producer but calls the consumer-only method ring.Lanes.Claim"
+}
+
 // relay declares producer but reaches Pop through an unannotated helper.
 //
 //countq:role=producer

@@ -23,10 +23,14 @@ func produce(p *pipe, v int) bool {
 	return ok
 }
 
-// sweep is the consumer's batched drain across every lane.
+// sweep is the consumer's batched drain across every lane, skipped when
+// no producer posted since the last one.
 //
 //countq:role=consumer
 func sweep(p *pipe, buf []int) []int {
+	if !p.l.Claim() {
+		return buf
+	}
 	for _, lane := range p.l.Snapshot() {
 		buf = lane.DrainTo(buf)
 	}

@@ -1,9 +1,10 @@
 // Package ring provides the repo's one audited single-producer
 // single-consumer ring implementation: a bounded, allocation-free SPSC
 // ring (SPSC), a multi-lane one-lane-per-producer aggregate (Lanes) whose
-// consumer sweeps every lane with a batched drain, and an eventcount-style
-// park/wake protocol (Event) so that consumer can sleep on empty lanes
-// without losing wakeups.
+// consumer sweeps every lane with a batched drain — but only after a
+// producer posted since the last sweep, so an idle check costs one load —
+// and an eventcount-style park/wake protocol (Event) so that consumer can
+// sleep on empty lanes without losing wakeups.
 //
 // The design follows the memory-bounded discipline of Aksenov et al.'s
 // memory-optimal bounded queues (arXiv:2104.15003, PAPERS.md): every lane
@@ -22,7 +23,9 @@
 //     handoff itself synchronizes.
 //   - Lanes: NewLane/Remove/Snapshot may be called from any goroutine
 //     (registration is copy-on-write under a mutex); each returned lane
-//     then follows the SPSC contract.
+//     then follows the SPSC contract. A producer calls Wake after every
+//     successful Push; then a consumer that sweeps after every true Claim
+//     misses nothing (it may also sweep without one).
 //   - Event: one consumer parks (Prepare/WakeChan/Unpark); any number of
 //     producers call Wake. Wakeups are never lost if the consumer
 //     re-checks for work between Prepare and blocking on WakeChan;
@@ -225,10 +228,19 @@ func (e *Event) Unpark() {
 // snapshot of all lanes without taking the registration lock. The
 // embedded Event lets the consumer park between sweeps; producers wake it
 // after publishing.
+//
+// The posted mark lets the consumer skip a sweep that would find nothing:
+// Wake sets it after the producer's Push, Claim clears it before the
+// consumer's sweep, so one load of the mark answers "did anyone publish
+// since I last looked" however many lanes are registered. It sits next to
+// Event.parked, which Wake loads anyway, so a Wake still touches one cache
+// line (the 16-byte block holding the two words never straddles a line;
+// TestLanesMarkLayout checks it by address).
 type Lanes[T any] struct {
-	regMu sync.Mutex
-	set   atomic.Pointer[[]*SPSC[T]]
-	ev    Event
+	regMu  sync.Mutex
+	set    atomic.Pointer[[]*SPSC[T]]
+	posted atomic.Uint32
+	ev     Event
 }
 
 // NewLanes builds an empty aggregate.
@@ -281,11 +293,50 @@ func (l *Lanes[T]) Snapshot() []*SPSC[T] {
 	return *l.set.Load()
 }
 
-// Wake signals the parked consumer; producers call it after Push.
+// Wake posts the mark and signals the parked consumer; producers call it
+// after every successful Push. The mark is loaded before it is stored, so
+// a burst of publishes writes the line once per sweep, not once per item.
 //
 //countq:hotpath
 //countq:role=producer
-func (l *Lanes[T]) Wake() { l.ev.Wake() }
+func (l *Lanes[T]) Wake() {
+	if l.posted.Load() == 0 {
+		l.posted.Store(1)
+	}
+	l.ev.Wake()
+}
+
+// Claim clears the posted mark and reports whether a producer has called
+// Wake since the last Claim, i.e. whether a sweep can find anything. A
+// false Claim lets the consumer skip the sweep at the cost of one load; a
+// true one obliges it to sweep every lane, since the mark does not say
+// which lane was published to.
+//
+// Nothing published is skipped. Go's atomics are sequentially consistent,
+// and each side orders its two accesses the other way round: a producer
+// stores the lane's tail (Push), then loads the mark (Wake); the consumer
+// clears the mark (here), then loads the tails (the sweep). Take one item
+// and the mark load L of the Wake after its Push. If the consumer clears
+// the mark after L, the sweep after that clear loads the tail after the
+// Push and takes the item. If it does not, the mark is still 1 at its next
+// Claim — L read a 1, or the producer stored one right after L — so that
+// Claim reports true, and its sweep again comes after the Push.
+//
+// The same pair of orderings keeps parking lossless when the consumer's
+// re-check between Prepare and WakeChan starts with Claim: Wake touches
+// the mark and then loads Event.parked, Prepare stores parked and then
+// Claim loads the mark. Either Wake sees the flag and signals, or the
+// re-check's Claim sees the mark and sweeps.
+//
+//countq:hotpath
+//countq:role=consumer
+func (l *Lanes[T]) Claim() bool {
+	if l.posted.Load() == 0 {
+		return false
+	}
+	l.posted.Store(0)
+	return true
+}
 
 // Prepare announces the consumer's intent to park; see Event.Prepare.
 //

@@ -2,7 +2,10 @@ package ring
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 func TestSPSCPushPop(t *testing.T) {
@@ -143,6 +146,140 @@ func TestLanesRegisterRemove(t *testing.T) {
 	b.Push(7)
 	if v, ok := b.Pop(); !ok || v != 7 {
 		t.Fatal("removed lane no longer usable by its owner")
+	}
+}
+
+// TestLanesClaim pins the posted mark's three states: nothing posted on a
+// fresh aggregate, posted after a Wake (however many), and cleared by the
+// Claim that reported it.
+func TestLanesClaim(t *testing.T) {
+	l := NewLanes[int]()
+	if l.Claim() {
+		t.Fatal("Claim on a fresh Lanes reported a post")
+	}
+	lane := l.NewLane(4)
+	lane.Push(1)
+	l.Wake()
+	lane.Push(2)
+	l.Wake()
+	if !l.Claim() {
+		t.Fatal("Claim after Wake reported nothing posted")
+	}
+	if l.Claim() {
+		t.Fatal("second Claim reported a post the first one cleared")
+	}
+}
+
+// TestLanesMarkLayout checks by address that the posted mark shares a cache
+// line with the eventcount's parked flag, which Wake loads anyway, for
+// aggregates at every offset the allocator hands out.
+func TestLanesMarkLayout(t *testing.T) {
+	const line = 64
+	keep := make([]*Lanes[int], 0, 256)
+	for i := 0; i < cap(keep); i++ {
+		l := NewLanes[int]()
+		keep = append(keep, l)
+		mark, parked := uintptr(unsafe.Pointer(&l.posted)), uintptr(unsafe.Pointer(&l.ev.parked))
+		if mark/line != parked/line {
+			t.Fatalf("Lanes at %#x: posted mark at %#x and parked flag at %#x sit on different cache lines", uintptr(unsafe.Pointer(l)), mark, parked)
+		}
+	}
+}
+
+// TestLanesClaimNoStrand runs the bridge pump's consumer shape under load:
+// sweep only after a true Claim, and park only after Prepare and a second
+// Claim both came up empty. Each producer waits for its last value to be
+// swept before it pushes the next, so the consumer parks between most
+// values and every Wake races a park. Every pushed value must be swept
+// exactly once and in its lane's order, and the consumer must never stay
+// parked on a lane whose producer's Wake has returned: a park that
+// outlives the watchdog with such a lane and no signal buffered is a
+// stranded item. Run it with -race too.
+func TestLanesClaimNoStrand(t *testing.T) {
+	const producers = 4
+	const perProducer = 5000
+	const watchdog = 50 * time.Millisecond
+	l := NewLanes[int]()
+	lanes := make([]*SPSC[int], producers)
+	var woken, swept [producers]atomic.Int64
+	for i := range lanes {
+		lanes[i] = l.NewLane(16)
+	}
+	seen := make([]int, producers*perProducer)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var scratch []int
+		total := 0
+		sweep := func() {
+			for i, lane := range l.Snapshot() {
+				scratch = lane.DrainTo(scratch[:0])
+				for _, v := range scratch {
+					seen[v]++
+					if want := i*perProducer + int(swept[i].Load()); v != want {
+						t.Errorf("lane %d delivered %d, want %d", i, v, want)
+					}
+					swept[i].Add(1)
+				}
+				total += len(scratch)
+			}
+		}
+		for total < producers*perProducer {
+			if l.Claim() {
+				sweep()
+				continue
+			}
+			l.Prepare()
+			if l.Claim() {
+				l.Unpark()
+				sweep()
+				continue
+			}
+			select {
+			case <-l.WakeChan():
+				continue
+			case <-time.After(watchdog):
+			}
+			// Read the Wakes first: any that returned before this load
+			// found the parked flag up, so its signal must be buffered.
+			var owed [producers]int64
+			for i := range owed {
+				owed[i] = woken[i].Load() - swept[i].Load()
+			}
+			select {
+			case <-l.WakeChan():
+				continue
+			default:
+			}
+			for i, n := range owed {
+				if n > 0 {
+					t.Errorf("consumer parked with %d woken items in lane %d and no signal", n, i)
+				}
+			}
+			l.Unpark()
+			sweep()
+		}
+	}()
+	for p := 0; p < producers; p++ {
+		go func(p int) {
+			lane := lanes[p]
+			for i := 0; i < perProducer; i++ {
+				for !lane.Push(p*perProducer + i) {
+					runtime.Gosched()
+				}
+				l.Wake()
+				woken[p].Add(1)
+				for swept[p].Load() <= int64(i) {
+					runtime.Gosched()
+				}
+			}
+		}(p)
+	}
+	<-done
+	for v, n := range seen {
+		if n != 1 {
+			t.Fatalf("value %d swept %d times, want once", v, n)
+		}
 	}
 }
 

@@ -41,10 +41,11 @@ import (
 //
 // Transport (see DESIGN.md, "Bridge transport"): sessions publish
 // operations into private SPSC lanes (internal/ring) that the pump sweeps
-// once per round in session-registration order, and sync grants return
-// through a per-session completion ring with an eventcount park/wake —
-// the uncontended sync round trip spins through the pump's turn instead
-// of paying two channel handoffs and a scheduler wakeup per op.
+// in session-registration order in any round a session has posted to, and
+// sync grants return through a per-session completion ring with an
+// eventcount park/wake — the uncontended sync round trip spins through the
+// pump's turn instead of paying two channel handoffs and a scheduler
+// wakeup per op.
 
 // defaultPipeline is the default per-session transport depth: the submit
 // lane capacity, the async completion buffer, and the cap on operations
@@ -117,6 +118,14 @@ const pumpIdlePoll = 512
 // 150-160 k while the kernel had both threads on one vCPU; every 4096
 // rounds, 120-125 k with dips to 113 k; never, 125-126 k (97-104 k on one
 // vCPU), one sleep per cycle, exactly 57 rounds per operation.
+//
+// Those figures predate the O(1) round (a round nobody posted to costs
+// Network.Step and one load; Close and SimStats left the per-round path).
+// Same workload, one 2-vCPU host, ten alternating 10 s benchmark runs per
+// build, never yielding: 80-96 k ops/s before that change, 145-185 k
+// after, 57.0 rounds per operation both. After it, yielding every 64
+// rounds read 129-149 k against 145-162 k for never (four alternating
+// pairs) and moved rounds per operation to 56.3-56.4.
 const freeRunYield = 64
 
 // Grants is the completion sink a BridgeProtocol resolves operations
@@ -187,8 +196,9 @@ type Bridge struct {
 	cfg      BridgeConfig
 	pipeline int
 	// sub aggregates the per-session submit lanes; the pump sweeps a
-	// snapshot of them once per round and parks on the aggregate's
-	// eventcount when everything is idle.
+	// snapshot of them in a round where a session has posted since the last
+	// sweep, and parks on the aggregate's eventcount when everything is
+	// idle.
 	sub        *ring.Lanes[bridgeOp]
 	scratch    []bridgeOp    // pump-owned sweep buffer, reused across rounds
 	idlePoll   int           // lane checks an idle pump spends before its first yield
@@ -201,8 +211,9 @@ type Bridge struct {
 	nextLeaf   atomic.Uint64
 	leaves     []int
 	// Simulated-time mirror of the network stats, refreshed by the pump
-	// once per round so callers can report simulated rounds and message
-	// counts alongside wall latency without touching pump-owned state.
+	// after a round that granted an operation and when it goes idle, so
+	// callers can report simulated rounds and message counts alongside
+	// wall latency without touching pump-owned state.
 	simRounds atomic.Int64
 	simMsgs   atomic.Int64
 	// closeMu fences submission against Close: senders hold the read
@@ -400,8 +411,9 @@ func NewBridge(cfg BridgeConfig) (*Bridge, error) {
 }
 
 // SimStats reports the simulated rounds stepped and protocol messages
-// sent so far — the simulated-time cost behind the wall-clock latencies,
-// refreshed once per round by the pump. Safe from any goroutine.
+// sent — the simulated-time cost behind the wall-clock latencies. The
+// figures are current as of the last round that granted an operation;
+// exact once the network is idle. Safe from any goroutine.
 func (b *Bridge) SimStats() (rounds, messages int64) {
 	return b.simRounds.Load(), b.simMsgs.Load()
 }
@@ -478,11 +490,16 @@ func (b *Bridge) pump(nw *Network, bp BridgeProtocol, table *grantTable) {
 
 // inject sweeps every session lane once — in lane-registration order,
 // which is session-creation order, so injection stays deterministic for a
-// fixed session set — and issues the swept batch into the protocol.
+// fixed session set — and issues the swept batch into the protocol. When
+// no session has posted since the last sweep it returns 0 after one load
+// of the lanes' mark, touching no lane.
 //
 //countq:hotpath
 //countq:role=consumer
 func (b *Bridge) inject(env *Env, bp BridgeProtocol, table *grantTable) int {
+	if !b.sub.Claim() {
+		return 0
+	}
 	injected := 0
 	for _, lane := range b.sub.Snapshot() {
 		if lane.Empty() {
@@ -522,11 +539,14 @@ func (b *Bridge) pollLanes(checks int) bool {
 
 // pumpLoop is the pump's steady state: allocation-free once the grant
 // table, the scratch buffer and the engine's buffers have grown to the
-// workload's high-water mark. One lane sweep per round batch-injects
-// every waiting submission, so concurrent sessions contend inside the
-// simulation (queued at the protocol's capacity) rather than in the
-// transport; when everything is idle the pump spins briefly and then
-// parks on the lanes' eventcount.
+// workload's high-water mark. A round where a session has posted begins
+// with one lane sweep that batch-injects every waiting submission, so
+// concurrent sessions contend inside the simulation (queued at the
+// protocol's capacity) rather than in the transport; any other round
+// costs Network.Step and a load of the lanes' mark. When everything is
+// idle the pump publishes SimStats, spins briefly and then parks on the
+// lanes' eventcount; it observes Close only there, which every drain
+// reaches before the pump may exit.
 //
 //countq:hotpath
 //countq:role=consumer
@@ -537,16 +557,23 @@ func (b *Bridge) pumpLoop(nw *Network, bp BridgeProtocol, table *grantTable) {
 		return
 	}
 	closing := false
+	stale := false // rounds were stepped since SimStats was last published
 	idle := 0
 	for {
 		injected := b.inject(env, bp, table)
 		if table.live == 0 && nw.Quiescent() {
+			if stale {
+				b.publishStats(nw)
+				stale = false
+			}
 			if closing {
 				if injected == 0 {
-					// Closed, drained, quiescent: the lanes were empty on
-					// this very sweep and no publish can start once the
-					// closed flag is up, so exit. Close sweeps once more
-					// for operations that beat the flag.
+					// Closed, drained, quiescent: this very inject found
+					// nothing (every accepted send posted the mark before
+					// Close could raise the closed flag, so nothing is
+					// left unposted) and no publish can start once the flag
+					// is up, so exit. Close sweeps once more for operations
+					// that beat the flag.
 					return
 				}
 				continue
@@ -568,6 +595,9 @@ func (b *Bridge) pumpLoop(nw *Network, bp BridgeProtocol, table *grantTable) {
 			default:
 			}
 			if idle == 0 && b.pollLanes(b.idlePoll) {
+				// The lane's producer posts the mark a few instructions
+				// after its Push; until it has, inject finds nothing and
+				// this poll hits again.
 				continue
 			}
 			if idle < pumpIdleSpin {
@@ -578,7 +608,9 @@ func (b *Bridge) pumpLoop(nw *Network, bp BridgeProtocol, table *grantTable) {
 			b.sub.Prepare()
 			if b.inject(env, bp, table) > 0 {
 				// Work raced in before the parked flag was visible; its
-				// publisher saw no parked consumer and sent no signal.
+				// publisher saw no parked consumer and sent no signal, but
+				// it posted the mark before loading the flag, so this
+				// inject's Claim sees it (see ring.Lanes.Claim).
 				b.sub.Unpark()
 				idle = 0
 				continue
@@ -594,23 +626,29 @@ func (b *Bridge) pumpLoop(nw *Network, bp BridgeProtocol, table *grantTable) {
 		}
 		idle = 0
 		b.sleepHop()
+		live := table.live
 		if err := nw.Step(); err != nil {
 			b.fail(table, err)
 			return
 		}
-		st := nw.Stats()
-		b.simRounds.Store(int64(st.Rounds))
-		b.simMsgs.Store(int64(st.MessagesSent))
-		if !closing {
-			// Re-check shutdown so a Close with an idle network exits
-			// promptly even while sessions keep the lanes empty.
-			select {
-			case <-b.done:
-				closing = true
-			default:
-			}
+		// Publish after a round that granted an operation (table.live fell
+		// across Step); a round that granted nothing leaves its figures to
+		// the next grant or to the idle branch.
+		stale = table.live == live
+		if !stale {
+			b.publishStats(nw)
 		}
 	}
+}
+
+// publishStats mirrors the network's round and message counts into the
+// fields SimStats reads.
+//
+//countq:hotpath
+func (b *Bridge) publishStats(nw *Network) {
+	st := nw.Stats()
+	b.simRounds.Store(int64(st.Rounds))
+	b.simMsgs.Store(int64(st.MessagesSent))
 }
 
 // failLanes sweeps every session lane and resolves the swept operations
@@ -687,8 +725,8 @@ func (b *Bridge) sleepHop() {
 type bridgeSession struct {
 	b    *Bridge
 	node int
-	// lane is the session's private submit ring; the pump sweeps it once
-	// per round.
+	// lane is the session's private submit ring; the pump sweeps it in a
+	// round after some session posted to the bridge's lanes.
 	lane *ring.SPSC[bridgeOp]
 	out  chan countq.Completion
 	// grants carries sync round-trip results back from the pump; ev is

@@ -2,10 +2,12 @@ package sim_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -458,5 +460,144 @@ func TestBridgeCloseSubmitRace(t *testing.T) {
 		wg.Wait()
 		<-closed
 		b.Close() // idempotent
+	}
+}
+
+// treeList64 is the combining tree on the 64-node list, free-running: an
+// operation takes 57 rounds, so a Close almost always lands mid-chain.
+const treeList64 = "sim-tree-counter?topo=list&nodes=64&hoplat=0"
+
+// TestBridgeCloseMidChain closes the tree while eight pipelined sessions
+// (nodes 7, 14, …, 56 of 63 open) keep operations in flight. The pump
+// observes the close only once it has drained to idle, never in the middle
+// of a chain. Close must return, which it does only after the pump has
+// exited, and every accepted Submit must get exactly one Completion: a
+// granted, distinct count, or the close error.
+func TestBridgeCloseMidChain(t *testing.T) {
+	const depth = 4 // operations each driven session keeps outstanding
+	for iter := 0; iter < 5; iter++ {
+		st, err := countq.NewStructure(treeList64, countq.KindCounter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var driven []countq.AsyncSession
+		for i := 0; i < 63; i++ {
+			sess, err := st.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%7 == 6 {
+				driven = append(driven, sess.(countq.AsyncSession))
+			}
+		}
+		var granted atomic.Int64
+		counts := make([][]int64, len(driven))
+		var wg sync.WaitGroup
+		for w, as := range driven {
+			wg.Add(1)
+			go func(w int, as countq.AsyncSession) {
+				defer wg.Done()
+				ctx := context.Background()
+				reap := func() {
+					c := <-as.Completions()
+					switch {
+					case c.Err == nil:
+						counts[w] = append(counts[w], c.Value)
+						granted.Add(1)
+					case !strings.Contains(c.Err.Error(), "closed"):
+						t.Errorf("completion failed with %v, want a grant or the close error", c.Err)
+					}
+				}
+				accepted, reaped := 0, 0
+				for as.Submit(ctx, countq.Op{Kind: countq.OpInc, N: 1}) == nil {
+					accepted++
+					if accepted-reaped >= depth {
+						reap()
+						reaped++
+					}
+				}
+				// A lost completion blocks here until the test times out.
+				for ; reaped < accepted; reaped++ {
+					reap()
+				}
+			}(w, as)
+		}
+		for deadline := time.Now().Add(5 * time.Second); granted.Load() < 64; {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d operations granted in 5s", granted.Load())
+			}
+			runtime.Gosched()
+		}
+		if err := st.(io.Closer).Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		seen := make(map[int64]bool)
+		for w, as := range driven {
+			if n := len(as.Completions()); n != 0 {
+				t.Errorf("session %d holds %d completions beyond one per accepted Submit", w, n)
+			}
+			for _, v := range counts[w] {
+				if seen[v] {
+					t.Fatalf("count %d granted twice", v)
+				}
+				seen[v] = true
+			}
+		}
+		if _, err := driven[0].(countq.Session).Inc(context.Background()); err == nil {
+			t.Error("Inc on a closed bridge succeeded")
+		}
+	}
+}
+
+// TestBridgeCloseSyncSpin closes the tree while a synchronous session at
+// the far end of the list loops Inc, so Close lands while the session spins
+// in its round trip. The loop must end with the close error, every Inc
+// before it must have returned the next count, and Close must return.
+func TestBridgeCloseSyncSpin(t *testing.T) {
+	for iter := 0; iter < 5; iter++ {
+		st, err := countq.NewStructure(treeList64, countq.KindCounter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sess countq.Session
+		for i := 0; i < 63; i++ { // the last session sits on node 63
+			if sess, err = st.NewSession(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ops atomic.Int64
+		loopErr := make(chan error, 1)
+		go func() {
+			for want := int64(1); ; want++ {
+				v, err := sess.Inc(context.Background())
+				if err != nil {
+					loopErr <- err
+					return
+				}
+				if v != want {
+					loopErr <- fmt.Errorf("Inc = %d, want %d", v, want)
+					return
+				}
+				ops.Add(1)
+			}
+		}()
+		for deadline := time.Now().Add(5 * time.Second); ops.Load() < int64(10*(iter+1)); {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d Incs returned in 5s", ops.Load())
+			}
+			runtime.Gosched()
+		}
+		if err := st.(io.Closer).Close(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-loopErr:
+			if !strings.Contains(err.Error(), "closed") {
+				t.Fatalf("Inc loop ended with %v, want the close error", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Inc loop still running 5s after Close returned")
+		}
 	}
 }

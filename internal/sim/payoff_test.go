@@ -170,8 +170,9 @@ func chaseSpec(op, node, prev int) (int64, int) {
 func rootTripSpec(op, node, _ int) (int64, int) { return int64(op + 1), 2 * node }
 
 // settledSimStats reads the bridge's simulated rounds and messages once they
-// have stopped moving: the pump publishes them after each round, a moment
-// after that round's grants reach the sessions.
+// have stopped moving: the pump publishes them after a round that granted
+// an operation, a moment after that round's grants reach the sessions, and
+// exactly once the network is idle.
 func settledSimStats(br *sim.Bridge) (rounds, msgs int64) {
 	rounds, msgs = br.SimStats()
 	for {
