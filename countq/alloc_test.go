@@ -90,22 +90,38 @@ func gate(t *testing.T, name string, runs int, body func()) {
 
 // TestValidateAllocs holds the post-run validators to their exact
 // allocation counts over valid evidence of k = 4096 operations, stored in
-// shuffled order as concurrent workers leave it: the counts check makes one
-// bit set, its block-grant path one span slice, the order check one id
-// table and one successor array — nothing per entry.
+// shuffled order: the counts check makes one bit set, its block-grant path
+// one span slice, the order check one id table and one successor array —
+// nothing per entry. The order check's lane-ordered case is the same chain
+// stored as two runner lanes leave it, each lane's ids one run: it makes
+// one run table and one successor array, and the shuffled case's failed
+// run scan allocates nothing.
 func TestValidateAllocs(t *testing.T) {
 	const k = 4096
 	counts, ids, preds := make([]int64, k), make([]int64, k), make([]int64, k)
+	laneIDs, lanePreds := make([]int64, k), make([]int64, k)
 	var singles []int64 // with blocks, a tiling of 1..5k/2: k/2 singles and k/2 four-count blocks
 	var blocks []CountRange
+	// laneID names chain operation p as the runner would: even p from
+	// lane 0, odd p from lane 1, each lane numbering its enqueues; lane
+	// l's j-th id is stored at l·k/2 + j.
+	laneID := func(p int64) int64 { return p%2<<40 | p/2 }
 	for i, p := range rand.New(rand.NewSource(1)).Perm(k) {
 		counts[i] = int64(p) + 1
 		ids[i], preds[i] = int64(p), int64(p)-1 // one chain: id 0 queues behind Head, which is -1
+		at := p%2*k/2 + p/2
+		laneIDs[at], lanePreds[at] = laneID(int64(p)), Head
+		if p > 0 {
+			lanePreds[at] = laneID(int64(p) - 1)
+		}
 		if first := int64(p/2)*5 + 1; p%2 == 0 {
 			singles = append(singles, first)
 		} else {
 			blocks = append(blocks, CountRange{First: first + 1, N: 4})
 		}
+	}
+	if _, ok := newRunIndex(laneIDs); !ok {
+		t.Fatal("lane-ordered ids not indexed by their runs")
 	}
 	// No collection in the window: a GC cycle allocates runtime bookkeeping
 	// (mark-worker nodes, sudogs, timer-heap growth) that the global count
@@ -119,6 +135,7 @@ func TestValidateAllocs(t *testing.T) {
 		{"ValidateCounts", 1, func() error { return ValidateCounts(counts) }},
 		{"ValidateCountRanges", 1, func() error { return ValidateCountRanges(singles, blocks) }},
 		{"ValidateOrder", 2, func() error { return ValidateOrder(ids, preds) }},
+		{"ValidateOrder lane-ordered", 2, func() error { return ValidateOrder(laneIDs, lanePreds) }},
 	} {
 		var err error
 		got := allocsPerOp(64, func() { err = tc.run() })

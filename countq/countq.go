@@ -235,20 +235,69 @@ func validateSingles(values []int64) error {
 	return fmt.Errorf("countq: count %d outside 1..%d", above, k)
 }
 
-// idIndex is an open-addressed key → index table over a slice of int64
-// keys, of which the inserted ones are distinct: at least two int32 slots
-// per key (a power of two), Fibonacci multiplicative hashing, linear
-// probing, no deletion. A slot holds 1 + the key's index, so the zeroed
-// allocation is the empty table.
+// idIndex is a key → index table over a slice of int64 keys, in one of
+// two forms.
+//
+// The hash form (newIDIndex) is open-addressed over the keys, of which the
+// inserted ones are distinct: at least two int32 slots per key (a power of
+// two), Fibonacci multiplicative hashing, linear probing, no deletion. A
+// slot holds 1 + the key's index, so the zeroed allocation is the empty
+// table. It takes any keys, at about one cache miss per insert and per find
+// once the table outgrows the cache.
+//
+// The run form (newRunIndex) serves keys stored as a few runs — stretches
+// where each key is the previous key plus one, as a runner lane numbers
+// its enqueues — by a table of the runs sorted by first key. findRun is a
+// binary search over the runs and one subtraction; nothing is inserted.
 type idIndex struct {
 	keys  []int64
 	slots []int32
-	shift uint // 64 - log2(len(slots))
+	shift uint    // 64 - log2(len(slots))
+	runs  []idRun // non-nil in the run form
+}
+
+// idRun is one run of the run form: keys[at+i] == first+i for i < n.
+type idRun struct {
+	first int64
+	at, n int32
 }
 
 func newIDIndex(keys []int64) idIndex {
 	lg := uint(bits.Len(uint(max(2*len(keys)-1, 1))))
 	return idIndex{keys: keys, slots: make([]int32, 1<<lg), shift: 64 - lg}
+}
+
+// newRunIndex returns the run form over keys, or false when the keys do
+// not split into at most max(len(keys)/16, 1) runs covering disjoint key
+// ranges. Disjoint runs prove the keys distinct. The count stops at the
+// first run past the limit, so keys in no order cost about len(keys)/16
+// comparisons and no allocation; runs that overlap share a key, and
+// only such input, already invalid, pays for the discarded run table.
+// The keys must be non-negative, so that no run wraps past MaxInt64.
+func newRunIndex(keys []int64) (idIndex, bool) {
+	limit := max(len(keys)/16, 1)
+	n := 0
+	for i := range keys {
+		if i == 0 || keys[i] != keys[i-1]+1 {
+			if n++; n > limit {
+				return idIndex{}, false
+			}
+		}
+	}
+	runs := make([]idRun, 0, n)
+	for i := range keys {
+		if i == 0 || keys[i] != keys[i-1]+1 {
+			runs = append(runs, idRun{first: keys[i], at: int32(i)})
+		}
+		runs[len(runs)-1].n++
+	}
+	slices.SortFunc(runs, func(a, b idRun) int { return cmp.Compare(a.first, b.first) })
+	for r := 1; r < len(runs); r++ {
+		if last := runs[r-1].first + int64(runs[r-1].n) - 1; last >= runs[r].first {
+			return idIndex{}, false
+		}
+	}
+	return idIndex{runs: runs}, true
 }
 
 // home is the slot a key's probe sequence starts from.
@@ -282,6 +331,26 @@ func (t *idIndex) find(key int64) int {
 	}
 }
 
+// findRun is find in the run form, which holds at least one run: the
+// last run starting at or below key holds it, if any run does. The search
+// halves a span whose length depends on the run count alone, so its one
+// data-dependent step compiles to a conditional move, and keys scattered
+// over the runs cost no branch mispredictions.
+func (t *idIndex) findRun(key int64) int {
+	runs := t.runs
+	i := 0
+	for n := len(runs); n > 1; n -= n >> 1 {
+		if runs[i+n>>1].first <= key {
+			i += n >> 1
+		}
+	}
+	// A key below runs[0] makes off negative, out of range as unsigned.
+	if off := key - runs[i].first; uint64(off) < uint64(runs[i].n) {
+		return int(runs[i].at) + int(off)
+	}
+	return -1
+}
+
 // ValidateOrder checks the queuing correctness condition on a set of
 // (id, predecessor) pairs: ids distinct and non-negative, predecessors
 // distinct, exactly one operation queued behind Head, and the successor
@@ -290,9 +359,17 @@ func (t *idIndex) find(key int64) int {
 // could not be told from the head of the queue.
 //
 // It runs in O(k) expected time over flat memory: one id → index table
-// (idIndex, 8 to 16 bytes per entry) and one successor array by index
-// (4 bytes per entry) — 12 bytes per entry when k is a power of two, 20 at
-// worst. Indices are int32, so k is limited to 2³¹-1 operations.
+// (idIndex) and one successor array by index (4 bytes per entry). Ids
+// stored as at most k/16 runs of consecutive integers covering disjoint
+// ranges — a runner lane's enqueues, lane by lane — are indexed by their
+// runs (16 bytes per run, at most 1 per entry), are distinct by
+// construction, and are found by a binary search over the runs: 5 bytes
+// per entry at most, read in the order the chain visits them. Any other
+// ids go through the hash form (8 to 16 bytes per entry), at about one
+// cache miss per id and one per predecessor once the table outgrows the
+// cache: 12 to 20 bytes per entry. The form depends on the ids alone;
+// verdicts and error texts do not depend on it. Indices are int32, so k is
+// limited to 2³¹-1 operations.
 func ValidateOrder(ids, preds []int64) error {
 	if len(ids) != len(preds) {
 		return fmt.Errorf("countq: %d ids but %d preds", len(ids), len(preds))
@@ -309,12 +386,15 @@ func ValidateOrder(ids, preds []int64) error {
 	// at each index the id is checked before the predecessor. Ids are
 	// therefore indexed only up to the first duplicate, and predecessors
 	// only resolved below it.
-	byID := newIDIndex(ids)
+	byID, distinct := newRunIndex(ids)
 	limit := len(ids)
-	for i := range ids {
-		if byID.insert(i) >= 0 {
-			limit = i
-			break
+	if !distinct {
+		byID = newIDIndex(ids)
+		for i := range ids {
+			if byID.insert(i) >= 0 {
+				limit = i
+				break
+			}
 		}
 	}
 	// succ[j] and head hold 1 + the index of the operation queued behind
@@ -328,7 +408,14 @@ func ValidateOrder(ids, preds []int64) error {
 	for i, p := range preds[:limit] {
 		behind := &head
 		if p != Head {
-			j := byID.find(p)
+			// Both finds inline here: a call per predecessor stalls the
+			// hash form's overlapping cache misses, 2.5× slower.
+			var j int
+			if byID.runs != nil {
+				j = byID.findRun(p)
+			} else {
+				j = byID.find(p)
+			}
 			if j < 0 {
 				if strays.slots == nil {
 					strays = newIDIndex(preds)

@@ -102,6 +102,59 @@ func TestEvidenceFoldsIntoReservation(t *testing.T) {
 	}
 }
 
+// TestEvidenceFormsLaneRuns drives a small mixed synchronous run — an
+// atomic counter and a queue, half and half, ramped from one worker to
+// two — through the phases runPhases drives, and holds its queue evidence
+// to at most one run of consecutive ids per lane per phase. Ids that stop
+// forming runs send ValidateOrder back to its hash form: this fails on the
+// run count, not on a validation time.
+func TestEvidenceFormsLaneRuns(t *testing.T) {
+	registerTestImpls()
+	base := Workload{Counter: "test-batch", Queue: "test-queue", Mix: 0.5, Scenario: "ramp?gmax=2", Goroutines: 2, Ops: 20000, Seed: 1}.withDefaults()
+	sc, err := ExpandScenario(base.Scenario, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewStructure(base.Counter, KindCounter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := NewStructure(base.Queue, KindQueue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := normalizePhases(base, sc.Phases, cs, qs, StructureInfo{}, StructureInfo{}); err != nil {
+		t.Fatal(err)
+	}
+	var all laneData
+	all.reserve(sc.Phases)
+	lanes := 0
+	for pi, p := range sc.Phases {
+		if _, _, err := runPhase(cs, qs, base, pi, p, time.Now(), &all); err != nil {
+			t.Fatal(err)
+		}
+		lanes += p.Goroutines
+	}
+	if len(all.ids) == 0 {
+		t.Fatal("no queued operations")
+	}
+	runs := 0
+	for i, id := range all.ids {
+		if i == 0 || id != all.ids[i-1]+1 {
+			runs++
+		}
+	}
+	if runs > lanes {
+		t.Errorf("%d queued operations form %d runs of consecutive ids, want at most %d (one per lane per phase)", len(all.ids), runs, lanes)
+	}
+	if _, ok := newRunIndex(all.ids); !ok {
+		t.Errorf("%d queued operations in %d runs not indexed by their runs", len(all.ids), runs)
+	}
+	if err := ValidateOrder(all.ids, all.preds); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestDriverPureWorkloads(t *testing.T) {
 	registerTestImpls()
 	res, err := Run(Workload{Counter: "test-alpha", Goroutines: 2, Ops: 500})

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -172,13 +173,16 @@ type orderCase struct {
 	ids, preds []int64
 }
 
-// orderCases builds, for one size, a valid chain over shuffled distinct
-// ids and one input per corruption class. ids come from draw, so a case
-// can be rebuilt in the fuzz corpus's small id domain.
-func orderCases(k int, rng *rand.Rand, draw func() int64) []orderCase {
-	// chain returns k (id, pred) pairs forming one chain, stored in
-	// shuffled order, plus pos[i]: where the chain's i-th operation sits.
-	chain := func() (ids, preds []int64, pos []int) {
+// orderLayout returns k (id, pred) pairs forming one chain, in storage
+// order, plus pos[i]: where the chain's i-th operation sits.
+type orderLayout func(k int, rng *rand.Rand) (ids, preds []int64, pos []int)
+
+// shuffledLayout stores a chain over distinct ids from draw in shuffled
+// order: no structure for ValidateOrder to lean on, so it takes the hash
+// form. ids come from draw, so a case can be rebuilt in the fuzz corpus's
+// small id domain.
+func shuffledLayout(draw func() int64) orderLayout {
+	return func(k int, rng *rand.Rand) (ids, preds []int64, pos []int) {
 		seen := make(map[int64]bool, k)
 		order := make([]int64, 0, k)
 		for len(order) < k {
@@ -196,6 +200,61 @@ func orderCases(k int, rng *rand.Rand, draw func() int64) []orderCase {
 		}
 		return ids, preds, pos
 	}
+}
+
+// runLayout stores a chain as the runner's lanes leave it: the ids are at
+// most max(k/16, 1) runs of consecutive integers over disjoint ranges of
+// [0, span), each run stored whole and in id order, the runs in shuffled
+// order; the chain interleaves the runs at random, each run queued in id
+// order. Valid evidence in this layout takes ValidateOrder's run form.
+func runLayout(span int64) orderLayout {
+	return func(k int, rng *rand.Rand) (ids, preds []int64, pos []int) {
+		ids, preds, pos = make([]int64, k), make([]int64, k), make([]int, k)
+		if k == 0 {
+			return ids, preds, pos
+		}
+		nr := 1 + rng.Intn(min(4, max(k/16, 1)))
+		// Run r (in id order) has n[r] ids from first[r] and is stored
+		// from at[r]; the gaps between the runs' ranges are random.
+		n, first, at := make([]int, nr), make([]int64, nr), make([]int, nr)
+		cuts := append(rng.Perm(k - 1)[:nr-1], k-1)
+		slices.Sort(cuts)
+		gaps := make([]int64, nr)
+		for r := range gaps {
+			gaps[r] = rng.Int63n(span - int64(k) + 1)
+		}
+		slices.Sort(gaps)
+		for r, prev := 0, -1; r < nr; r++ {
+			n[r], prev = cuts[r]-prev, cuts[r]
+			first[r] = gaps[r] + int64(cuts[r]+1-n[r])
+		}
+		next := 0
+		for _, r := range rng.Perm(nr) {
+			at[r], next = next, next+n[r]
+		}
+		var turns []int // the run each chain position queues from
+		for r := range n {
+			for j := 0; j < n[r]; j++ {
+				turns = append(turns, r)
+			}
+		}
+		rng.Shuffle(k, func(i, j int) { turns[i], turns[j] = turns[j], turns[i] })
+		done := make([]int, nr)
+		prev := Head
+		for i, r := range turns {
+			p := at[r] + done[r]
+			ids[p], preds[p] = first[r]+int64(done[r]), prev
+			pos[i], prev = p, ids[p]
+			done[r]++
+		}
+		return ids, preds, pos
+	}
+}
+
+// orderCases builds, for one size, a valid chain in layout and one input
+// per corruption class.
+func orderCases(k int, rng *rand.Rand, layout orderLayout) []orderCase {
+	chain := func() (ids, preds []int64, pos []int) { return layout(k, rng) }
 	var cases []orderCase
 	add := func(name string, mutate func(ids, preds []int64, pos []int) ([]int64, []int64)) {
 		ids, preds, pos := chain()
@@ -277,6 +336,35 @@ func orderCases(k int, rng *rand.Rand, draw func() int64) []orderCase {
 		preds[pos[0]] = ids[pos[k-1]]
 		return ids, preds
 	})
+	add("overlapping runs", func(ids, preds []int64, pos []int) ([]int64, []int64) {
+		// Renumber the last stored stretch of consecutive ids, in the
+		// predecessors too, to start inside the first stretch's range:
+		// in the run layout two runs now overlap, elsewhere one id
+		// repeats.
+		s := k - 1
+		for s > 0 && ids[s] == ids[s-1]+1 {
+			s--
+		}
+		f := 1
+		for f < s && ids[f] == ids[f-1]+1 {
+			f++
+		}
+		if s == 0 {
+			s = k - 1 // one stretch: overlap its tail with its head
+		}
+		shift := ids[0] + rng.Int63n(int64(f)) - ids[s]
+		renamed := make(map[int64]int64, k-s)
+		for i := s; i < k; i++ {
+			renamed[ids[i]] = ids[i] + shift
+			ids[i] += shift
+		}
+		for i, p := range preds {
+			if q, ok := renamed[p]; ok {
+				preds[i] = q
+			}
+		}
+		return ids, preds
+	})
 	return cases
 }
 
@@ -297,8 +385,16 @@ func TestValidatorsMatchReference(t *testing.T) {
 			}
 			// Ids from anywhere in the non-negative range: no structure
 			// for the table to lean on.
-			for _, c := range orderCases(k, rng, rng.Int63) {
+			for _, c := range orderCases(k, rng, shuffledLayout(rng.Int63)) {
 				diffOrder(t, fmt.Sprintf("order k=%d round %d: %s", k, round, c.name), c.ids, c.preds)
+			}
+			// The same classes over lane-shaped runs, whose valid chains
+			// take the run form and whose corruptions may or may not.
+			for _, c := range orderCases(k, rng, runLayout(1<<62)) {
+				if _, ok := newRunIndex(c.ids); !ok && c.name == "chain" {
+					t.Errorf("order k=%d round %d: valid runs not indexed by their runs", k, round)
+				}
+				diffOrder(t, fmt.Sprintf("runs k=%d round %d: %s", k, round, c.name), c.ids, c.preds)
 			}
 		}
 	}
@@ -345,16 +441,24 @@ next:
 }
 
 func FuzzValidateOrder(f *testing.F) {
-	for _, k := range diffSizes {
-		if k >= 0xF0 {
-			continue
-		}
-		rng := rand.New(rand.NewSource(int64(k)))
-		for _, c := range orderCases(k, rng, func() int64 { return rng.Int63n(0xF0) }) {
-			ids, ok1 := fuzzEncode(c.ids)
-			preds, ok2 := fuzzEncode(c.preds)
-			if ok1 && ok2 {
-				f.Add(ids, preds)
+	// Shuffled seeds, then run-shaped ones, so that mutation also starts
+	// from the run form and from inputs one edit away from leaving it.
+	for _, runs := range []bool{false, true} {
+		for _, k := range diffSizes {
+			if k >= 0xF0 {
+				continue
+			}
+			rng := rand.New(rand.NewSource(int64(k)))
+			layout := shuffledLayout(func() int64 { return rng.Int63n(0xF0) })
+			if runs {
+				layout = runLayout(0xF0)
+			}
+			for _, c := range orderCases(k, rng, layout) {
+				ids, ok1 := fuzzEncode(c.ids)
+				preds, ok2 := fuzzEncode(c.preds)
+				if ok1 && ok2 {
+					f.Add(ids, preds)
+				}
 			}
 		}
 	}
@@ -391,10 +495,11 @@ func FuzzValidateCountRanges(f *testing.F) {
 	})
 }
 
-// probes counts the slots ValidateOrder's table inspects for one input: an
-// insert or a successful find of a key walks from its home slot to the
+// probes counts the slots ValidateOrder's hash form inspects for one input:
+// an insert or a successful find of a key walks from its home slot to the
 // slot it rests in, so the count is read off the built table — nothing is
-// added to the probe loops themselves.
+// added to the probe loops themselves. It builds the hash form itself,
+// whatever form ValidateOrder would pick for the ids.
 func probes(t *testing.T, ids, preds []int64) int {
 	t.Helper()
 	byID := newIDIndex(ids)
@@ -424,17 +529,20 @@ func probes(t *testing.T, ids, preds []int64) int {
 	return n
 }
 
-// TestValidateOrderProbeCount holds the id table to at most two probes per
-// table operation — k inserts and k finds, so 4k in all — on the id shapes
-// it will meet: a hash that degenerates into long probe runs on one of them
-// fails here, in counts, not in a benchmark's timings.
+// TestValidateOrderProbeCount holds the hash form of the id table to at
+// most two probes per table operation — k inserts and k finds, so 4k in
+// all — on the id shapes it will meet: a hash that degenerates into long
+// probe runs on one of them fails here, in counts, not in a benchmark's
+// timings. Stored in issue order, the runner packing and the dense ids are
+// runs, which ValidateOrder indexes by the run; shuffled or reaped out of
+// order they reach the hash, so it is measured on all four shapes.
 func TestValidateOrderProbeCount(t *testing.T) {
 	const k = 1 << 20
 	shapes := []struct {
 		name string
 		id   func(i int) int64
 	}{
-		// 2 phases × 2 lanes, each lane numbering its draws from 0.
+		// 2 phases × 2 lanes, each lane numbering its enqueues from 0.
 		{"runner packing", func(i int) int64 { return int64(i>>19)<<55 | int64(i>>18&1)<<40 | int64(i&(1<<18-1)) }},
 		{"dense sequential", func(i int) int64 { return int64(i) }},
 		{"strided", func(i int) int64 { return int64(i) << 22 }},

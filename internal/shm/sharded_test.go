@@ -3,6 +3,7 @@ package shm
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -240,5 +241,25 @@ func TestShardedDefaultShards(t *testing.T) {
 	}
 	if got, want := c.Shards(), runtime.GOMAXPROCS(0); got != want {
 		t.Errorf("default shard count = %d, want GOMAXPROCS = %d", got, want)
+	}
+}
+
+// TestShardedIncZeroAlloc is the allocation gate for direct
+// ShardedCounter.Inc calls: the shard index comes out of and goes back into
+// the affinity pool as the same pointer, and leases move ranges, not
+// slices, so Inc allocates nothing — the 16 lease refills in the window
+// included. GC is off in the window: a collection empties the pool, and
+// its refill would be charged to Inc.
+func TestShardedIncZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops shard indices under the race detector")
+	}
+	c, err := NewShardedCounter(4, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if avg := allocsPerOp(4096, func() { c.Inc() }); avg != 0 {
+		t.Errorf("%.5f allocs per Inc in steady state, want 0", avg)
 	}
 }
