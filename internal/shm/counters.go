@@ -4,15 +4,18 @@
 // The counting side offers a plain atomic fetch-and-increment, a mutex
 // counter, a flat-combining counter (batching concurrent increments, in the
 // spirit of software combining trees), a combining-funnel variant, a
-// bitonic counting network with per-balancer locks, a diffracting tree,
-// and a sharded per-P counter with leased count blocks. The queuing side
-// is the telling contrast: learning your predecessor needs a single atomic
-// swap (the "distributed swap" of Herlihy, Tirthapura and Wattenhofer),
-// with no validation, no retry and no multi-location coordination.
+// bitonic counting network with an atomic toggle per balancer, a
+// diffracting tree, and a sharded per-P counter with leased count blocks.
+// The queuing side is the telling contrast: learning your predecessor
+// needs a single atomic swap (the "distributed swap" of Herlihy,
+// Tirthapura and Wattenhofer), with no validation, no retry and no
+// multi-location coordination.
 //
 // Every structure is a native countq.Structure: NewSession hands each
 // worker a session that calls the structure's own Inc / IncN / Enqueue
-// directly (sessions.go; sharded's session is its per-worker lease). Two
+// directly (sessions.go; sharded's session is its per-worker lease, and
+// the funnel's, the diffracting tree's and the network's own the record
+// or generator their direct Inc borrows from a pool). Two
 // structures are asynchronous by construction: "async-funnel", a combining
 // counter whose flat-combining engine batches submitted increments and
 // completes them on a shared channel, and "elim", an elimination/back-off
@@ -29,7 +32,7 @@
 package shm
 
 import (
-	"math/rand"
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -153,8 +156,8 @@ func (c *CombiningCounter) drain() {
 	}
 }
 
-// NetworkCounter is a bitonic counting network with a lock per balancer and
-// a counter per output wire: a token traverses Θ(log² w) balancers and
+// NetworkCounter is a bitonic counting network with a toggle per balancer
+// and a counter per output wire: a token traverses Θ(log² w) balancers and
 // leaves with count = logical-output + w·(tokens already out on that wire).
 // Contention spreads over the balancers instead of one hot word — the
 // classic trade of latency for scalability the paper's counting side makes.
@@ -162,19 +165,28 @@ type NetworkCounter struct {
 	width   int
 	net     *counting.BalancerNetwork
 	balBy   [][]int // layer → wire → balancer index
-	toggles [][]balancerState
+	toggles [][]balancer
 	exits   []atomic.Int64 // per logical output wire
 	logical []int          // physical wire → logical output
-	entropy sync.Pool      // per-P randomness for input-wire choice
+	entropy sync.Pool      // per-P generators for the direct Inc's input-wire choice
 }
 
-type balancerState struct {
-	mu     sync.Mutex
-	toggle bool
-	_      [40]byte // avoid false sharing between adjacent balancers
+// balancer is one balancer's toggle: the number of tokens it has passed.
+// The token that makes it odd leaves on Top, the next on Bottom, so the
+// first token goes Top and the outputs alternate.
+type balancer struct {
+	n atomic.Uint32 // wraps at 2³², which is even: the alternation survives
+	_ [60]byte      // a balancer owns its cache line
 }
 
-var entropySeed atomic.Int64
+// pass sends the next token through b and returns the wire of spec it
+// leaves on.
+func (b *balancer) pass(spec counting.Balancer) int {
+	if b.n.Add(1)&1 == 1 {
+		return spec.Top
+	}
+	return spec.Bottom
+}
 
 // NewNetworkCounter builds a bitonic network counter of the given width
 // (a power of two).
@@ -187,13 +199,13 @@ func NewNetworkCounter(width int) (*NetworkCounter, error) {
 		width:   width,
 		net:     net,
 		balBy:   make([][]int, net.Depth()),
-		toggles: make([][]balancerState, net.Depth()),
+		toggles: make([][]balancer, net.Depth()),
 		exits:   make([]atomic.Int64, width),
 		logical: make([]int, width),
 	}
 	for li, layer := range net.Layers {
 		nc.balBy[li] = make([]int, width)
-		nc.toggles[li] = make([]balancerState, len(layer))
+		nc.toggles[li] = make([]balancer, len(layer))
 		for w := range nc.balBy[li] {
 			nc.balBy[li][w] = -1
 		}
@@ -206,36 +218,82 @@ func NewNetworkCounter(width int) (*NetworkCounter, error) {
 		nc.logical[w] = li
 	}
 	nc.entropy.New = func() interface{} {
-		return rand.New(rand.NewSource(entropySeed.Add(1)))
+		x := newXorshift()
+		return &x
 	}
 	return nc, nil
 }
 
 // Inc implements Counter: the caller's token enters on an arbitrary wire
 // (correctness does not depend on the choice) and traverses the network.
+//
+//countq:hotpath clocks=0
 func (nc *NetworkCounter) Inc() int64 {
-	rng := nc.entropy.Get().(*rand.Rand)
-	wire := rng.Intn(nc.width)
+	rng := nc.entropy.Get().(*xorshift)
+	wire := rng.below(nc.width)
 	nc.entropy.Put(rng)
+	return nc.traverse(wire)
+}
+
+// NewSession implements countq.Structure: the session owns its generator,
+// so its Inc never touches the pool.
+func (nc *NetworkCounter) NewSession() (countq.Session, error) {
+	s := &networkSession{rng: newXorshift()}
+	s.c = nc
+	return s, nil
+}
+
+// networkSession is a worker's session with its own input-wire generator.
+type networkSession struct {
+	counterSession[*NetworkCounter]
+	rng xorshift
+}
+
+// Inc implements countq.Session.
+//
+//countq:hotpath clocks=0
+func (s *networkSession) Inc(ctx context.Context) (int64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return s.c.traverse(s.rng.below(s.c.width)), nil
+}
+
+// traverse carries a token that entered on wire through every layer and
+// returns the count of the output wire it leaves on.
+//
+//countq:hotpath clocks=0
+func (nc *NetworkCounter) traverse(wire int) int64 {
 	for li := range nc.toggles {
 		bi := nc.balBy[li][wire]
 		if bi < 0 {
 			continue
 		}
-		b := &nc.toggles[li][bi]
-		spec := nc.net.Layers[li][bi]
-		b.mu.Lock()
-		if !b.toggle {
-			wire = spec.Top
-		} else {
-			wire = spec.Bottom
-		}
-		b.toggle = !b.toggle
-		b.mu.Unlock()
+		wire = nc.toggles[li][bi].pass(nc.net.Layers[li][bi])
 	}
 	li := nc.logical[wire]
 	k := nc.exits[li].Add(1) - 1
 	return int64(li) + int64(nc.width)*k + 1
+}
+
+// xorshift is a 64-bit xorshift generator (Marsaglia) owned by one
+// goroutine at a time: the funnel's slot choice and the network's
+// input-wire choice.
+type xorshift uint64
+
+var xorshiftSeed atomic.Uint64
+
+// newXorshift returns a generator seeded apart from every earlier one.
+func newXorshift() xorshift { return xorshift(xorshiftSeed.Add(1) * 0x9e3779b97f4a7c15) }
+
+// below draws an index in [0, n).
+func (x *xorshift) below(n int) int {
+	v := uint64(*x)
+	v ^= v << 13
+	v ^= v >> 7
+	v ^= v << 17
+	*x = xorshift(v)
+	return int((v >> 32) * uint64(n) >> 32)
 }
 
 // ValidateCounts checks that values is a permutation of 1..len(values) —

@@ -1,10 +1,13 @@
 package shm
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/countq"
 )
 
 // DiffractingCounter is a diffracting tree (Shavit & Zemach): a binary tree
@@ -17,14 +20,15 @@ import (
 // waiting token parks its record in the slot, a partner captures it and
 // hands it a direction. Each node keeps an adaptive hint of how long
 // parking is worth (see waitRange), so a node that sees no pairs costs
-// its toggle and nothing else. Production diffracting trees use
-// multi-slot prisms.
+// its toggle and nothing else. A session owns one token record for its
+// whole life; the direct Inc borrows one from a pool. Production
+// diffracting trees use multi-slot prisms.
 type DiffractingCounter struct {
 	leaves []atomic.Int64
 	nodes  []diffNode // heap indexing: node 1 is the root
 	rank   []int      // leaf position → output rank (bit-reversed index)
 	width  int
-	tokens sync.Pool // recycled diffTokens: steady-state Inc allocates nothing
+	tokens sync.Pool // tokens for the direct Inc: steady state allocates nothing
 	waitRange
 }
 
@@ -100,11 +104,45 @@ func NewDiffractingCounter(leaves, spin int) (*DiffractingCounter, error) {
 //countq:hotpath clocks=0
 func (d *DiffractingCounter) Inc() int64 {
 	tok := d.tokens.Get().(*diffToken)
+	v := d.inc(tok)
+	d.tokens.Put(tok)
+	return v
+}
+
+// NewSession implements countq.Structure: the session owns one token
+// record for its whole life, so its Inc never touches the pool.
+func (d *DiffractingCounter) NewSession() (countq.Session, error) {
+	s := &diffSession{tok: new(diffToken)}
+	s.c = d
+	return s, nil
+}
+
+// diffSession is a worker's session with its own token record.
+type diffSession struct {
+	counterSession[*DiffractingCounter]
+	tok *diffToken
+}
+
+// Inc implements countq.Session.
+//
+//countq:hotpath clocks=0
+func (s *diffSession) Inc(ctx context.Context) (int64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return s.c.inc(s.tok), nil
+}
+
+// inc walks one token down the tree on the record tok and takes the next
+// count of the leaf it reaches. The record is the caller's again on
+// return: a partner stops touching it once it has sent the direction.
+//
+//countq:hotpath clocks=0
+func (d *DiffractingCounter) inc(tok *diffToken) int64 {
 	node := 1
 	for node < d.width {
 		node = 2*node + d.traverse(&d.nodes[node], tok)
 	}
-	d.tokens.Put(tok)
 	leaf := node - d.width
 	k := d.leaves[leaf].Add(1) - 1
 	return int64(d.rank[leaf]) + int64(d.width)*k + 1

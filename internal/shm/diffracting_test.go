@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"context"
 	"math/bits"
 	"runtime"
 	"testing"
@@ -138,7 +139,7 @@ func TestDiffractingAdaptiveHint(t *testing.T) {
 func TestDiffractingOneP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, mode := range waitModes {
-		finishes(t, mode.name+" diffracting", newTestDiffracting(t, 4, 16, mode.pinned))
+		finishes(t, mode.name+" diffracting", func() rendezvousCounter { return newTestDiffracting(t, 4, 16, mode.pinned) })
 	}
 }
 
@@ -153,5 +154,56 @@ func TestDiffractingMeasured(t *testing.T) {
 	}
 	if m.Ops != 800 {
 		t.Errorf("ops = %d", m.Ops)
+	}
+}
+
+// TestDiffractingSessionOwnsToken: a session runs every Inc on the token
+// record it opened with; the pool is never reached.
+func TestDiffractingSessionOwnsToken(t *testing.T) {
+	d := newTestDiffracting(t, 4, 16, false)
+	var reached int
+	d.tokens.New = func() interface{} {
+		reached++
+		return new(diffToken)
+	}
+	s, err := d.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var got []int64
+	for i := 0; i < 1000; i++ {
+		v, err := s.Inc(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, v)
+	}
+	if err := ValidateCounts(got); err != nil {
+		t.Error(err)
+	}
+	if reached != 0 {
+		t.Errorf("session Incs reached the pool's New %d times, want 0", reached)
+	}
+}
+
+// TestDiffractingSessionPairDiffracts: two sessions with the wait pinned
+// meet at the prisms, so the toggles move fewer times than tokens visit
+// nodes.
+func TestDiffractingSessionPairDiffracts(t *testing.T) {
+	d := newTestDiffracting(t, 4, 32, true)
+	const perSession = 2000
+	if err := measureSessions(d, 2, perSession); err != nil {
+		t.Fatal(err)
+	}
+	var toggled uint32
+	for i := 1; i < d.width; i++ {
+		toggled += d.nodes[i].toggle.Load()
+		if d.nodes[i].prism.w.Load() != nil {
+			t.Errorf("a session token is still parked at node %d after every Inc returned", i)
+		}
+	}
+	if visits := uint32(2 * perSession * bits.Len(uint(d.width-1))); toggled >= visits {
+		t.Errorf("toggles moved %d times for %d node visits, want fewer", toggled, visits)
 	}
 }

@@ -1,10 +1,13 @@
 package shm
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/countq"
 )
 
 // FunnelCounter is a combining funnel (Shavit & Zemach): operations fall
@@ -15,11 +18,12 @@ import (
 // capture tree. Under contention the hot word absorbs one RMW per batch.
 //
 // The rendezvous is lock-free (see slot) and its wait is adaptive (see
-// waitRange): every pooled operation record carries a poll budget that
-// partners raise and timeouts lower, so an operation that has been
-// meeting nobody stops parking — it still captures whoever it finds — and
-// costs a pool round trip, one load per layer and the fetch-and-add. It
-// starts parking again when that fetch-and-add collides with another.
+// waitRange): every operation record carries a poll budget that partners
+// raise and timeouts lower, so an operation that has been meeting nobody
+// stops parking — it still captures whoever it finds — and costs one load
+// per layer and the fetch-and-add. It starts parking again when that
+// fetch-and-add collides with another. A session owns one record for its
+// whole life; the direct Inc borrows one from a pool.
 //
 // Unlike the counting network and the sharded counter, the funnel is
 // linearizable: a batch's fetch-and-add happens after every member of the
@@ -30,27 +34,27 @@ type FunnelCounter struct {
 	v      atomic.Int64
 	_      [56]byte // the hot word owns its cache line
 	layers [][]slot[funnelOp]
-	ops    sync.Pool // recycled funnelOps: steady-state Inc allocates nothing
+	ops    sync.Pool        // records for the direct Inc: steady state allocates nothing
+	newOp  func() *funnelOp // the one record constructor, behind the pool and every session
 	waitRange
 }
 
 // funnelOp is one operation's combining record: its own increment plus
-// everything it has captured on the way down. Records are pooled, so the
+// everything it has captured on the way down. A record belongs to one
+// session, or to whichever goroutine holds it from the pool, so the
 // slot-choice state, the wait budget and the two counts (what the tests
-// sum, and the seed of a Stats snapshot) belong to whichever goroutine
-// holds the record — single-writer, no shared write.
+// sum) belong to one goroutine at a time — single-writer, no shared
+// write.
 type funnelOp struct {
 	got      delivery // the exclusive base of the assigned range
 	count    int64
 	children []*funnelOp
-	rng      uint64   // xorshift state for slot choice
+	rng      xorshift // slot choice
 	wait     int      // poll budget of the next park, in [0, spin]
 	parks    int64    // slot writes: times an operation parked
 	adds     int64    // fetch-and-adds applied to the shared word
 	_        [56]byte // two cache lines: a captor's send never lands on a neighbour
 }
-
-var funnelSeed atomic.Uint64
 
 // NewFunnelCounter builds a combining funnel. width is the top layer's
 // slot count (default max(1, GOMAXPROCS/2)); each deeper of the depth
@@ -81,16 +85,17 @@ func NewFunnelCounter(width, depth, spin int) (*FunnelCounter, error) {
 		}
 		f.layers[l] = make([]slot[funnelOp], w)
 	}
-	f.ops.New = func() interface{} {
+	f.newOp = func() *funnelOp {
 		// A record captures at most once per layer, so children never
 		// grows. A fresh record knows nothing about the load yet: it
 		// starts at the ceiling and pays log2(spin)+1 parks to find out.
 		return &funnelOp{
 			children: make([]*funnelOp, 0, depth),
-			rng:      funnelSeed.Add(1) * 0x9e3779b97f4a7c15,
+			rng:      newXorshift(),
 			wait:     f.spin,
 		}
 	}
+	f.ops.New = func() interface{} { return f.newOp() }
 	return f, nil
 }
 
@@ -104,6 +109,30 @@ func (f *FunnelCounter) Inc() int64 {
 	return v
 }
 
+// NewSession implements countq.Structure: the session owns one record for
+// its whole life, so its Inc never touches the pool.
+func (f *FunnelCounter) NewSession() (countq.Session, error) {
+	s := &funnelSession{op: f.newOp()}
+	s.c = f
+	return s, nil
+}
+
+// funnelSession is a worker's session with its own record.
+type funnelSession struct {
+	counterSession[*FunnelCounter]
+	op *funnelOp
+}
+
+// Inc implements countq.Session.
+//
+//countq:hotpath clocks=0
+func (s *funnelSession) Inc(ctx context.Context) (int64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return s.c.inc(s.op), nil
+}
+
 // inc runs one operation on the record op. The record is the caller's
 // again on return: a captor stops touching a child the moment it has sent
 // the child's base (see deliver), and a carrier's own record was
@@ -114,7 +143,7 @@ func (f *FunnelCounter) inc(op *funnelOp) int64 {
 	op.count = 1
 	op.children = op.children[:0]
 	for _, layer := range f.layers {
-		s := &layer[op.pick(len(layer))]
+		s := &layer[op.rng.below(len(layer))]
 		if w := s.capture(); w != nil {
 			// Carry the parked operation's batch down.
 			op.children = append(op.children, w)
@@ -152,23 +181,13 @@ func (f *FunnelCounter) inc(op *funnelOp) int64 {
 	return op.deliver(base)
 }
 
-// pick draws a slot index in [0, n) from the record's own generator.
-func (op *funnelOp) pick(n int) int {
-	x := op.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	op.rng = x
-	return int((x >> 32) * uint64(n) >> 32)
-}
-
 // deliver hands the half-open count range (base, base+op.count] to the
 // operation and its capture tree, returning the operation's own count.
 func (op *funnelOp) deliver(base int64) int64 {
 	cur := base + 1 // op takes the first count itself
 	for _, ch := range op.children {
 		// Read the child's count BEFORE handing it its base: the moment the
-		// send lands, the child's owner may finish and recycle ch.
+		// send lands, the child's owner may finish and reuse ch.
 		n := ch.count
 		ch.got.send(cur)
 		cur += n

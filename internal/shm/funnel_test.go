@@ -1,21 +1,25 @@
 package shm
 
 import (
+	"context"
 	"math/bits"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/countq"
 )
 
 // The rendezvous tests drive the funnel through its unexported seam:
 // floor = spin pins every record's wait budget at the ceiling, so the park
 // / capture / withdraw paths the adaptive wait would starve in a short
-// test stay hot. They also wrap the record pool's New to list every record
-// it creates, so the records' single-writer counts can be summed once the
-// counter is quiescent. The deterministic cases go further and run inc on
-// records the test owns, parking partners by hand, so each path is reached
-// by construction rather than by luck of the schedule.
+// test stay hot. They also wrap the record constructor behind the pool and
+// every session to list every record it creates, so the records'
+// single-writer counts can be summed once the counter is quiescent. The
+// deterministic cases go further and run inc on records the test owns,
+// parking partners by hand, so each path is reached by construction rather
+// than by luck of the schedule.
 
 var waitModes = []struct {
 	name   string
@@ -39,9 +43,9 @@ func newTestFunnel(t *testing.T, width, depth, spin int, pinned bool) *testFunne
 		c.floor = c.spin
 	}
 	f := &testFunnel{FunnelCounter: c}
-	newOp := c.ops.New
-	c.ops.New = func() interface{} {
-		op := newOp().(*funnelOp)
+	newOp := c.newOp
+	c.newOp = func() *funnelOp {
+		op := newOp()
 		f.mu.Lock()
 		f.recs = append(f.recs, op)
 		f.mu.Unlock()
@@ -49,8 +53,6 @@ func newTestFunnel(t *testing.T, width, depth, spin int, pinned bool) *testFunne
 	}
 	return f
 }
-
-func (f *testFunnel) newOp() *funnelOp { return f.ops.New().(*funnelOp) }
 
 // stats sums the records' counts; call it only once every Inc has returned.
 func (f *testFunnel) stats() (parks, adds int64) {
@@ -291,27 +293,39 @@ func TestFunnelCounterLinearizable(t *testing.T) {
 func TestFunnelOneP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, mode := range waitModes {
-		c := newTestFunnel(t, 2, 2, 32, mode.pinned)
-		finishes(t, mode.name+" funnel", c)
+		finishes(t, mode.name+" funnel", func() rendezvousCounter { return newTestFunnel(t, 2, 2, 32, mode.pinned) })
 	}
 }
 
-// finishes runs 8 goroutines over c and fails, rather than hangs, if they
-// do not complete.
-func finishes(t *testing.T, name string, c Counter) {
+// rendezvousCounter is a counter with both paths: the direct Inc and
+// sessions.
+type rendezvousCounter interface {
+	Counter
+	countq.Structure
+}
+
+// finishes runs 8 goroutines over a counter from newC, first through the
+// direct Inc and then over a fresh one each on its own session, and fails,
+// rather than hangs, if they do not complete.
+func finishes(t *testing.T, name string, newC func() rendezvousCounter) {
 	t.Helper()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := MeasureCounter(name, c, 8, 500)
-		errc <- err
-	}()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
+	for _, path := range []struct {
+		name string
+		run  func(c rendezvousCounter) error
+	}{
+		{"Inc", func(c rendezvousCounter) error { _, err := MeasureCounter(name, c, 8, 500); return err }},
+		{"sessions", func(c rendezvousCounter) error { return measureSessions(c, 8, 500) }},
+	} {
+		errc := make(chan error, 1)
+		go func(run func(rendezvousCounter) error, c rendezvousCounter) { errc <- run(c) }(path.run, newC())
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Errorf("%s %s: %v", name, path.name, err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("%s %s: 8 goroutines on one P did not finish", name, path.name)
 		}
-	case <-time.After(time.Minute):
-		t.Fatalf("%s: 8 goroutines on one P did not finish", name)
 	}
 }
 
@@ -416,6 +430,56 @@ func TestFunnelPinnedCombines(t *testing.T) {
 	}
 }
 
+// TestFunnelSessionOwnsRecord: a session takes one record from the
+// constructor when it opens and runs every Inc on it; the pool is never
+// reached.
+func TestFunnelSessionOwnsRecord(t *testing.T) {
+	f := newTestFunnel(t, 2, 2, 32, false)
+	poolNew := f.ops.New
+	var reached int
+	f.ops.New = func() interface{} {
+		reached++
+		return poolNew()
+	}
+	s, err := f.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 1000
+	for want := int64(1); want <= n; want++ {
+		if v, err := s.Inc(context.Background()); err != nil || v != want {
+			t.Fatalf("Inc = %d, %v; want %d", v, err, want)
+		}
+	}
+	if len(f.recs) != 1 || reached != 0 {
+		t.Fatalf("%d session Incs made %d records and reached the pool's New %d times, want 1 and 0", n, len(f.recs), reached)
+	}
+	if op := s.(*funnelSession).op; op != f.recs[0] || op.adds != n {
+		t.Errorf("the session's record applied %d of its %d solo ops, want all of them", op.adds, n)
+	}
+}
+
+// TestFunnelSessionPairCombines: two sessions with the wait pinned meet
+// each other, so their records, the only two, carry fewer fetch-and-adds
+// than the operations they issued.
+func TestFunnelSessionPairCombines(t *testing.T) {
+	f := newTestFunnel(t, 1, 2, 32, true)
+	const perSession = 2000
+	if err := measureSessions(f, 2, perSession); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.recs) != 2 {
+		t.Fatalf("two sessions made %d records, want 2", len(f.recs))
+	}
+	if _, adds := f.stats(); adds >= 2*perSession {
+		t.Errorf("%d fetch-and-adds for %d operations, want fewer", adds, 2*perSession)
+	}
+	if !f.slotsEmpty() {
+		t.Error("a session record is still parked after every Inc returned")
+	}
+}
+
 // allocSlack is the rendezvous gate's allowance per op: a GC that starts
 // in the window empties the record and token pools, and the next Incs
 // refill them. One allocation per 64 ops reads 0.0156, 7.8× over it.
@@ -437,9 +501,10 @@ func allocsPerOp(runs int, body func()) float64 {
 }
 
 // TestRendezvousCountersZeroAlloc is the steady-state allocation gate for
-// the two rendezvous structures: records and tokens are pooled, so Inc
-// allocates nothing whether it walks past empty slots, parks and times
-// out, or meets a partner.
+// the two rendezvous structures on both paths: the direct Inc pools its
+// records and tokens and a session owns one, so an operation allocates
+// nothing whether it walks past empty slots, parks and times out, or meets
+// a partner.
 func TestRendezvousCountersZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops records under the race detector")
@@ -449,32 +514,55 @@ func TestRendezvousCountersZeroAlloc(t *testing.T) {
 		d := newTestDiffracting(t, 4, 16, mode.pinned)
 		for _, c := range []struct {
 			name string
-			c    Counter
+			c    rendezvousCounter
 		}{{"funnel", f}, {"diffracting", d}} {
-			for _, partnered := range []bool{false, true} {
-				c, partnered := c, partnered
-				stop := make(chan struct{})
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					for partnered {
-						select {
-						case <-stop:
-							return
-						default:
-							c.c.Inc()
+			for _, path := range []string{"Inc", "session"} {
+				for _, partnered := range []bool{false, true} {
+					inc, partnerInc := incOn(t, c.c, path), incOn(t, c.c, path)
+					partnered := partnered
+					stop := make(chan struct{})
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						for partnered {
+							select {
+							case <-stop:
+								return
+							default:
+								partnerInc()
+							}
 						}
+					}()
+					for i := 0; i < 100; i++ {
+						inc() // fill the pools
 					}
-				}()
-				for i := 0; i < 100; i++ {
-					c.c.Inc() // fill the pools
+					if avg := allocsPerOp(4096, inc); avg > allocSlack {
+						t.Errorf("%s %s %s (partner=%v): %.5f allocs per op in steady state, want 0", mode.name, c.name, path, partnered, avg)
+					}
+					close(stop)
+					<-done
 				}
-				if avg := allocsPerOp(4096, func() { c.c.Inc() }); avg > allocSlack {
-					t.Errorf("%s %s (partner=%v): %.5f allocs per Inc in steady state, want 0", mode.name, c.name, partnered, avg)
-				}
-				close(stop)
-				<-done
 			}
+		}
+	}
+}
+
+// incOn returns one goroutine's increment of c through path: the direct
+// Inc, or a session of its own.
+func incOn(t *testing.T, c rendezvousCounter, path string) func() {
+	t.Helper()
+	if path == "Inc" {
+		return func() { c.Inc() }
+	}
+	s, err := c.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	ctx := context.Background()
+	return func() {
+		if _, err := s.Inc(ctx); err != nil {
+			panic(err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -56,6 +57,49 @@ func MeasureCounter(name string, c Counter, goroutines, opsPerG int) (Measuremen
 		return Measurement{}, err
 	}
 	return Measurement{Name: name, Goroutines: goroutines, Ops: total, Elapsed: elapsed}, nil
+}
+
+// measureSessions runs goroutines×opsPerG increments, each goroutine on
+// its own session of st, and validates the counts once every session has
+// closed.
+func measureSessions(st countq.Structure, goroutines, opsPerG int) error {
+	sessions := make([]countq.Session, goroutines)
+	for gi := range sessions {
+		s, err := st.NewSession()
+		if err != nil {
+			return err
+		}
+		sessions[gi] = s
+	}
+	results := make([][]int64, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for gi, s := range sessions {
+		wg.Add(1)
+		go func(gi int, s countq.Session) {
+			defer wg.Done()
+			vals := make([]int64, opsPerG)
+			for i := range vals {
+				if vals[i], errs[gi] = s.Inc(context.Background()); errs[gi] != nil {
+					return
+				}
+			}
+			results[gi] = vals
+			errs[gi] = s.Close()
+		}(gi, s)
+	}
+	wg.Wait()
+	var all []int64
+	for gi, vs := range results {
+		if errs[gi] != nil {
+			return errs[gi]
+		}
+		all = append(all, vs...)
+	}
+	if d, ok := st.(countq.Drainer); ok {
+		all = append(all, d.Drain()...)
+	}
+	return ValidateCounts(all)
 }
 
 // MeasureQueuer runs goroutines×opsPerG enqueues with globally unique ids

@@ -134,7 +134,7 @@ func init() {
 	})
 	countq.RegisterStructure(countq.StructureInfo{
 		Name:         "network",
-		Summary:      "bitonic counting network with per-balancer locks",
+		Summary:      "bitonic counting network with a lock-free toggle per balancer",
 		Kinds:        countq.KindCounter,
 		Linearizable: false,
 		Params: []countq.ParamInfo{

@@ -13,9 +13,12 @@ import (
 // in their type, so the sessions are three generic types instantiated per
 // structure — counterSession, batchSession (a counter with IncN) and
 // queueSession — each also carrying the operation its kind does not serve
-// and a Close with nothing to surrender. Three sessions override the
-// per-op method on top of a generic one: sharded's holds a lease
-// (sharded.go), and atomic's and swap's (below) re-state it on the concrete
+// and a Close with nothing to surrender. Six sessions override the per-op
+// method on top of a generic one. Four own, for the session's life, state
+// the direct call borrows per operation: sharded's lease (sharded.go),
+// funnel's combining record (funnel.go), diffracting's token record
+// (diffracting.go) and network's input-wire generator (counters.go).
+// Atomic's and swap's (below) re-state the per-op method on the concrete
 // type so the one-instruction operation inlines under the context check —
 // a method call on a type parameter is dispatched through the
 // instantiation's dictionary, which the traced ladder reads as
@@ -127,18 +130,6 @@ func (c *MutexCounter) NewSession() (countq.Session, error) {
 
 func (c *CombiningCounter) NewSession() (countq.Session, error) {
 	return &counterSession[*CombiningCounter]{c}, nil
-}
-
-func (f *FunnelCounter) NewSession() (countq.Session, error) {
-	return &counterSession[*FunnelCounter]{f}, nil
-}
-
-func (nc *NetworkCounter) NewSession() (countq.Session, error) {
-	return &counterSession[*NetworkCounter]{nc}, nil
-}
-
-func (d *DiffractingCounter) NewSession() (countq.Session, error) {
-	return &counterSession[*DiffractingCounter]{d}, nil
 }
 
 func (q *SwapQueue) NewSession() (countq.Session, error) {
