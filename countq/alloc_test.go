@@ -120,7 +120,7 @@ func TestValidateAllocs(t *testing.T) {
 			blocks = append(blocks, CountRange{First: first + 1, N: 4})
 		}
 	}
-	if _, ok := newRunIndex(laneIDs); !ok {
+	if _, ok := newRunIndex([]laneData{{ids: laneIDs}}, k); !ok {
 		t.Fatal("lane-ordered ids not indexed by their runs")
 	}
 	// No collection in the window: a GC cycle allocates runtime bookkeeping
@@ -233,6 +233,18 @@ func TestOpenArrivalLoopZeroAlloc(t *testing.T) {
 	})
 }
 
+// swapQueue is the allocation-free queue: one atomic swap of the tail.
+type swapQueue struct{ tail atomic.Int64 }
+
+func (q *swapQueue) Enqueue(id int64) int64       { return q.tail.Swap(id) }
+func (q *swapQueue) NewSession() (Session, error) { return sessionOver(q), nil }
+
+func newSwapQueue() *swapQueue {
+	q := &swapQueue{}
+	q.tail.Store(Head)
+	return q
+}
+
 var registerAllocTestAtomic = sync.OnceFunc(func() {
 	RegisterStructure(StructureInfo{
 		Name:    "alloc-test-atomic",
@@ -240,6 +252,12 @@ var registerAllocTestAtomic = sync.OnceFunc(func() {
 		Kinds:   KindCounter,
 		Caps:    CapBatch,
 		New:     func(o Options) (Structure, error) { return &testBatchCounter{}, nil },
+	})
+	RegisterStructure(StructureInfo{
+		Name:    "alloc-test-swap",
+		Summary: "test-only allocation-free queue",
+		Kinds:   KindQueue,
+		New:     func(o Options) (Structure, error) { return newSwapQueue(), nil },
 	})
 })
 
@@ -261,5 +279,38 @@ func TestSteadyPhaseReportsZeroAllocs(t *testing.T) {
 	}
 	if len(a.MemTimeline) == 0 || a.LivePeakBytes <= 0 {
 		t.Errorf("memory timeline missing: %d windows, live peak %d", len(a.MemTimeline), a.LivePeakBytes)
+	}
+}
+
+// TestFixedOpsPhaseZeroAllocs: with the structures allocation-free, every
+// measured phase of a two-worker, fixed-Ops run reports exactly 0
+// allocs/op — the first run of the process included, whose logs all come
+// fresh, and however unevenly the workers split the pool: the phase's
+// logs are reserved for its whole budget before the start barrier, and a
+// lane that outruns its window moves to a free one, so no claim grows a
+// log inside the window.
+func TestFixedOpsPhaseZeroAllocs(t *testing.T) {
+	registerAllocTestAtomic()
+	// No collection in the windows: a GC cycle allocates runtime
+	// bookkeeping of its own, and flushes the per-P allocation counts of
+	// the setup before the window into the window's reading.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, w := range []Workload{
+		{Counter: "alloc-test-atomic", Queue: "alloc-test-swap", Mix: 0.5},
+		{Counter: "alloc-test-atomic", Batch: 16},
+	} {
+		w.Scenario, w.Goroutines, w.Ops = "ramp?gmax=2", 2, 200000
+		for run := int64(1); run <= 3; run++ {
+			w.Seed = run
+			m, err := Run(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range m.Phases {
+				if !p.Warmup && p.AllocsPerOp != 0 {
+					t.Errorf("%s/%s run %d, phase %s: %.5f allocs/op (%.1f B/op), want 0", w.Counter, w.Queue, run, p.Name, p.AllocsPerOp, p.AllocBytesPerOp)
+				}
+			}
+		}
 	}
 }

@@ -138,27 +138,43 @@ func ValidateCounts(values []int64) error {
 // from a buggy implementation yields an error rather than an allocation
 // failure.
 func ValidateCountRanges(values []int64, blocks []CountRange) error {
-	if len(blocks) == 0 {
-		return validateSingles(values)
+	return validateCountRanges([]laneData{{counts: values, blocks: blocks}})
+}
+
+// validateCountRanges is ValidateCountRanges over evidence in segments:
+// the values are every segment's counts and the blocks every segment's
+// block grants, each in segment order.
+func validateCountRanges(segs []laneData) error {
+	k, nblocks := 0, 0
+	for i := range segs {
+		k += len(segs[i].counts)
+		nblocks += len(segs[i].blocks)
 	}
-	total := int64(len(values))
+	if nblocks == 0 {
+		return validateSingles(segs, k)
+	}
+	total := int64(k)
 	type span struct{ lo, hi int64 } // counts [lo, hi)
-	spans := make([]span, 0, len(values)+len(blocks))
-	for _, v := range values {
-		if v == math.MaxInt64 {
-			return fmt.Errorf("countq: count %d overflows", v)
+	spans := make([]span, 0, k+nblocks)
+	for i := range segs {
+		for _, v := range segs[i].counts {
+			if v == math.MaxInt64 {
+				return fmt.Errorf("countq: count %d overflows", v)
+			}
+			spans = append(spans, span{v, v + 1})
 		}
-		spans = append(spans, span{v, v + 1})
 	}
-	for _, b := range blocks {
-		if b.N < 1 {
-			return fmt.Errorf("countq: block grant of %d counts (want ≥ 1)", b.N)
+	for i := range segs {
+		for _, b := range segs[i].blocks {
+			if b.N < 1 {
+				return fmt.Errorf("countq: block grant of %d counts (want ≥ 1)", b.N)
+			}
+			if b.First > math.MaxInt64-b.N || b.N > math.MaxInt64-total {
+				return fmt.Errorf("countq: block [%d,+%d) overflows", b.First, b.N)
+			}
+			total += b.N
+			spans = append(spans, span{b.First, b.First + b.N})
 		}
-		if b.First > math.MaxInt64-b.N || b.N > math.MaxInt64-total {
-			return fmt.Errorf("countq: block [%d,+%d) overflows", b.First, b.N)
-		}
-		total += b.N
-		spans = append(spans, span{b.First, b.First + b.N})
 	}
 	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 	next := int64(1) // lowest count not yet accounted for
@@ -176,33 +192,35 @@ func ValidateCountRanges(values []int64, blocks []CountRange) error {
 	return nil
 }
 
-// validateSingles checks that values is a permutation of 1..len(values)
-// and otherwise reports what a walk over the sorted values would meet
+// validateSingles checks that the segments' k counts are a permutation of
+// 1..k and otherwise reports what a walk over the sorted values would meet
 // first: the lowest value below 1, else the lower of the first duplicate
 // and the first gap (a gap closed only by a value past the total reports
 // that value as out of range).
-func validateSingles(values []int64) error {
-	k := int64(len(values))
-	seen := make([]uint64, (len(values)+63)/64) // bit v-1 set: count v granted
+func validateSingles(segs []laneData, n int) error {
+	k := int64(n)
+	seen := make([]uint64, (n+63)/64) // bit v-1 set: count v granted
 	var (
 		below = int64(1)             // lowest value under 1
 		above = int64(math.MaxInt64) // lowest value over k
 		dup   = int64(math.MaxInt64) // lowest count granted twice
 	)
-	for _, v := range values {
-		switch {
-		case uint64(v-1) < uint64(k): // 1 ≤ v ≤ k
-			w, bit := (v-1)>>6, uint64(1)<<((v-1)&63)
-			if seen[w]&bit != 0 {
-				dup = min(dup, v)
+	for i := range segs {
+		for _, v := range segs[i].counts {
+			switch {
+			case uint64(v-1) < uint64(k): // 1 ≤ v ≤ k
+				w, bit := (v-1)>>6, uint64(1)<<((v-1)&63)
+				if seen[w]&bit != 0 {
+					dup = min(dup, v)
+				}
+				seen[w] |= bit
+			case v < 1:
+				below = min(below, v)
+			case v == math.MaxInt64:
+				return fmt.Errorf("countq: count %d overflows", v)
+			default:
+				above = min(above, v)
 			}
-			seen[w] |= bit
-		case v < 1:
-			below = min(below, v)
-		case v == math.MaxInt64:
-			return fmt.Errorf("countq: count %d overflows", v)
-		default:
-			above = min(above, v)
 		}
 	}
 	if below < 1 {
@@ -256,7 +274,9 @@ type idIndex struct {
 	runs  []idRun // non-nil in the run form
 }
 
-// idRun is one run of the run form: keys[at+i] == first+i for i < n.
+// idRun is one run of the run form: the key at position at+i of the
+// segments' concatenated ids is first+i, for i < n. A run may span
+// segments, as a lane's ids span its windows.
 type idRun struct {
 	first int64
 	at, n int32
@@ -267,29 +287,38 @@ func newIDIndex(keys []int64) idIndex {
 	return idIndex{keys: keys, slots: make([]int32, 1<<lg), shift: 64 - lg}
 }
 
-// newRunIndex returns the run form over keys, or false when the keys do
-// not split into at most max(len(keys)/16, 1) runs covering disjoint key
-// ranges. Disjoint runs prove the keys distinct. The count stops at the
-// first run past the limit, so keys in no order cost about len(keys)/16
-// comparisons and no allocation; runs that overlap share a key, and
-// only such input, already invalid, pays for the discarded run table.
-// The keys must be non-negative, so that no run wraps past MaxInt64.
-func newRunIndex(keys []int64) (idIndex, bool) {
-	limit := max(len(keys)/16, 1)
-	n := 0
-	for i := range keys {
-		if i == 0 || keys[i] != keys[i-1]+1 {
-			if n++; n > limit {
-				return idIndex{}, false
+// newRunIndex returns the run form over the segments' n ids, read as one
+// sequence, or false when they do not split into at most max(n/16, 1)
+// runs covering disjoint key ranges. Disjoint runs prove the keys
+// distinct. The count stops at the first run past the limit, so keys in
+// no order cost about n/16 comparisons and no allocation; runs that
+// overlap share a key, and only such input, already invalid, pays for the
+// discarded run table. The keys must be non-negative, so that no run
+// wraps past MaxInt64.
+func newRunIndex(segs []laneData, n int) (idIndex, bool) {
+	limit := max(n/16, 1)
+	count, prev := 0, int64(0)
+	for _, s := range segs {
+		for _, id := range s.ids {
+			if count == 0 || id != prev+1 {
+				if count++; count > limit {
+					return idIndex{}, false
+				}
 			}
+			prev = id
 		}
 	}
-	runs := make([]idRun, 0, n)
-	for i := range keys {
-		if i == 0 || keys[i] != keys[i-1]+1 {
-			runs = append(runs, idRun{first: keys[i], at: int32(i)})
+	runs := make([]idRun, 0, count)
+	at := int32(0)
+	for _, s := range segs {
+		for _, id := range s.ids {
+			if len(runs) == 0 || id != prev+1 {
+				runs = append(runs, idRun{first: id, at: at})
+			}
+			runs[len(runs)-1].n++
+			prev = id
+			at++
 		}
-		runs[len(runs)-1].n++
 	}
 	slices.SortFunc(runs, func(a, b idRun) int { return cmp.Compare(a.first, b.first) })
 	for r := 1; r < len(runs); r++ {
@@ -371,26 +400,63 @@ func (t *idIndex) findRun(key int64) int {
 // verdicts and error texts do not depend on it. Indices are int32, so k is
 // limited to 2³¹-1 operations.
 func ValidateOrder(ids, preds []int64) error {
-	if len(ids) != len(preds) {
-		return fmt.Errorf("countq: %d ids but %d preds", len(ids), len(preds))
+	return validateOrder([]laneData{{ids: ids, preds: preds}}, &orderScratch{})
+}
+
+// gather returns one log of every segment as one slice: a lone segment's
+// own, or else all of them copied, in segment order, into *buf.
+func gather(segs []laneData, log func(laneData) []int64, buf *[]int64) []int64 {
+	if len(segs) == 1 {
+		return log(segs[0])
 	}
-	if len(ids) > math.MaxInt32 {
-		return fmt.Errorf("countq: %d operations exceed the order validator's limit of %d", len(ids), math.MaxInt32)
+	*buf = (*buf)[:0]
+	for _, s := range segs {
+		*buf = append(*buf, log(s)...)
 	}
-	for _, id := range ids {
-		if id < 0 {
-			return fmt.Errorf("countq: operation id %d is negative", id)
+	return *buf
+}
+
+// orderScratch is validateOrder's working memory, kept between calls when
+// the caller recycles it: the successor array, and the ids gathered into
+// one slice when the hash form must index segmented evidence.
+type orderScratch struct {
+	succ []int32
+	ids  []int64
+}
+
+// validateOrder is ValidateOrder over evidence in segments: the pairs are
+// every segment's (id, predecessor) pairs, in segment order. The lone
+// segment of ValidateOrder is read where it lies; only the hash form needs
+// several segments' ids as one slice, and gathers them into sc.
+func validateOrder(segs []laneData, sc *orderScratch) error {
+	k, np, mismatch := 0, 0, false
+	for _, s := range segs {
+		k, np = k+len(s.ids), np+len(s.preds)
+		mismatch = mismatch || len(s.ids) != len(s.preds)
+	}
+	if mismatch {
+		return fmt.Errorf("countq: %d ids but %d preds", k, np)
+	}
+	if k > math.MaxInt32 {
+		return fmt.Errorf("countq: %d operations exceed the order validator's limit of %d", k, math.MaxInt32)
+	}
+	for _, s := range segs {
+		for _, id := range s.ids {
+			if id < 0 {
+				return fmt.Errorf("countq: operation id %d is negative", id)
+			}
 		}
 	}
 	// Errors are reported as a single pass over the pairs would meet them:
 	// at each index the id is checked before the predecessor. Ids are
 	// therefore indexed only up to the first duplicate, and predecessors
 	// only resolved below it.
-	byID, distinct := newRunIndex(ids)
-	limit := len(ids)
+	byID, distinct := newRunIndex(segs, k)
+	limit := k
 	if !distinct {
-		byID = newIDIndex(ids)
-		for i := range ids {
+		keys := gather(segs, func(s laneData) []int64 { return s.ids }, &sc.ids)
+		byID = newIDIndex(keys)
+		for i := range keys {
 			if byID.insert(i) >= 0 {
 				limit = i
 				break
@@ -398,42 +464,54 @@ func ValidateOrder(ids, preds []int64) error {
 		}
 	}
 	// succ[j] and head hold 1 + the index of the operation queued behind
-	// operation j and behind Head; 0 means nobody yet.
-	succ := make([]int32, len(ids))
+	// operation j and behind Head; 0 means nobody yet. A new array gets an
+	// eighth to spare, so that a recycled one fits a few more operations.
+	if k > cap(sc.succ) {
+		sc.succ = make([]int32, k, k+k/8)
+	} else {
+		sc.succ = sc.succ[:k]
+		clear(sc.succ)
+	}
+	succ := sc.succ
 	var head int32
 	// A predecessor naming no indexed operation cannot be chained, but a
 	// repeat of it must still be reported; the rejected input pays for the
 	// second table.
 	var strays idIndex
-	for i, p := range preds[:limit] {
-		behind := &head
-		if p != Head {
-			// Both finds inline here: a call per predecessor stalls the
-			// hash form's overlapping cache misses, 2.5× slower.
-			var j int
-			if byID.runs != nil {
-				j = byID.findRun(p)
-			} else {
-				j = byID.find(p)
-			}
-			if j < 0 {
-				if strays.slots == nil {
-					strays = newIDIndex(preds)
+	n := 0 // pairs read so far, this one included: 1 + its position
+	for _, s := range segs {
+		for _, p := range s.preds[:min(len(s.preds), limit-n)] {
+			n++
+			behind := &head
+			if p != Head {
+				// Both finds inline here: a call per predecessor stalls the
+				// hash form's overlapping cache misses, 2.5× slower.
+				var j int
+				if byID.runs != nil {
+					j = byID.findRun(p)
+				} else {
+					j = byID.find(p)
 				}
-				if strays.insert(i) >= 0 {
-					return fmt.Errorf("countq: predecessor %d claimed twice", p)
+				if j < 0 {
+					if strays.slots == nil {
+						var all []int64
+						strays = newIDIndex(gather(segs, func(s laneData) []int64 { return s.preds }, &all))
+					}
+					if strays.insert(n-1) >= 0 {
+						return fmt.Errorf("countq: predecessor %d claimed twice", p)
+					}
+					continue
 				}
-				continue
+				behind = &succ[j]
 			}
-			behind = &succ[j]
+			if *behind != 0 {
+				return fmt.Errorf("countq: predecessor %d claimed twice", p)
+			}
+			*behind = int32(n)
 		}
-		if *behind != 0 {
-			return fmt.Errorf("countq: predecessor %d claimed twice", p)
-		}
-		*behind = int32(i + 1)
 	}
-	if limit < len(ids) {
-		return fmt.Errorf("countq: operation id %d duplicated", ids[limit])
+	if limit < k {
+		return fmt.Errorf("countq: operation id %d duplicated", byID.keys[limit])
 	}
 	// The walk terminates: index i+1 was stored exactly once above, so no
 	// operation is reachable along two edges, and the first operation's
@@ -442,8 +520,8 @@ func ValidateOrder(ids, preds []int64) error {
 	for cur := head; cur != 0; cur = succ[cur-1] {
 		count++
 	}
-	if count != len(ids) {
-		return fmt.Errorf("countq: chain covers %d of %d operations", count, len(ids))
+	if count != k {
+		return fmt.Errorf("countq: chain covers %d of %d operations", count, k)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package countq
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -47,56 +48,50 @@ func TestDriverMixedWorkload(t *testing.T) {
 	}
 }
 
-// TestEvidenceFoldsIntoReservation: the run-level evidence buffers are
-// sized once from the ops budgets, so folding ops-budget phases in copies
-// into existing room — lane after lane, order kept — and only a duration
-// phase, which promised nothing, makes the buffers grow.
-func TestEvidenceFoldsIntoReservation(t *testing.T) {
-	phases := []Phase{
-		{Goroutines: 2, Ops: 10000, Mix: 0.5},
-		{Goroutines: 2, Ops: 10000, Mix: 1, Batch: 16},
-		{Goroutines: 2, Ops: 10000, Mix: 0},
-		{Goroutines: 1, Mix: 0.5, Duration: time.Millisecond},
-	}
-	var all laneData
-	all.reserve(phases)
-	caps := [4]int{cap(all.counts), cap(all.blocks), cap(all.ids), cap(all.preds)}
-
-	next := int64(0)
-	fill := func(n int) []int64 {
-		out := make([]int64, n)
-		for i := range out {
-			out[i], next = next, next+1
-		}
-		return out
-	}
-	lanesOf := func(counts, blocks, queued int) []*lane {
-		lanes := make([]*lane, 2)
-		for i := range lanes {
-			share := []int{3, 1}[i] // lopsided lanes
-			lanes[i] = &lane{laneData: laneData{
-				counts: fill(counts * share / 4),
-				blocks: make([]CountRange, blocks*share/4),
-				ids:    fill(queued * share / 4),
-				preds:  fill(queued * share / 4),
-			}}
-		}
-		return lanes
-	}
-	all.fold(lanesOf(5152, 0, 4848)) // the mix came up 3σ off an even split
-	all.fold(lanesOf(0, 10000/16+10000/opsChunk, 0))
-	all.fold(lanesOf(0, 0, 10000))
-	if got := [4]int{cap(all.counts), cap(all.blocks), cap(all.ids), cap(all.preds)}; got != caps {
-		t.Errorf("ops-budget phases outgrew the reservation: capacities %v, reserved %v", got, caps)
-	}
-	if len(all.counts) != 5152 || len(all.ids) != 14848 || len(all.preds) != len(all.ids) {
-		t.Errorf("folded %d counts, %d ids, %d preds", len(all.counts), len(all.ids), len(all.preds))
-	}
-	all.fold(lanesOf(1<<16, 0, 1<<16))
-	for name, got := range map[string][]int64{"counts": all.counts, "ids": all.ids, "preds": all.preds} {
-		for i := 1; i < len(got); i++ {
-			if got[i] <= got[i-1] {
-				t.Fatalf("%s out of fold order at %d: %d after %d", name, i, got[i], got[i-1])
+// TestLaneReservationCoversPhase: a fixed-Ops phase's logs are reserved
+// for its whole budget at setup, so one worker that claims every op of a
+// two-worker phase — the most any lane can log — finds a free window
+// whenever it needs one and appends into each within the room it was cut
+// with, on every kind of log: claim never grows one.
+func TestLaneReservationCoversPhase(t *testing.T) {
+	for _, p := range []Phase{
+		{Name: "mixed", Mix: 0.5},
+		{Name: "lopsided", Mix: 0.9},
+		{Name: "batched", Mix: 1, Batch: 16},
+		{Name: "mixed batches", Mix: 0.5, Batch: 16},
+		{Name: "queue", Mix: 0},
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			p.Goroutines, p.Ops, p.LatencySample = 2, 10000, 64
+			ph := newPhaseRun(&testBatchCounter{}, newSwapQueue(), Workload{Seed: seed}, 0, p, time.Now())
+			caps := func() (c [][5]int) {
+				for _, w := range ph.wins {
+					c = append(c, [5]int{cap(w.counts), cap(w.blocks), cap(w.ids), cap(w.preds), cap(w.events)})
+				}
+				return c
+			}
+			before := caps()
+			r := ph.newWorker(0)
+			if err := r.openSessions(ph.cs, ph.qs, ph.base); err != nil {
+				t.Fatal(err)
+			}
+			ln := &r.ln
+			r.begin(time.Now())
+			r.runSync(nil)
+			r.flush()
+			r.leave()
+			r.closeSessions()
+			if ln.err != nil {
+				t.Fatal(ln.err)
+			}
+			if ln.issued != int64(p.Ops) {
+				t.Fatalf("%s seed %d: one worker issued %d of %d ops", p.Name, seed, ln.issued, p.Ops)
+			}
+			if n, taken := len(ph.wins), ph.taken.v.Load(); taken > int64(n) {
+				t.Errorf("%s seed %d: the lane asked for window %d of %d", p.Name, seed, taken, n)
+			}
+			if got := caps(); !slices.Equal(got, before) {
+				t.Errorf("%s seed %d: windows grew from capacities %v to %v (counts, blocks, ids, preds, events)", p.Name, seed, before, got)
 			}
 		}
 	}
@@ -104,10 +99,11 @@ func TestEvidenceFoldsIntoReservation(t *testing.T) {
 
 // TestEvidenceFormsLaneRuns drives a small mixed synchronous run — an
 // atomic counter and a queue, half and half, ramped from one worker to
-// two — through the phases runPhases drives, and holds its queue evidence
-// to at most one run of consecutive ids per lane per phase. Ids that stop
-// forming runs send ValidateOrder back to its hash form: this fails on the
-// run count, not on a validation time.
+// two — through the phases runPhases drives, and holds each lane's queue
+// evidence, however many windows it fills, to at most one run of
+// consecutive ids in the segments the validators read. Ids that stop
+// forming runs send the order check back to its hash form: this fails on
+// the run count, not on a validation time.
 func TestEvidenceFormsLaneRuns(t *testing.T) {
 	registerTestImpls()
 	base := Workload{Counter: "test-batch", Queue: "test-queue", Mix: 0.5, Scenario: "ramp?gmax=2", Goroutines: 2, Ops: 20000, Seed: 1}.withDefaults()
@@ -126,31 +122,37 @@ func TestEvidenceFormsLaneRuns(t *testing.T) {
 	if err := normalizePhases(base, sc.Phases, cs, qs, StructureInfo{}, StructureInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	var all laneData
-	all.reserve(sc.Phases)
+	var segs []laneData
 	lanes := 0
 	for pi, p := range sc.Phases {
-		if _, _, err := runPhase(cs, qs, base, pi, p, time.Now(), &all); err != nil {
+		_, _, ph, err := runPhase(cs, qs, base, pi, p, time.Now())
+		if err != nil {
 			t.Fatal(err)
 		}
+		segs = ph.evidence(segs)
 		lanes += p.Goroutines
 	}
-	if len(all.ids) == 0 {
-		t.Fatal("no queued operations")
+	var ids []int64
+	for _, s := range segs {
+		ids = append(ids, s.ids...)
+	}
+	k := len(ids)
+	if k == 0 || len(segs) <= lanes {
+		t.Fatalf("%d queued operations in %d segments: the lanes did not move windows", k, len(segs))
 	}
 	runs := 0
-	for i, id := range all.ids {
-		if i == 0 || id != all.ids[i-1]+1 {
+	for i, id := range ids {
+		if i == 0 || id != ids[i-1]+1 {
 			runs++
 		}
 	}
 	if runs > lanes {
-		t.Errorf("%d queued operations form %d runs of consecutive ids, want at most %d (one per lane per phase)", len(all.ids), runs, lanes)
+		t.Errorf("%d queued operations form %d runs of consecutive ids, want at most %d (one per lane per phase)", k, runs, lanes)
 	}
-	if _, ok := newRunIndex(all.ids); !ok {
-		t.Errorf("%d queued operations in %d runs not indexed by their runs", len(all.ids), runs)
+	if idx, ok := newRunIndex(segs, k); !ok || len(idx.runs) != runs {
+		t.Errorf("%d queued operations in %d runs indexed as %d runs (form found: %v)", k, runs, len(idx.runs), ok)
 	}
-	if err := ValidateOrder(all.ids, all.preds); err != nil {
+	if err := validateOrder(segs, &orderScratch{}); err != nil {
 		t.Error(err)
 	}
 }

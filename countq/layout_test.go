@@ -27,7 +27,7 @@ func perOpWrites(r *laneRunner) []span {
 		spanOf("issued", &ln.issued), spanOf("err", &ln.err),
 		spanOf("iter", &r.iter), spanOf("allowance", &r.allowance),
 		spanOf("resLeft", &r.resLeft), spanOf("sinceEvent", &r.sinceEvent),
-		spanOf("enqueued", &r.enqueued),
+		spanOf("enqueued", &r.enqueued), spanOf("coin", &r.coin),
 		spanOf("mark", &r.mark), spanOf("intended", &r.intended),
 		spanOf("outstanding", &r.outstanding), spanOf("burst", &r.burst),
 		spanOf("countDue", &r.countDue), spanOf("blockDue", &r.blockDue),

@@ -89,7 +89,9 @@ func startMemSampler(start time.Time) *memSampler {
 		doneCh:   make(chan struct{}),
 	}
 	s.sample()
-	go s.loop()
+	// The timer is made here, before the caller's baseline read: made in
+	// the goroutine, it lands in the window it measures.
+	go s.loop(time.NewTimer(s.interval))
 	return s
 }
 
@@ -98,9 +100,8 @@ func (s *memSampler) sample() {
 	s.pts = append(s.pts, memPoint{off: time.Since(s.start).Nanoseconds(), bytes: int64(live)})
 }
 
-func (s *memSampler) loop() {
+func (s *memSampler) loop(t *time.Timer) {
 	defer close(s.doneCh)
-	t := time.NewTimer(s.interval)
 	defer t.Stop()
 	for {
 		select {

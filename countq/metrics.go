@@ -146,7 +146,8 @@ type Metrics struct {
 	Aggregate Measurement `json:"aggregate"`
 	// ValidateElapsed is the wall time of the post-run pass: draining
 	// leased counts, then the counts and order checks over the whole run's
-	// evidence. It follows Elapsed and is part of no phase.
+	// evidence, read where the lanes logged it. It follows Elapsed and is
+	// part of no phase.
 	ValidateElapsed time.Duration `json:"validate_ns"`
 }
 

@@ -7,7 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,14 +30,14 @@ const opsChunk = 64
 // per-worker fairness.
 //
 // The validation is one pass after the last phase, outside every measured
-// window and reported as Metrics.ValidateElapsed. Each lane's evidence is
-// copied once into run-level buffers sized up front from the ops budgets
-// (8 bytes per count, 16 per queued operation); ValidateCountRanges and
-// ValidateOrder then read them in linear time — on a 2.6 GHz Xeon about
-// 2 ns per count, and per queued operation 20 to 38 ns plus at most 5
-// bytes of index while each lane's ids stay one run (synchronous phases,
-// 2 to 8 lanes), 40 to 110 ns plus 12 to 20 bytes when they do not (an
-// async lane's completions reaped out of order).
+// window and reported as Metrics.ValidateElapsed. It reads the logs where
+// the lanes wrote them (8 bytes per count, 16 per queued operation, plus
+// the slack each phase reserves; recycled from run to run) in linear
+// time — on a 2.6 GHz Xeon about 2 ns per count, and per queued operation
+// 20 to 38 ns plus at most 5 bytes of index while each lane's ids stay
+// one run (synchronous phases, 2 to 8 lanes), 40 to 110 ns plus 12 to 20
+// bytes when they do not (an async lane's completions reaped out of
+// order).
 //
 // Every operation flows through the session layer: each worker opens one
 // Session per structure and issues Inc/Enqueue through it, so a structure
@@ -110,66 +110,70 @@ func closeStructure(s Structure) {
 	}
 }
 
-// laneData is the validation evidence one worker (and, folded, one run)
-// accumulates: every count, block grant and (id, predecessor) pair.
+// laneData is what one worker logs into one window of a phase's logs:
+// every count, block grant and (id, predecessor) pair in the order it
+// appended them — a segment of the run's evidence, which the validators
+// read where it lies — and its timeline events.
 type laneData struct {
 	counts     []int64
 	blocks     []CountRange
 	ids, preds []int64
+	events     []tlEvent
 }
 
-// reserve sizes the run's evidence buffers once, from the phases' ops
-// budgets, so that folding a phase's lanes in is one copy into room that
-// already exists. The counter/queue split of a mixed phase is a coin per
-// draw, so each kind gets its expected share plus 4·√ops — eight standard
-// deviations of that split. Duration-budget phases promise nothing up
-// front; fold makes their room when their lanes arrive.
-func (d *laneData) reserve(phases []Phase) {
-	var counts, blocks, queued float64
-	for i := range phases {
-		p := &phases[i]
-		if p.Ops <= 0 {
-			continue
-		}
-		ops := float64(p.Ops)
-		slack := 4 * math.Sqrt(ops)
-		switch {
-		case p.Mix == 0:
-		case p.Batch > 1:
-			// Whole blocks, plus the short one that ends each claimed chunk.
-			blocks += ops/float64(p.Batch) + ops/opsChunk + float64(p.Goroutines)
-		default:
-			counts += ops*p.Mix + slack
-		}
-		if p.Mix < 1 {
-			queued += ops*(1-p.Mix) + slack
-		}
-	}
-	d.counts = make([]int64, 0, int(counts))
-	d.blocks = make([]CountRange, 0, int(blocks))
-	d.ids = make([]int64, 0, int(queued))
-	d.preds = make([]int64, 0, int(queued))
+// window is one stretch of a lane's logs: room for a phase's winOps ops,
+// cut from the phase's box, and the lane's next window, if it moved on.
+type window struct {
+	laneData
+	next *window
 }
 
-// fold appends every lane's evidence, growing each buffer at most once —
-// and not at all inside the reservation.
-func (d *laneData) fold(lanes []*lane) {
-	var counts, blocks, queued int
-	for _, ln := range lanes {
-		counts += len(ln.counts)
-		blocks += len(ln.blocks)
-		queued += len(ln.ids)
+// logStore recycles phases' log boxes from run to run, as internal/sim's
+// scratch pool does a one-shot run's buffers, and scratchStore the order
+// check's working memory. A phase takes a box at setup and runPhases puts
+// it back once the run is validated; a box keeps its logs' capacity, never
+// their contents.
+var (
+	logStore     store[laneData]
+	scratchStore store[orderScratch]
+)
+
+// store is a free list the collector ages as it does a sync.Pool: what is
+// put back survives one collection (a runtime.GC() between back-to-back
+// runs included), and the first get after a second drops it — until then
+// the process keeps it. A sync.Pool would miss entries: one in a P's
+// private slot is out of reach of a worker on another P.
+type store[T any] struct {
+	mu    sync.Mutex
+	free  []*T
+	cycle uint64 // GC cycles completed at the last put
+}
+
+func (s *store[T]) get() *T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if gcCycles() > s.cycle+1 {
+		s.free = nil
 	}
-	d.counts = slices.Grow(d.counts, counts)
-	d.blocks = slices.Grow(d.blocks, blocks)
-	d.ids = slices.Grow(d.ids, queued)
-	d.preds = slices.Grow(d.preds, queued)
-	for _, ln := range lanes {
-		d.counts = append(d.counts, ln.counts...)
-		d.blocks = append(d.blocks, ln.blocks...)
-		d.ids = append(d.ids, ln.ids...)
-		d.preds = append(d.preds, ln.preds...)
+	if n := len(s.free); n > 0 {
+		x := s.free[n-1]
+		s.free = s.free[:n-1]
+		return x
 	}
+	return new(T)
+}
+
+func (s *store[T]) put(x *T) {
+	s.mu.Lock()
+	s.free, s.cycle = append(s.free, x), gcCycles()
+	s.mu.Unlock()
+}
+
+// gcCycles is the number of completed GC cycles.
+func gcCycles() uint64 {
+	sample := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
 }
 
 // phaseHists bundles one lane's (or one phase's) latency histograms:
@@ -199,14 +203,20 @@ func runPhases(base Workload, scenarioSpec string, phases []Phase, cs, qs Struct
 		Scenario: scenarioSpec,
 		Seed:     base.Seed,
 	}
-	var all laneData
-	all.reserve(phases)
+	var phs []*phaseRun // every phase's logs: the evidence, until validated
+	defer func() {
+		// Last phase first, so that a like run takes each phase's box back.
+		for i := len(phs) - 1; i >= 0; i-- {
+			logStore.put(phs[i].box)
+		}
+	}()
 	var aggHists phaseHists
 	var totalAllocs, totalAllocBytes float64
 	agg := Measurement{Fairness: 1}
 	runStart := time.Now()
 	for pi := range phases {
-		pm, hists, err := runPhase(cs, qs, base, pi, phases[pi], runStart, &all)
+		pm, hists, ph, err := runPhase(cs, qs, base, pi, phases[pi], runStart)
+		phs = append(phs, ph)
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +264,7 @@ func runPhases(base Workload, scenarioSpec string, phases []Phase, cs, qs Struct
 	}
 
 	validateStart := time.Now()
-	if err := validateRun(base, cs, &all); err != nil {
+	if err := validateRun(base, cs, phs); err != nil {
 		return nil, err
 	}
 	m.ValidateElapsed = time.Since(validateStart)
@@ -333,15 +343,21 @@ func normalizePhases(base Workload, phases []Phase, cs, qs Structure, cinfo, qin
 // included: phases share the structure instances, so counts keep rising
 // across phase boundaries and the gap-free check must see every grant.
 // Sessions are all closed by now, so DrainCounts sees surrendered lease
-// remainders.
-func validateRun(base Workload, cs Structure, all *laneData) error {
-	if cs != nil {
-		all.counts = append(all.counts, DrainCounts(cs)...)
+// remainders; they are one more segment after the phases' windows.
+func validateRun(base Workload, cs Structure, phs []*phaseRun) error {
+	var segs []laneData
+	for _, ph := range phs {
+		segs = ph.evidence(segs)
 	}
-	if err := ValidateCountRanges(all.counts, all.blocks); err != nil {
+	if cs != nil {
+		segs = append(segs, laneData{counts: DrainCounts(cs)})
+	}
+	if err := validateCountRanges(segs); err != nil {
 		return fmt.Errorf("countq: %s failed validation: %w", base.Counter, err)
 	}
-	if err := ValidateOrder(all.ids, all.preds); err != nil {
+	sc := scratchStore.get()
+	defer scratchStore.put(sc)
+	if err := validateOrder(segs, sc); err != nil {
 		return fmt.Errorf("countq: %s failed validation: %w", base.Queue, err)
 	}
 	return nil
@@ -396,18 +412,15 @@ func (pd *phaseDeadline) stop() {
 	}
 }
 
-// grow returns s with room for at least n more elements, doubling capacity
-// so that reserving ahead of appends keeps the per-op append path free of
-// allocation inside a measured phase.
+// grow returns s with room for at least n more elements, at least doubling
+// what s holds so that reserving ahead of appends keeps the per-op append
+// path free of allocation inside a measured phase. An empty s gets exactly
+// n.
 func grow[T any](s []T, n int) []T {
 	if n <= cap(s)-len(s) {
 		return s
 	}
-	c := 2 * cap(s)
-	if c < len(s)+n {
-		c = len(s) + n
-	}
-	ns := make([]T, len(s), c)
+	ns := make([]T, len(s), max(2*len(s), len(s)+n))
 	copy(ns, s)
 	return ns
 }
@@ -428,12 +441,11 @@ type isolated[T any] struct {
 	_ [cacheLine]byte
 }
 
-// lane is one worker's phase-local accumulation: validation evidence,
-// latency histograms, timeline events, and the op count feeding fairness.
+// lane is one worker's phase-local accumulation: the logs of its current
+// window, latency histograms, and the op count feeding fairness.
 type lane struct {
 	laneData
 	hists  phaseHists
-	events []tlEvent
 	issued int64
 	err    error
 }
@@ -442,13 +454,15 @@ type lane struct {
 // included. The worker allocates it itself, isolated (newWorker), so every
 // word written per op — evidence headers, histograms, counters, clocks —
 // sits on lines no other worker touches. Everything it allocates —
-// evidence capacity, histograms, the rng — is set up before the start
-// barrier, and the per-op methods (issueSync, submitOne, reap) are written
-// to run at zero heap allocations; alloc_test.go gates them by counting
-// runtime Mallocs exactly.
+// histograms, the rng — is set up before the start barrier, as are the
+// phase's logs (newPhaseRun), and the per-op methods (issueSync,
+// submitOne, reap) are written to run at zero heap allocations;
+// alloc_test.go gates them by counting runtime Mallocs exactly.
 type laneRunner struct {
 	ln     lane
 	p      *Phase
+	ph     *phaseRun
+	win    *window // where ln's logs go back when the lane moves on
 	pi, gi int
 
 	csess Session
@@ -460,9 +474,10 @@ type laneRunner struct {
 	qch   <-chan Completion
 
 	ctx     context.Context
-	rng     *rand.Rand
+	rng     *rand.Rand // the arrival pauses' draws
+	coin    uint64     // xorshift64 state of the op-mix coin (heads)
+	thresh  uint64     // the coin comes up heads below it: drawMix·2⁶⁴
 	batch   int
-	drawMix float64
 	sample  int
 	chunk   int64
 	open    bool
@@ -484,7 +499,7 @@ type laneRunner struct {
 	mark time.Time
 
 	allowance   int64 // ops claimed from the pool, not yet issued
-	resLeft     int64 // reserved evidence capacity left (duration phases)
+	resLeft     int64 // ops the current window still has room for
 	sinceEvent  int64 // unsampled ops since the last timeline event
 	enqueued    int64 // enqueues drawn so far: the low field of the next queue-op id
 	burst       int
@@ -500,30 +515,20 @@ func (r *laneRunner) begin(phaseStart time.Time) {
 	r.mark = phaseStart
 }
 
-// reserve grows the lane's evidence and event logs to absorb n more ops
-// without allocating on the per-op path. Called outside the measured
-// window at setup, then at pool-claim granularity, so steady state sees
-// appends into preexisting capacity only.
+// reserve grows the lane's window to absorb n more ops without allocating
+// on the per-op path: a duration phase calls it in opsChunk strides from
+// claim.
 func (r *laneRunner) reserve(n int64) {
-	ln := &r.ln
-	if r.p.Mix > 0 {
-		if r.batch > 1 {
-			ln.blocks = grow(ln.blocks, int(n)/r.batch+1)
-		} else {
-			ln.counts = grow(ln.counts, int(n))
-		}
-	}
-	if r.p.Mix < 1 {
-		ln.ids = grow(ln.ids, int(n))
-		ln.preds = grow(ln.preds, int(n))
-	}
-	ln.events = grow(ln.events, int(n)/r.sample+2)
+	ln, rm := &r.ln, r.ph.room(n)
+	ln.counts, ln.blocks = grow(ln.counts, rm.counts), grow(ln.blocks, rm.blocks)
+	ln.ids, ln.preds = grow(ln.ids, rm.ids), grow(ln.preds, rm.ids)
+	ln.events = grow(ln.events, rm.events)
 }
 
 // claim secures budget for at least one more draw: a chunk from the shared
-// op pool, or — on a duration budget — a cheap check of the amortized
-// deadline flag plus evidence reservation in opsChunk strides. Returns
-// false when the phase's budget is exhausted.
+// op pool, in a window with room for it, or — on a duration budget — a
+// cheap check of the amortized deadline flag plus evidence reservation in
+// opsChunk strides. Returns false when the phase's budget is exhausted.
 //
 //countq:hotpath clocks=0
 func (r *laneRunner) claim() bool {
@@ -532,7 +537,10 @@ func (r *laneRunner) claim() bool {
 			if r.allowance = claimOps(r.pool, r.chunk); r.allowance == 0 {
 				return false
 			}
-			r.reserve(r.allowance)
+			if r.resLeft < r.allowance {
+				r.enter()
+			}
+			r.resLeft -= r.allowance
 		}
 		return true
 	}
@@ -545,6 +553,20 @@ func (r *laneRunner) claim() bool {
 	}
 	return true
 }
+
+// enter moves the lane into the phase's next free window, whose room
+// counts the ops still in flight, which land wherever the lane is when
+// they complete. newPhaseRun makes enough windows that they never run out.
+func (r *laneRunner) enter() {
+	w := &r.ph.wins[r.ph.taken.v.Add(1)-1]
+	r.leave()
+	r.win.next, r.win = w, w
+	r.ln.laneData = w.laneData
+	r.resLeft = r.ph.winOps - int64(r.outstanding)
+}
+
+// leave puts the lane's logs back in its current window.
+func (r *laneRunner) leave() { r.win.laneData = r.ln.laneData }
 
 // consume books n granted ops against the claimed allowance.
 //
@@ -627,13 +649,26 @@ func (r *laneRunner) flush() {
 	}
 }
 
+// heads tosses the op-mix coin — one xorshift64 step — and reports a
+// counter op, which it draws with probability drawMix.
+//
+//countq:hotpath clocks=0
+func (r *laneRunner) heads() bool {
+	x := r.coin
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	r.coin = x
+	return x < r.thresh
+}
+
 // issueSync performs one synchronous draw — the gated zero-allocation hot
 // path — and returns how many operations it granted.
 //
 //countq:hotpath clocks=6
 func (r *laneRunner) issueSync() (int64, error) {
 	ln := &r.ln
-	if r.p.Mix == 1 || (r.p.Mix > 0 && r.rng.Float64() < r.drawMix) {
+	if r.p.Mix == 1 || (r.p.Mix > 0 && r.heads()) {
 		if r.batch > 1 {
 			n := int64(r.batch)
 			if r.hasPool && n > r.allowance {
@@ -763,7 +798,7 @@ func (r *laneRunner) submitOne() (bool, error) {
 		op.Start = r.intended
 	}
 	n := int64(1)
-	if r.p.Mix == 1 || (r.p.Mix > 0 && r.rng.Float64() < r.drawMix) {
+	if r.p.Mix == 1 || (r.p.Mix > 0 && r.heads()) {
 		op.Kind, op.N = OpInc, 1
 		if r.batch > 1 {
 			n = int64(r.batch)
@@ -866,14 +901,16 @@ func (r *laneRunner) runAsync() {
 // runPhase spawns the phase's workers against the shared structures and
 // folds their lanes into one PhaseMetrics plus the per-kind histograms
 // (returned separately so the caller can merge them into the aggregate
-// without re-binning); the lanes' validation evidence goes straight into
-// the run's buffers, all. Each worker opens one session per structure
-// before the start barrier and issues every operation through it —
-// synchronously, or as an Inflight-deep pipeline of Submit/Completions
-// when the phase asks for one.
-func runPhase(cs, qs Structure, base Workload, pi int, p Phase, runStart time.Time, all *laneData) (PhaseMetrics, *phaseHists, error) {
+// without re-binning). It returns the phase itself, error or not: its
+// windows are the run's validation evidence, and its box goes back to
+// logStore after. Each worker opens one session per structure before the
+// start barrier and issues every operation through it — synchronously, or
+// as an Inflight-deep pipeline of Submit/Completions when the phase asks
+// for one.
+func runPhase(cs, qs Structure, base Workload, pi int, p Phase, runStart time.Time) (PhaseMetrics, *phaseHists, *phaseRun, error) {
 	ph := newPhaseRun(cs, qs, base, pi, p, runStart)
-	return ph.fold(ph.run(), all)
+	pm, hists, err := ph.fold(ph.run())
+	return pm, hists, ph, err
 }
 
 // phaseRun is one phase's shared state. Workers only read it once the
@@ -889,7 +926,11 @@ type phaseRun struct {
 	batch   int
 	drawMix float64
 	chunk   int64
-	share   int64 // each lane's initial evidence reservation
+
+	box    *laneData // from logStore: the logs wins are cut from
+	wins   []window  // lane gi starts in wins[gi], then takes the next free
+	winOps int64     // the ops a window has room for
+	taken  isolated[atomic.Int64]
 
 	pool isolated[atomic.Int64]
 	fair *fairTurn // nil unless the phase's arrival is Fairshare
@@ -910,7 +951,7 @@ type phaseRun struct {
 func newPhaseRun(cs, qs Structure, base Workload, pi int, p Phase, runStart time.Time) *phaseRun {
 	ph := &phaseRun{
 		cs: cs, qs: qs, base: base, p: p, pi: pi, runStart: runStart,
-		batch: p.Batch, drawMix: p.Mix, chunk: opsChunk, share: opsChunk,
+		batch: p.Batch, drawMix: p.Mix, chunk: opsChunk,
 		start: make(chan struct{}),
 	}
 	if p.Mix == 0 {
@@ -927,11 +968,34 @@ func newPhaseRun(cs, qs Structure, base Workload, pi int, p Phase, runStart time
 		ph.chunk = int64(ph.batch)
 	}
 	ph.pool.v.Store(int64(p.Ops))
-	// Per-lane initial evidence reservation: the balanced share of an ops
-	// budget, or one claim stride under a duration budget. Claims during the
-	// phase top this up, so steady state appends never allocate.
+	// The phase's logs, reserved once at setup: one box from logStore cut
+	// into windows of room for winOps ops. A lane moves to the next free
+	// window when its own lacks room for the chunk it claims and the ops it
+	// has in flight, so every window it leaves took over winOps-per of the
+	// ops budget, which therefore needs at most Ops/(winOps-per) windows
+	// besides the lanes' first: the reservation is the budget's, whatever
+	// the lane count, and no log grows inside the measured window. Under a
+	// duration budget each lane keeps its first window, one claim stride,
+	// which claims grow.
+	per := ph.chunk + int64(p.Inflight)
+	nwin := p.Goroutines
+	ph.winOps = per
 	if p.Ops > 0 {
-		ph.share = int64(p.Ops)/int64(p.Goroutines) + opsChunk
+		ph.winOps = max(2*per, min(64*per, int64(p.Ops/p.Goroutines)))
+		nwin += int(int64(p.Ops) / (ph.winOps - per))
+	}
+	ph.taken.v.Store(int64(p.Goroutines))
+	ph.box = logStore.get()
+	rm, b := ph.room(ph.winOps), ph.box
+	b.counts, b.blocks = grow(b.counts[:0], nwin*rm.counts), grow(b.blocks[:0], nwin*rm.blocks)
+	b.ids, b.preds = grow(b.ids[:0], nwin*rm.ids), grow(b.preds[:0], nwin*rm.ids)
+	b.events = grow(b.events[:0], nwin*rm.events)
+	ph.wins = make([]window, nwin)
+	for i := range ph.wins {
+		w := &ph.wins[i]
+		w.counts, w.blocks = part(b.counts, i, rm.counts), part(b.blocks, i, rm.blocks)
+		w.ids, w.preds = part(b.ids, i, rm.ids), part(b.preds, i, rm.ids)
+		w.events = part(b.events, i, rm.events)
 	}
 	if p.Arrival == Fairshare {
 		ph.fair = &fairTurn{done: make([]isolated[atomic.Bool], p.Goroutines)}
@@ -939,20 +1003,71 @@ func newPhaseRun(cs, qs Structure, base Workload, pi int, p Phase, runStart time
 	return ph
 }
 
+// logRoom is how many entries of each log a number of ops may need.
+type logRoom struct{ counts, blocks, ids, events int }
+
+// room sizes the logs for n ops. Each kind gets its expected share of the
+// mix plus 4·√n, eight standard deviations of the coin's split, and never
+// more than n; block grants are counted whole, plus the short one that may
+// end each claimed chunk and those in flight; and one timeline event per
+// sampled op of each of the three kinds, plus the flush.
+func (ph *phaseRun) room(n int64) logRoom {
+	// A batched mix draws far fewer counter ops, each worth batch queue
+	// ops to the split, so its slack scales by the batch.
+	slack := 4 * math.Sqrt(float64(n)) * float64(max(ph.batch, 1))
+	share := func(frac float64) int {
+		return int(min(float64(n), float64(n)*frac+slack))
+	}
+	var rm logRoom
+	if ph.p.Mix > 0 {
+		if ph.batch > 1 {
+			rm.blocks = int(n)/ph.batch + int(n/ph.chunk) + 1 + ph.p.Inflight
+		} else {
+			rm.counts = share(ph.p.Mix)
+		}
+	}
+	if ph.p.Mix < 1 {
+		rm.ids = share(1 - ph.p.Mix)
+	}
+	rm.events = int(n)/ph.p.LatencySample + 4
+	return rm
+}
+
+// part is the i-th of s's windows of n elements: empty, with room for n,
+// and no more, so that an append past it moves it rather than spill over.
+func part[T any](s []T, i, n int) []T { return s[i*n : i*n : (i+1)*n] }
+
+// evidence appends the phase's windows to segs lane by lane, each lane's
+// in the order it filled them, so that a lane's enqueues read as one run
+// of consecutive ids.
+func (ph *phaseRun) evidence(segs []laneData) []laneData {
+	for gi := 0; gi < ph.p.Goroutines; gi++ {
+		for w := &ph.wins[gi]; w != nil; w = w.next {
+			segs = append(segs, w.laneData)
+		}
+	}
+	return segs
+}
+
 // newWorker is lane setup: worker gi's laneRunner, lane included, in an
-// allocation of its own with the rng and the evidence reservation for its
-// share of the budget. Workers call it on their own goroutine, before the
-// start barrier.
+// allocation of its own, with the rng, the op-mix coin seeded from it, and
+// its first window of the phase's logs. Workers call it on their own
+// goroutine, before the start barrier.
 func (ph *phaseRun) newWorker(gi int) *laneRunner {
 	r := &new(isolated[laneRunner]).v
-	r.p, r.pi, r.gi = &ph.p, ph.pi, gi
+	r.p, r.ph, r.pi, r.gi = &ph.p, ph, ph.pi, gi
 	r.ctx = context.Background()
 	r.rng = rand.New(rand.NewSource(ph.base.Seed + int64(ph.pi)*104729 + int64(gi)*7919))
-	r.batch, r.drawMix, r.sample, r.chunk = ph.batch, ph.drawMix, ph.p.LatencySample, ph.chunk
+	r.coin = r.rng.Uint64() | 1 // xorshift64 is stuck at zero
+	if ph.drawMix < 1 {
+		r.thresh = uint64(ph.drawMix * (1 << 64))
+	}
+	r.batch, r.sample, r.chunk = ph.batch, ph.p.LatencySample, ph.chunk
 	r.open = ph.p.Arrival == Uniform || ph.p.Arrival == Bursty
 	r.hasPool, r.pool = ph.p.Ops > 0, &ph.pool.v
 	r.runStart = ph.runStart
-	r.reserve(ph.share)
+	r.win, r.resLeft = &ph.wins[gi], ph.winOps
+	r.ln.laneData = r.win.laneData
 	return r
 }
 
@@ -1066,6 +1181,7 @@ func (ph *phaseRun) work(gi int, out **lane) {
 		r.runSync(ph.fair)
 	}
 	r.flush()
+	r.leave()
 }
 
 // run is barrier and deadline. Workers rendezvous on a start barrier so
@@ -1103,12 +1219,15 @@ func (ph *phaseRun) run() []*lane {
 	return lanes
 }
 
-// fold merges the phase's lanes into its PhaseMetrics and histograms, and
-// their evidence into the run's buffers.
-func (ph *phaseRun) fold(lanes []*lane, all *laneData) (PhaseMetrics, *phaseHists, error) {
+// fold merges the phase's lanes into its PhaseMetrics and histograms.
+func (ph *phaseRun) fold(lanes []*lane) (PhaseMetrics, *phaseHists, error) {
 	p := &ph.p
 	var hists phaseHists
-	var events []tlEvent
+	nev := 0
+	for i := range ph.wins {
+		nev += len(ph.wins[i].events)
+	}
+	events := make([]tlEvent, 0, nev)
 	var counterOps, queueOps int
 	workers := make([]int64, len(lanes))
 	for gi, ln := range lanes {
@@ -1116,15 +1235,17 @@ func (ph *phaseRun) fold(lanes []*lane, all *laneData) (PhaseMetrics, *phaseHist
 			return PhaseMetrics{}, nil, fmt.Errorf("countq: phase %q: %w", p.Name, ln.err)
 		}
 		hists.merge(&ln.hists)
-		events = append(events, ln.events...)
 		workers[gi] = ln.issued
-		counterOps += len(ln.counts)
-		for _, b := range ln.blocks {
+	}
+	for i := range ph.wins {
+		w := &ph.wins[i]
+		events = append(events, w.events...)
+		counterOps += len(w.counts)
+		for _, b := range w.blocks {
 			counterOps += int(b.N)
 		}
-		queueOps += len(ln.ids)
+		queueOps += len(w.ids)
 	}
-	all.fold(lanes)
 	var allocsPerOp, allocBytesPerOp float64
 	if ops := counterOps + queueOps; ops > 0 {
 		allocsPerOp = float64(ph.allocs) / float64(ops)

@@ -42,11 +42,23 @@ func (n *sampleSession) Submit(ctx context.Context, op Op) error {
 	return nil
 }
 
+// laneLogs is lane gi's logs over all the windows it filled, in order.
+func laneLogs(ph *phaseRun, gi int) *laneData {
+	var d laneData
+	for w := &ph.wins[gi]; w != nil; w = w.next {
+		d.counts = append(d.counts, w.counts...)
+		d.blocks = append(d.blocks, w.blocks...)
+		d.ids = append(d.ids, w.ids...)
+		d.events = append(d.events, w.events...)
+	}
+	return &d
+}
+
 // moduloSamples applies the index-mod-sample rule to one lane's evidence:
 // the kind's k-th op is sampled when k%sample == 0. It returns the
 // counter and queue histogram counts that rule yields (a sampled block
 // records all its counts) and how many ops it samples.
-func moduloSamples(ln *lane, sample int) (counter, queue, sampled int64) {
+func moduloSamples(ln *laneData, sample int) (counter, queue, sampled int64) {
 	for k := range ln.counts {
 		if k%sample == 0 {
 			counter++
@@ -97,10 +109,11 @@ func TestPhaseSamplingMatchesModuloRule(t *testing.T) {
 					if ln.err != nil {
 						t.Fatal(ln.err)
 					}
-					c, q, sampled := moduloSamples(ln, sample)
+					logs := laneLogs(ph, gi)
+					c, q, sampled := moduloSamples(logs, sample)
 					wantC, wantQ = wantC+c, wantQ+q
-					workers[gi] = int64(len(ln.counts) + len(ln.ids))
-					for _, b := range ln.blocks {
+					workers[gi] = int64(len(logs.counts) + len(logs.ids))
+					for _, b := range logs.blocks {
 						workers[gi] += b.N
 					}
 					if got := [2]int64{ln.hists.c.Count(), ln.hists.q.Count()}; got != [2]int64{c, q} {
@@ -112,17 +125,16 @@ func TestPhaseSamplingMatchesModuloRule(t *testing.T) {
 						}
 					}
 					var evOps int64
-					for _, ev := range ln.events {
+					for _, ev := range logs.events {
 						evOps += ev.ops
 					}
 					// One event per sampled op, plus the flush of any
 					// unsampled tail.
-					if n := int64(len(ln.events)); evOps != ln.issued || n < sampled || n > sampled+1 {
+					if n := int64(len(logs.events)); evOps != ln.issued || n < sampled || n > sampled+1 {
 						t.Errorf("lane %d: %d events carrying %d ops; modulo rule samples %d of %d", gi, n, evOps, sampled, ln.issued)
 					}
 				}
-				var all laneData
-				pm, _, err := ph.fold(lanes, &all)
+				pm, _, err := ph.fold(lanes)
 				if err != nil {
 					t.Fatal(err)
 				}

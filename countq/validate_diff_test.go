@@ -23,28 +23,69 @@ func sameVerdict(t testing.TB, what string, got, want error) {
 	}
 }
 
+// splits are the segmentations every input is also checked in: whole, and
+// cut into 2 and 7 segments, as a run's lanes leave their evidence.
+var splits = []int{1, 2, 7}
+
+// cut returns the bounds of segment i of n over l elements.
+func cut(l, n, i int) (lo, hi int) { return l * i / n, l * (i + 1) / n }
+
+// diffCounts holds ValidateCountRanges, and the segment form over every
+// split of the same values and blocks, to the reference.
 func diffCounts(t testing.TB, what string, values []int64, blocks []CountRange) {
 	t.Helper()
-	sameVerdict(t, what, ValidateCountRanges(values, blocks), refValidateCountRanges(values, blocks))
+	want := refValidateCountRanges(values, blocks)
+	sameVerdict(t, what, ValidateCountRanges(values, blocks), want)
+	for _, n := range splits {
+		segs := make([]laneData, n)
+		for i := range segs {
+			lo, hi := cut(len(values), n, i)
+			blo, bhi := cut(len(blocks), n, i)
+			segs[i] = laneData{counts: values[lo:hi], blocks: blocks[blo:bhi]}
+		}
+		sameVerdict(t, fmt.Sprintf("%s (%d segments)", what, n), validateCountRanges(segs), want)
+	}
 }
 
-// diffOrder holds ValidateOrder to the reference, except on a negative id:
-// the reference hangs when an id equals Head, so there the new validator
-// is held to its contract instead — an error.
+// diffOrder holds ValidateOrder, and the segment form over every split of
+// the same pairs, to the reference — except on a negative id: the
+// reference hangs when an id equals Head, so there the validators are held
+// to their contract instead, an error. The splits share one scratch, so
+// each call starts from what the previous one left in it.
 func diffOrder(t testing.TB, what string, ids, preds []int64) {
 	t.Helper()
-	got := ValidateOrder(ids, preds)
+	negative := int64(0)
 	if len(ids) == len(preds) {
 		for _, id := range ids {
 			if id < 0 {
-				if got == nil {
-					t.Errorf("%s: negative id %d accepted", what, id)
-				}
-				return
+				negative = id
+				break
 			}
 		}
 	}
-	sameVerdict(t, what, got, refValidateOrder(ids, preds))
+	var want error
+	if negative == 0 {
+		want = refValidateOrder(ids, preds)
+	}
+	check := func(what string, got error) {
+		t.Helper()
+		if negative == 0 {
+			sameVerdict(t, what, got, want)
+		} else if got == nil {
+			t.Errorf("%s: negative id %d accepted", what, negative)
+		}
+	}
+	check(what, ValidateOrder(ids, preds))
+	var sc orderScratch
+	for _, n := range splits {
+		segs := make([]laneData, n)
+		for i := range segs {
+			lo, hi := cut(len(ids), n, i)
+			plo, phi := cut(len(preds), n, i)
+			segs[i] = laneData{ids: ids[lo:hi], preds: preds[plo:phi]}
+		}
+		check(fmt.Sprintf("%s (%d segments)", what, n), validateOrder(segs, &sc))
+	}
 }
 
 type countCase struct {
@@ -371,7 +412,8 @@ func orderCases(k int, rng *rand.Rand, layout orderLayout) []orderCase {
 // TestValidatorsMatchReference is the differential test: on valid inputs
 // and on every single corruption class, at sizes around the word boundary
 // and beyond the cache, the linear-time validators give the reference
-// implementations' verdict with the reference's error text.
+// implementations' verdict with the reference's error text — on flat
+// evidence and on the same evidence split into segments.
 func TestValidatorsMatchReference(t *testing.T) {
 	for _, k := range diffSizes {
 		rounds := 8
@@ -391,7 +433,7 @@ func TestValidatorsMatchReference(t *testing.T) {
 			// The same classes over lane-shaped runs, whose valid chains
 			// take the run form and whose corruptions may or may not.
 			for _, c := range orderCases(k, rng, runLayout(1<<62)) {
-				if _, ok := newRunIndex(c.ids); !ok && c.name == "chain" {
+				if _, ok := newRunIndex([]laneData{{ids: c.ids}}, len(c.ids)); !ok && c.name == "chain" {
 					t.Errorf("order k=%d round %d: valid runs not indexed by their runs", k, round)
 				}
 				diffOrder(t, fmt.Sprintf("runs k=%d round %d: %s", k, round, c.name), c.ids, c.preds)
