@@ -119,7 +119,10 @@ func failKind(env *sim.Env, kind int) {
 // time zero, under its node id. Construct with New, run it under sim.New,
 // then inspect Pred/Delay.
 type Protocol struct {
-	core     // embedded, so the engine's Deliver reaches it without a forwarding call
+	// Embedded for its Deliver, which is not free: the engine's call
+	// through sim.Protocol lands in a compiler-generated wrapper that calls
+	// the promoted method, one extra call per delivery.
+	core
 	env      *sim.Env
 	requests []bool
 

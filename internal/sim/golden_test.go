@@ -41,7 +41,7 @@ func (t *tracer) Start(env *sim.Env, node int) { t.inner.Start(env, node) }
 
 func (t *tracer) Deliver(env *sim.Env, node int, m sim.Message) {
 	fmt.Fprintf(t.buf, "r=%d node=%d from=%d to=%d sent=%d kind=%d a=%d b=%d c=%d\n",
-		env.Round(), node, m.From, m.To, m.SentAt(), m.Kind, m.A, m.B, m.C)
+		env.Round(), node, m.From, m.To, env.SentAt(node), m.Kind, m.A, m.B, m.C)
 	t.inner.Deliver(env, node, m)
 }
 

@@ -9,13 +9,13 @@ import (
 // allocate, and Step grow, from nothing (see the package comment, "cold start
 // and recycling").
 type scratch struct {
-	inbox, outbox []msgQueue  // each queue keeps its grown buf
-	wheel         [][]Message // keeps its grown size and every bucket's capacity
-	ints          []int       // backing of inFloor, inStamp, sendUsed, sendStamp
-	sets          []uint64    // backing of inActive, outActive, wake
-	adj           [][]int
-	edgeOff       []int // non-unit delay only
-	edgeLast      []int
+	inbox    []inQueue    // each queue keeps its grown buf
+	outbox   []outQueue   // likewise
+	wheel    [][]envelope // keeps its grown size and every bucket's capacity
+	sets     []uint64     // backing of inActive, outActive, wake
+	adj      [][]int
+	edgeOff  []int // non-unit delay only
+	edgeLast []int
 }
 
 // scratchPool is the only state one-shot runs share: reachable from New and
@@ -41,29 +41,23 @@ func (s *scratch) fit(e *Env) {
 	n := e.n
 	s.inbox, s.outbox = fitLen(s.inbox, n), fitLen(s.outbox, n)
 	for v := 0; v < n; v++ {
-		s.inbox[v] = msgQueue{buf: s.inbox[v].buf[:0]}
-		s.outbox[v] = msgQueue{buf: s.outbox[v].buf[:0]}
+		s.inbox[v] = inQueue{msgQueue: msgQueue{buf: s.inbox[v].buf[:0]}}
+		s.outbox[v] = outQueue{msgQueue: msgQueue{buf: s.outbox[v].buf[:0]}}
 	}
 	e.inbox, e.outbox = s.inbox, s.outbox
 
 	if s.wheel == nil {
-		s.wheel = make([][]Message, initialWheel)
+		s.wheel = make([][]envelope, initialWheel)
 	}
 	for i := range s.wheel {
 		s.wheel[i] = s.wheel[i][:0]
 	}
 	e.wheel, e.wheelMask = s.wheel, len(s.wheel)-1
 
-	// One backing array per element type: the four per-node int columns and
-	// the three active-set bitmaps are carved from it.
+	// One backing array: the three active-set bitmaps are carved from it.
 	words := (n + 63) / 64
-	s.ints, s.sets = fitLen(s.ints, 4*n), fitLen(s.sets, 3*words)
-	clear(s.ints)
+	s.sets = fitLen(s.sets, 3*words)
 	clear(s.sets)
-	e.inFloor = s.ints[0*n : 1*n : 1*n]
-	e.inStamp = s.ints[1*n : 2*n : 2*n]
-	e.sendUsed = s.ints[2*n : 3*n : 3*n]
-	e.sendStamp = s.ints[3*n : 4*n : 4*n]
 	e.inActive = s.sets[0*words : 1*words : 1*words]
 	e.outActive = s.sets[1*words : 2*words : 2*words]
 	e.wake = s.sets[2*words : 3*words : 3*words]
@@ -96,7 +90,6 @@ func (nw *Network) release() {
 	clear(s.adj)      // the pool must not keep a graph alive
 	nw.scratch = nil
 	e.inbox, e.outbox, e.wheel, e.adj = nil, nil, nil, nil
-	e.inFloor, e.inStamp, e.sendUsed, e.sendStamp = nil, nil, nil, nil
 	e.inActive, e.outActive, e.wake = nil, nil, nil
 	e.edgeOff, e.edgeLast = nil, nil
 	scratchPool.Put(s)

@@ -27,6 +27,15 @@
 // instead of scanning all n nodes, so an idle node costs 1/64 of a word
 // test. See DESIGN.md "Engine v2".
 //
+// Message holds only what a protocol reads — From, To, Kind and the payload
+// A, B, C, six words — so Send and Deliver take it in argument registers.
+// The sent round and the global sequence number live beside it in the
+// engine's envelope, which is what inboxes, outboxes and the wheel store;
+// Env.SentAt reads the sent round back from the inbox slot for a handler
+// that asks. Under unit delay Send writes a message's fields once, straight
+// into its destination inbox slot, and the receive phase hands Deliver the
+// message from that slot.
+//
 // Cold start and recycling: a one-shot run never reaches steady state, so
 // what New would allocate and the first rounds would grow — the inbox and
 // outbox arrays with every queue's grown buffer, the wheel and its buckets,
@@ -53,16 +62,26 @@ import (
 // Message is a network message. From/To are set by Send; Kind and the
 // integer payload fields are protocol-defined. Using plain ints keeps the
 // hot loop allocation-free.
+//
+// A Message is six words and must stay so: Send(from, to, m) and, through
+// the Protocol interface, Deliver(env, node, m) then take it in the nine
+// integer argument registers of Go's amd64 calling convention. One more
+// word puts every message of every send and delivery on the stack
+// (TestMessageLayout). What the engine keeps beside it lives in envelope.
 type Message struct {
 	From, To int
 	Kind     int
 	A, B, C  int // protocol payload (e.g. operation id, origin, count)
-	sentAt   int // round the message entered the wire
-	seq      int // global sequence number, for deterministic ordering
 }
 
-// SentAt reports the round in which the message was transmitted.
-func (m Message) SentAt() int { return m.sentAt }
+// envelope is a Message as the engine stores it in inboxes, outboxes and
+// the timing wheel: with the round it entered the wire and its global
+// sequence number, which orders deliveries deterministically.
+type envelope struct {
+	Message
+	sentAt int
+	seq    int
+}
 
 // Protocol is the per-node behavior run by the simulator. Start runs once
 // for every node before round 1 (the paper's "time zero", where one-shot
@@ -168,8 +187,8 @@ type Env struct {
 	round     int
 	seq       int
 
-	inbox  []msgQueue
-	outbox []msgQueue
+	inbox  []inQueue
+	outbox []outQueue
 
 	// Active sets, one bit per node in ascending node order: inActive[v]
 	// is set while inbox[v] is non-empty (arrived or not), outActive[v]
@@ -182,29 +201,13 @@ type Env struct {
 	outActive []uint64
 	wake      []uint64
 
-	// Per-inbox sort floor for the unit-delay direct-delivery path: the
-	// seq back-scan may only reorder messages inserted for the upcoming
-	// round (arrival round round+1), never earlier arrivals — and the
-	// receive phase must not touch entries above the floor, which have
-	// not arrived yet. inStamp[v] records which arrival round inFloor[v]
-	// belongs to.
-	inFloor []int
-	inStamp []int
-
-	// Per-node send budget already spent this round via the direct
-	// Send fast path (unit delay, no outbox leftovers): sendPhase drains
-	// only capacity-sendUsed more. sendStamp[v] keys sendUsed[v] to a
-	// round, avoiding an O(n) reset every round.
-	sendUsed  []int
-	sendStamp []int
-
 	// Timing wheel: wheel[at&wheelMask] holds the messages arriving in
 	// round at. Every in-flight message satisfies round < at ≤
 	// round+len(wheel) (growWheel maintains this), so each bucket holds
 	// messages of exactly one arrival round and deliverPhase drains one
 	// bucket per round in O(bucket). Buckets are kept seq-sorted by
 	// insertion, so no per-round sort is needed.
-	wheel     [][]Message
+	wheel     [][]envelope
 	wheelMask int
 
 	// O(1) quiescence: counters instead of scanning every queue.
@@ -223,25 +226,46 @@ type Env struct {
 	err   error
 }
 
-// msgQueue is a FIFO of messages with an amortized O(1) pop.
+// msgQueue is a FIFO of messages: buf[head:] is queued, and the consumer
+// advances head.
 type msgQueue struct {
-	buf  []Message
+	buf  []envelope
 	head int
 }
 
-func (q *msgQueue) push(m Message) { q.buf = append(q.buf, m) }
+// inQueue is a node's inbox. Under unit delay it carries a sort floor for
+// the direct-delivery path: the seq back-scan may only reorder messages
+// inserted for the upcoming round (arrival round round+1), never earlier
+// arrivals — and the receive phase must not touch entries at or above the
+// floor, which have not arrived yet. floorRound records which arrival round
+// floor belongs to. The two words live beside the queue so that a send or a
+// visit reads one record per node.
+type inQueue struct {
+	msgQueue
+	floor, floorRound int
+}
 
-func (q *msgQueue) pop() (Message, bool) {
-	if q.head >= len(q.buf) {
-		return Message{}, false
+// outQueue is a node's outbox, with the send budget the node already spent
+// in round sentRound through Send's direct path (unit delay, no outbox
+// leftovers): sendPhase drains only capacity-sent more. Keying sent to a
+// round avoids an O(n) reset every round.
+type outQueue struct {
+	msgQueue
+	sent, sentRound int
+}
+
+// slot appends an envelope to the queue and returns it for the caller to
+// fill. Its fields hold whatever the buffer last held there.
+//
+//countq:hotpath
+func (q *msgQueue) slot() *envelope {
+	n := len(q.buf)
+	if n == cap(q.buf) {
+		q.buf = append(q.buf, envelope{})
+	} else {
+		q.buf = q.buf[:n+1]
 	}
-	m := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return m, true
+	return &q.buf[n]
 }
 
 func (q *msgQueue) len() int { return len(q.buf) - q.head }
@@ -393,8 +417,8 @@ func (nw *Network) Step() error {
 			e.stats.Visited++
 			q := &e.inbox[v]
 			avail := q.len()
-			if e.inStamp[v] == e.round+1 {
-				avail = e.inFloor[v] - q.head
+			if q.floorRound == e.round+1 {
+				avail = q.floor - q.head
 			}
 			take := avail
 			if take > e.capacity {
@@ -404,12 +428,14 @@ func (nw *Network) Step() error {
 				if e.stats.Received != nil {
 					e.stats.Received[v] += take
 				}
-				setBit(e.wake, v)
+				if nw.wakeTicks {
+					setBit(e.wake, v)
+				}
 			}
 			for k := 0; k < take; k++ {
-				m := q.buf[q.head]
+				m := &q.buf[q.head]
 				q.head++
-				nw.proto.Deliver(e, v, m)
+				nw.proto.Deliver(e, v, m.Message)
 				if e.err != nil {
 					if e.stats.Received != nil {
 						e.stats.Received[v] -= take - k - 1
@@ -431,8 +457,8 @@ func (nw *Network) Step() error {
 				live := copy(q.buf, q.buf[h:])
 				q.buf = q.buf[:live]
 				q.head = 0
-				if e.inStamp[v] == e.round+1 {
-					e.inFloor[v] -= h
+				if q.floorRound == e.round+1 {
+					q.floor -= h
 				}
 			}
 			if backlog := avail - take; backlog > e.stats.MaxInboxBacklog {
@@ -516,8 +542,9 @@ func (e *Env) deliverPhase() {
 		return
 	}
 	for i := range due {
-		e.inbox[due[i].To].push(due[i])
-		setBit(e.inActive, due[i].To)
+		to := due[i].To
+		e.inbox[to].buf = append(e.inbox[to].buf, due[i])
+		setBit(e.inActive, to)
 	}
 	e.queuedIn += len(due)
 	e.flying -= len(due)
@@ -542,12 +569,11 @@ func (e *Env) sendPhase() {
 		for word != 0 {
 			v := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			for k := 0; k < e.capacity; k++ {
-				m, ok := e.outbox[v].pop()
-				if !ok {
-					break
-				}
-				e.queuedOut--
+			q := &e.outbox[v]
+			take := min(q.len(), e.capacity)
+			for k := 0; k < take; k++ {
+				m := &q.buf[q.head]
+				q.head++
 				m.sentAt = e.round
 				at := e.round + 1
 				if d := e.delay.Delay(m.From, m.To, m.seq); d > 1 {
@@ -559,10 +585,13 @@ func (e *Env) sendPhase() {
 				}
 				e.edgeLast[idx] = at
 				e.schedule(m, at)
-				e.stats.MessagesSent++
 			}
-			backlog := e.outbox[v].len()
+			e.queuedOut -= take
+			e.stats.MessagesSent += take
+			backlog := q.len()
 			if backlog == 0 {
+				q.buf = q.buf[:0]
+				q.head = 0
 				clearBit(e.outActive, v)
 			}
 			if backlog > e.stats.MaxOutboxBacklog {
@@ -589,15 +618,15 @@ func (e *Env) sendPhaseUnit() {
 			word &= word - 1
 			q := &e.outbox[v]
 			budget := e.capacity
-			if e.sendStamp[v] == e.round {
-				budget -= e.sendUsed[v]
+			if q.sentRound == e.round {
+				budget -= q.sent
 			}
 			take := q.len()
 			if take > budget {
 				take = budget
 			}
 			for k := 0; k < take; k++ {
-				m := q.buf[q.head]
+				m := &q.buf[q.head]
 				q.head++
 				m.sentAt = e.round
 				e.insertNextRound(m)
@@ -625,12 +654,12 @@ func (e *Env) sendPhaseUnit() {
 // ascending runs and the back-scan is O(1) amortized.
 //
 //countq:hotpath
-func (e *Env) schedule(m Message, at int) {
+func (e *Env) schedule(m *envelope, at int) {
 	for at-e.round >= len(e.wheel) {
 		e.growWheel()
 	}
 	b := &e.wheel[at&e.wheelMask]
-	s := append(*b, m)
+	s := append(*b, *m)
 	for i := len(s) - 1; i > 0 && s[i-1].seq > s[i].seq; i-- {
 		s[i-1], s[i] = s[i], s[i-1]
 	}
@@ -645,7 +674,7 @@ func (e *Env) schedule(m Message, at int) {
 func (e *Env) growWheel() {
 	old := e.wheel
 	oldMask := e.wheelMask
-	grown := make([][]Message, 2*len(old))
+	grown := make([][]envelope, 2*len(old))
 	mask := len(grown) - 1
 	for at := e.round + 1; at <= e.round+len(old); at++ {
 		if b := old[at&oldMask]; len(b) > 0 {
@@ -686,61 +715,85 @@ func (e *Env) Send(from, to int, m Message) {
 	if r := edgeRank(nbrs, to); r >= len(nbrs) || nbrs[r] != to {
 		panic(fmt.Sprintf("sim: send over non-edge (%d,%d)", from, to))
 	}
-	m.From = from
-	m.To = to
-	m.seq = e.seq
-	e.seq++
 	// Fast path (unit delay): a message inside the round's send budget
 	// with no outbox leftovers ahead of it is transmitted this round and
-	// arrives next round, unconditionally — skip the outbox and place it
-	// in the destination inbox now. The receive phase's floor guard keeps
-	// it invisible until it arrives; sendPhase drains only the remaining
-	// budget. Everything else queues in the outbox as before.
-	if e.unitDelay && e.outbox[from].len() == 0 {
-		if e.sendStamp[from] != e.round {
-			e.sendStamp[from] = e.round
-			e.sendUsed[from] = 0
+	// arrives next round, unconditionally — skip the outbox and write it
+	// into the destination inbox now. Its sequence number is the largest
+	// yet issued, so the inbox's end is its place in sequence order. The
+	// receive phase's floor guard keeps it invisible until it arrives;
+	// sendPhase drains only the remaining budget. Everything else queues in
+	// the outbox as before, where sendPhase stamps the round it leaves in.
+	out := &e.outbox[from]
+	direct := false
+	if e.unitDelay && out.len() == 0 {
+		if out.sentRound != e.round {
+			out.sentRound = e.round
+			out.sent = 0
 		}
-		if e.sendUsed[from] < e.capacity {
-			e.sendUsed[from]++
-			m.sentAt = e.round
-			e.insertNextRound(m)
-			e.stats.MessagesSent++
-			return
-		}
+		direct = out.sent < e.capacity
 	}
-	e.outbox[from].push(m)
-	setBit(e.outActive, from)
-	e.queuedOut++
+	var q *msgQueue
+	if direct {
+		out.sent++
+		e.stats.MessagesSent++
+		q = &e.nextRoundInbox(to).msgQueue
+	} else {
+		q = &out.msgQueue
+		setBit(e.outActive, from)
+		e.queuedOut++
+	}
+	// Field by field: a Message assigned whole is copied through the stack.
+	s := q.slot()
+	s.From, s.To, s.Kind = from, to, m.Kind
+	s.A, s.B, s.C = m.A, m.B, m.C
+	s.sentAt, s.seq = e.round, e.seq
+	e.seq++
 }
 
-// insertNextRound places m, already stamped with sentAt, into its
+// nextRoundInbox returns node to's inbox, about to take a message arriving
+// in round round+1, with the floor below which the receive phase may take
+// this round set.
+//
+//countq:hotpath
+func (e *Env) nextRoundInbox(to int) *inQueue {
+	in := &e.inbox[to]
+	if in.floorRound != e.round+1 {
+		in.floorRound = e.round + 1
+		in.floor = len(in.buf)
+	}
+	setBit(e.inActive, to)
+	e.queuedIn++
+	return in
+}
+
+// insertNextRound copies m, already stamped with sentAt, into its
 // destination inbox for arrival in round round+1, keeping the upcoming
 // round's slice region in global sequence order. Inserts arrive in
 // near-ascending runs, so the bounded back-scan is O(1) amortized; the
 // floor keeps it from ever crossing into messages that arrived earlier.
 //
 //countq:hotpath
-func (e *Env) insertNextRound(m Message) {
-	in := &e.inbox[m.To]
-	floor := e.inFloor[m.To]
-	if e.inStamp[m.To] != e.round+1 {
-		e.inStamp[m.To] = e.round + 1
-		floor = len(in.buf)
-		e.inFloor[m.To] = floor
-	}
-	s := append(in.buf, m)
-	for i := len(s) - 1; i > floor && s[i-1].seq > s[i].seq; i-- {
+func (e *Env) insertNextRound(m *envelope) {
+	in := e.nextRoundInbox(m.To)
+	s := append(in.buf, *m)
+	for i := len(s) - 1; i > in.floor && s[i-1].seq > s[i].seq; i-- {
 		s[i-1], s[i] = s[i], s[i-1]
 	}
 	in.buf = s
-	setBit(e.inActive, m.To)
-	e.queuedIn++
 }
 
 // Round reports the current round number. Start runs in round 0; the first
 // deliveries happen in round 1.
 func (e *Env) Round() int { return e.round }
+
+// SentAt reports the round in which the message being delivered at node was
+// sent. It is defined only inside Deliver at node: it reads the envelope the
+// receive phase just took from node's inbox, so a delivery that does not ask
+// costs nothing.
+func (e *Env) SentAt(node int) int {
+	q := &e.inbox[node]
+	return q.buf[q.head-1].sentAt
+}
 
 // Wake marks node as due a Tick in the next tick pass — for a WakeTicker
 // protocol whose state at node changed outside Deliver (the bridge wakes a

@@ -8,9 +8,10 @@ import (
 )
 
 // relayProto forwards a single token along a path and records when each node
-// receives it.
+// receives it, and, when sentRound is set, the round Env.SentAt reports.
 type relayProto struct {
 	recvRound []int
+	sentRound []int
 }
 
 func (p *relayProto) Start(env *Env, node int) {
@@ -22,6 +23,9 @@ func (p *relayProto) Start(env *Env, node int) {
 
 func (p *relayProto) Deliver(env *Env, node int, m Message) {
 	p.recvRound[node] = env.Round()
+	if p.sentRound != nil {
+		p.sentRound[node] = env.SentAt(node)
+	}
 	if node+1 < env.N() {
 		env.Send(node, node+1, m)
 	}
@@ -52,9 +56,10 @@ func TestRelaySpeedOneHopPerRound(t *testing.T) {
 }
 
 // fanInProto has every leaf of a star send one message to the center, which
-// records arrival rounds.
+// records arrival rounds and the rounds Env.SentAt reports.
 type fanInProto struct {
 	arrivals []int
+	sentAt   []int
 }
 
 func (p *fanInProto) Start(env *Env, node int) {
@@ -66,6 +71,7 @@ func (p *fanInProto) Start(env *Env, node int) {
 func (p *fanInProto) Deliver(env *Env, node int, m Message) {
 	if node == 0 {
 		p.arrivals = append(p.arrivals, env.Round())
+		p.sentAt = append(p.sentAt, env.SentAt(node))
 	}
 }
 
@@ -280,11 +286,46 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestMessageSentAt(t *testing.T) {
-	p := &relayProto{recvRound: make([]int, 3)}
-	nw := New(Config{Graph: graph.Path(3)}, p)
-	if _, err := nw.Run(); err != nil {
+	// Unit delay, fan-in: the hub takes one message a round, so it sees them
+	// in rounds 1, 2, 3, … — every one of them sent in round 0.
+	const leaves = 8
+	fan := &fanInProto{}
+	if _, err := New(Config{Graph: graph.Star(leaves + 1)}, fan).Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Indirect: relay receive rounds already checked; SentAt is exercised
-	// via the Message copy (sentAt = receive round - 1).
+	if len(fan.arrivals) != leaves {
+		t.Fatalf("hub received %d messages, want %d", len(fan.arrivals), leaves)
+	}
+	for i, r := range fan.arrivals {
+		if r != i+1 || fan.sentAt[i] != 0 {
+			t.Errorf("hub delivery %d: round %d, sent in %d; want round %d, sent in 0", i, r, fan.sentAt[i], i+1)
+		}
+	}
+
+	// Jitter: one message relayed up a path, so the k-th send crosses link
+	// (k, k+1) with sequence number k and nothing to clamp it. It was sent
+	// when node k received it, and its flight is exactly the model's delay.
+	const n = 12
+	jitter := JitterDelay{Seed: 3, Max: 4}
+	relay := &relayProto{recvRound: make([]int, n), sentRound: make([]int, n)}
+	if _, err := New(Config{Graph: graph.Path(n), Delay: jitter}, relay).Run(); err != nil {
+		t.Fatal(err)
+	}
+	late := 0
+	for v := 1; v < n; v++ {
+		arrived, sent := relay.recvRound[v], relay.sentRound[v]
+		wantSent := relay.recvRound[v-1] // 0 for node 0, which sends at Start
+		if sent != wantSent {
+			t.Errorf("node %d: sent in round %d, want %d (when node %d received it)", v, sent, wantSent, v-1)
+		}
+		if d := jitter.Delay(v-1, v, v-1); arrived-sent != d {
+			t.Errorf("node %d: arrived %d, sent %d; want a flight of %d rounds", v, arrived, sent, d)
+		}
+		if arrived-sent > 1 {
+			late++
+		}
+	}
+	if late == 0 {
+		t.Fatal("every flight took one round: the jitter case checks nothing a unit delay would not")
+	}
 }

@@ -1,7 +1,5 @@
 package tree
 
-import "sort"
-
 // Router answers next-hop queries on the tree in O(log deg) time using
 // Euler-tour intervals, for protocols that route messages hop by hop along
 // tree paths (the counting and queuing protocols of the experiments).
@@ -57,11 +55,24 @@ func (r *Router) NextHop(from, to int) int {
 	if !r.inSubtree(to, from) {
 		return r.t.parent[from]
 	}
-	// Binary search the child whose interval contains tin[to]. Children
-	// intervals are disjoint and ordered by tin.
+	// Binary search the child whose interval contains tin[to]: the first
+	// whose tout exceeds it, since children's intervals are disjoint and
+	// ordered by tin. A single child (every inner node of a path) is it.
 	kids := r.t.children[from]
-	i := sort.Search(len(kids), func(i int) bool { return r.tout[kids[i]] > r.tin[to] })
-	return kids[i]
+	if len(kids) == 1 {
+		return kids[0]
+	}
+	t := r.tin[to]
+	lo, hi := 0, len(kids)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.tout[kids[mid]] > t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return kids[lo]
 }
 
 // Dist returns the tree distance (delegates to the tree's LCA structure).
