@@ -267,12 +267,12 @@ func runCmd(args []string) {
 // message-passing topology.
 func topoCmd(args []string) {
 	fs := flag.NewFlagSet("topo", flag.ExitOnError)
-	topo := fs.String("topo", "mesh2d", "topology: complete|mesh2d|mesh3d|hypercube|list|star|mary|caterpillar|ccc|debruijn")
-	n := fs.Int("n", 256, "approximate number of nodes")
+	topo := fs.String("topo", "mesh2d", "topology: "+strings.Join(graph.FamilyNames(), "|"))
+	n := fs.Int("n", 256, "number of nodes: exactly a member of the family")
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
-	g, err := buildTopology(*topo, *n)
+	g, err := graph.Family(*topo, *n)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "countq topo:", err)
 		os.Exit(2)
@@ -283,67 +283,4 @@ func topoCmd(args []string) {
 		os.Exit(1)
 	}
 	fmt.Println(tbl.Render())
-}
-
-// buildTopology constructs the requested topology with roughly n nodes.
-func buildTopology(topo string, n int) (*graph.Graph, error) {
-	switch topo {
-	case "complete":
-		return graph.Complete(n), nil
-	case "list":
-		return graph.Path(n), nil
-	case "star":
-		return graph.Star(n), nil
-	case "mesh2d":
-		side := intSqrt(n)
-		return graph.Mesh(side, side), nil
-	case "mesh3d":
-		side := intCbrt(n)
-		return graph.Mesh(side, side, side), nil
-	case "hypercube":
-		d := 0
-		for 1<<uint(d+1) <= n {
-			d++
-		}
-		return graph.Hypercube(d), nil
-	case "mary":
-		levels := 1
-		for size := 1; size*3+1 <= n; {
-			size = size*3 + 1
-			levels++
-		}
-		return graph.PerfectMAryTree(3, levels), nil
-	case "caterpillar":
-		return graph.Caterpillar(n, 0.75), nil
-	case "ccc":
-		d := 3
-		for (d+1)*(1<<uint(d+1)) <= n {
-			d++
-		}
-		return graph.CubeConnectedCycles(d), nil
-	case "debruijn":
-		d := 1
-		for 1<<uint(d+1) <= n {
-			d++
-		}
-		return graph.DeBruijn(d), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", topo)
-	}
-}
-
-func intSqrt(n int) int {
-	s := 1
-	for (s+1)*(s+1) <= n {
-		s++
-	}
-	return s
-}
-
-func intCbrt(n int) int {
-	s := 1
-	for (s+1)*(s+1)*(s+1) <= n {
-		s++
-	}
-	return s
 }

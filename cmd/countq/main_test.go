@@ -249,48 +249,3 @@ func TestCheckSweepShadow(t *testing.T) {
 		t.Error("invalid composition accepted")
 	}
 }
-
-func TestBuildTopology(t *testing.T) {
-	cases := []struct {
-		topo      string
-		n         int
-		wantN     int
-		connected bool
-	}{
-		{"complete", 32, 32, true},
-		{"list", 40, 40, true},
-		{"star", 12, 12, true},
-		{"mesh2d", 256, 256, true},
-		{"mesh3d", 64, 64, true},
-		{"hypercube", 100, 64, true}, // rounds down to 2^6
-		{"mary", 40, 40, true},       // 3-ary with 1+3+9+27 = 40 nodes
-		{"caterpillar", 50, 50, true},
-		{"ccc", 200, 160, true}, // CCC(5): 5·32 = 160 ≤ 200
-		{"debruijn", 100, 64, true},
-	}
-	for _, c := range cases {
-		g, err := buildTopology(c.topo, c.n)
-		if err != nil {
-			t.Errorf("%s: %v", c.topo, err)
-			continue
-		}
-		if g.N() != c.wantN {
-			t.Errorf("%s: n = %d, want %d", c.topo, g.N(), c.wantN)
-		}
-		if g.IsConnected() != c.connected {
-			t.Errorf("%s: connectivity mismatch", c.topo)
-		}
-	}
-	if _, err := buildTopology("klein-bottle", 10); err == nil {
-		t.Error("unknown topology accepted")
-	}
-}
-
-func TestIntRoots(t *testing.T) {
-	if intSqrt(255) != 15 || intSqrt(256) != 16 || intSqrt(1) != 1 {
-		t.Error("intSqrt wrong")
-	}
-	if intCbrt(26) != 2 || intCbrt(27) != 3 || intCbrt(1000) != 10 {
-		t.Error("intCbrt wrong")
-	}
-}

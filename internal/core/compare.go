@@ -23,12 +23,15 @@ func CompareOn(g *graph.Graph) (*Table, error) {
 	n := g.N()
 	req := allRequests(n)
 
-	arrowTree, arrowTreeName := chooseArrowTree(g)
+	arrowTree, arrowTreeName, err := tree.ForQueuing(g)
+	if err != nil {
+		return nil, err
+	}
 	cq, err := runArrow(g, arrowTree, arrowTree.Root(), req, 1)
 	if err != nil {
 		return nil, err
 	}
-	countTree, err := chooseCountingTree(g)
+	countTree, err := tree.ForCounting(g)
 	if err != nil {
 		return nil, err
 	}
@@ -58,31 +61,4 @@ func CompareOn(g *graph.Graph) (*Table, error) {
 	t.AddRow("counting LB (Thm 3.6, α≥"+fmt.Sprint(alpha)+")", fmt.Sprint(bounds.DiameterLowerBound(alpha)))
 	t.AddRow("C_C/C_Q", fmt.Sprintf("%.2f", float64(cc)/float64(cq)))
 	return t, nil
-}
-
-// chooseArrowTree prefers a Hamilton-path spanning tree (Theorem 4.5's
-// choice) and falls back to BFS.
-func chooseArrowTree(g *graph.Graph) (*tree.Tree, string) {
-	if hp, err := hamiltonPathTree(g); err == nil {
-		return hp, "hamilton path"
-	}
-	tr, err := tree.BFSTree(g, 0)
-	if err != nil {
-		panic(err) // connected graphs always have a BFS tree
-	}
-	return tr, "BFS tree"
-}
-
-// chooseCountingTree gives counting its best tree: balanced binary on
-// complete graphs, BFS otherwise.
-func chooseCountingTree(g *graph.Graph) (*tree.Tree, error) {
-	n := g.N()
-	complete := true
-	for v := 0; v < n && complete; v++ {
-		complete = g.Degree(v) == n-1
-	}
-	if complete && n > 1 {
-		return heapTree(n), nil
-	}
-	return tree.BFSTree(g, 0)
 }

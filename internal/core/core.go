@@ -201,40 +201,6 @@ func requestList(req []bool) []int {
 	return out
 }
 
-// heapTree returns the balanced binary "heap" tree on n vertices
-// (parent(v) = ⌊(v-1)/2⌋) — a constant-degree, logarithmic-depth spanning
-// tree of the complete graph.
-func heapTree(n int) *tree.Tree {
-	parent := make([]int, n)
-	for v := 1; v < n; v++ {
-		parent[v] = (v - 1) / 2
-	}
-	return tree.MustFromParents(0, parent)
-}
-
-// identityPathTree returns the path tree 0→1→…→n-1.
-func identityPathTree(n int) *tree.Tree {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	t, err := tree.PathTree(order)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// hamiltonPathTree builds the spanning tree used by Theorem 4.5: the
-// graph's Hamilton path, rooted at its first vertex.
-func hamiltonPathTree(g *graph.Graph) (*tree.Tree, error) {
-	order, err := graph.HamiltonPath(g)
-	if err != nil {
-		return nil, err
-	}
-	return tree.PathTree(order)
-}
-
 // countingPortfolio runs the counting protocols on (g, tr) and returns the
 // name and total delay of the cheapest, plus all totals keyed by name.
 // Counting-network widths adapt to n. All runs use capacity 1 (the model's

@@ -88,12 +88,4 @@ func TestWorkloadHelpers(t *testing.T) {
 	if len(requestList(req)) != 5 {
 		t.Error("allRequests not all")
 	}
-	ht := heapTree(10)
-	if ht.N() != 10 || ht.MaxDegree() > 3 {
-		t.Errorf("heap tree shape: n=%d deg=%d", ht.N(), ht.MaxDegree())
-	}
-	pt := identityPathTree(6)
-	if pt.Height() != 5 {
-		t.Errorf("path tree height = %d", pt.Height())
-	}
 }

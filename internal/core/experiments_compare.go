@@ -62,7 +62,7 @@ func RunE6(cfg Config) (*Table, error) {
 		for _, g := range fam.mk() {
 			n := g.N()
 			req := allRequests(n)
-			hp, err := hamiltonPathTree(g)
+			hp, _, err := tree.ForQueuing(g)
 			if err != nil {
 				return nil, fmt.Errorf("E6 %s: %w", fam.name, err)
 			}
@@ -70,16 +70,9 @@ func RunE6(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Counting gets its best tree: balanced binary on the
-			// complete graph, BFS elsewhere.
-			var ctr *tree.Tree
-			if fam.name == "complete" {
-				ctr = heapTree(n)
-			} else {
-				ctr, err = tree.BFSTree(g, 0)
-				if err != nil {
-					return nil, err
-				}
+			ctr, err := tree.ForCounting(g)
+			if err != nil {
+				return nil, err
 			}
 			bestName, cc, _, err := countingPortfolio(g, ctr, req)
 			if err != nil {

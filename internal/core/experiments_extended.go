@@ -95,7 +95,7 @@ func RunE14(cfg Config) (*Table, error) {
 	g := graph.Mesh(side, side)
 	n := g.N()
 	req := allRequests(n)
-	hp, err := hamiltonPathTree(g)
+	hp, _, err := tree.ForQueuing(g)
 	if err != nil {
 		return nil, err
 	}

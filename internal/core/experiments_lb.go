@@ -32,7 +32,10 @@ func RunE1(cfg Config) (*Table, error) {
 	var pts []Point
 	for _, n := range sizes {
 		g := graph.Complete(n)
-		tr := heapTree(n)
+		tr, err := tree.ForCounting(g)
+		if err != nil {
+			return nil, err
+		}
 		best, total, _, err := countingPortfolio(g, tr, allRequests(n))
 		if err != nil {
 			return nil, err
@@ -74,7 +77,10 @@ func RunE2(cfg Config) (*Table, error) {
 	var listPts, meshPts []Point
 	for _, n := range listSizes {
 		g := graph.Path(n)
-		tr := identityPathTree(n)
+		tr, err := tree.ForCounting(g)
+		if err != nil {
+			return nil, err
+		}
 		_, total, _, err := countingPortfolio(g, tr, allRequests(n))
 		if err != nil {
 			return nil, err

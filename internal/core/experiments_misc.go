@@ -103,7 +103,7 @@ func RunE12(cfg Config) (*Table, error) {
 	// (a) Arrow spanning-tree choice on the mesh, all nodes request.
 	mesh := graph.Mesh(side, side)
 	req := allRequests(mesh.N())
-	hp, err := hamiltonPathTree(mesh)
+	hp, _, err := tree.ForQueuing(mesh)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,10 @@ func RunE12(cfg Config) (*Table, error) {
 
 	// (c) Counting-network width on the complete graph.
 	kn := graph.Complete(64)
-	knTree := heapTree(64)
+	knTree, err := tree.ForCounting(kn)
+	if err != nil {
+		return nil, err
+	}
 	knReq := allRequests(64)
 	for _, width := range []int{2, 4, 8, 16} {
 		cn, err := counting.NewCountNet(knTree, knReq, width, nil)

@@ -36,23 +36,18 @@ func RunE3(cfg Config) (*Table, error) {
 	shapes := []struct {
 		name string
 		g    *graph.Graph
-		tr   *tree.Tree
 	}{
-		{"list(128)", graph.Path(128), identityPathTree(128)},
-		{"perfect binary d=6", graph.PerfectMAryTree(2, 7), nil},
-		{"perfect ternary d=4", graph.PerfectMAryTree(3, 5), nil},
+		{"list(128)", graph.Path(128)},
+		{"perfect binary d=6", graph.PerfectMAryTree(2, 7)},
+		{"perfect ternary d=4", graph.PerfectMAryTree(3, 5)},
 	}
 	densities := []float64{0.1, 0.3, 0.7, 1.0}
-	for i := range shapes {
-		if shapes[i].tr == nil {
-			tr, err := tree.BFSTree(shapes[i].g, 0)
-			if err != nil {
-				return nil, err
-			}
-			shapes[i].tr = tr
-		}
-	}
 	for _, sh := range shapes {
+		// Each graph is its own spanning tree.
+		tr, err := tree.BFSTree(sh.g, 0)
+		if err != nil {
+			return nil, err
+		}
 		n := sh.g.N()
 		worst := 0.0
 		violations := 0
@@ -64,11 +59,11 @@ func RunE3(cfg Config) (*Table, error) {
 				continue
 			}
 			tail := rng.Intn(n)
-			res, err := arrow.RunOneShot(sh.g, sh.tr, tail, req, sh.tr.MaxDegree())
+			res, err := arrow.RunOneShot(sh.g, tr, tail, req, tr.MaxDegree())
 			if err != nil {
 				return nil, err
 			}
-			tour, err := nntsp.Greedy(sh.tr, reqs, tail)
+			tour, err := nntsp.Greedy(tr, reqs, tail)
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +106,10 @@ func RunE4(cfg Config) (*Table, error) {
 		Columns: []string{"n", "trials", "max cost", "3n", "max cost/n", "run-ineq violations"},
 	}
 	for _, n := range sizes {
-		tr := identityPathTree(n)
+		tr, err := tree.BFSTree(graph.Path(n), 0)
+		if err != nil {
+			return nil, err
+		}
 		maxCost := 0
 		violations := 0
 		for trial := 0; trial < trials; trial++ {

@@ -40,13 +40,7 @@ func RunE15(cfg Config) (*Table, error) {
 	worstRatio := 1.0
 	for _, sh := range shapes {
 		n := sh.g.N()
-		var arrowTree *tree.Tree
-		var err error
-		if order, herr := graph.HamiltonPath(sh.g); herr == nil {
-			arrowTree, err = tree.PathTree(order)
-		} else {
-			arrowTree, err = tree.BFSTree(sh.g, 0)
-		}
+		arrowTree, _, err := tree.ForQueuing(sh.g)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,83 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"sort"
+	"strings"
+)
+
+// family is one row of the topology table: member k, for k in
+// [minK, maxK], has size(k) nodes, and size is strictly increasing there.
+type family struct {
+	name       string
+	minK, maxK int
+	size       func(k int) int
+	build      func(k int) *Graph
+}
+
+func nodes(k int) int { return k }
+func pow2(k int) int  { return 1 << uint(k) }
+
+// families is the topology table: the one place a family name and a node
+// count become a graph, behind `countq topo -topo` and the sim bridges'
+// topo= option. Every member has at least 2 nodes; maxK keeps size(k)
+// inside an int.
+var families = []family{
+	{"complete", 2, math.MaxInt, nodes, Complete},
+	{"mesh2d", 2, 1<<(bits.UintSize/2-1) - 1, func(s int) int { return s * s }, func(s int) *Graph { return Mesh(s, s) }},
+	{"mesh3d", 2, 1<<(bits.UintSize/3-1) - 1, func(s int) int { return s * s * s }, func(s int) *Graph { return Mesh(s, s, s) }},
+	{"hypercube", 1, 30, pow2, Hypercube},
+	{"list", 2, math.MaxInt, nodes, Path},
+	{"star", 2, math.MaxInt, nodes, Star},
+	{"mary", 2, 19, func(l int) int { return perfectTreeSize(3, l) }, func(l int) *Graph { return PerfectMAryTree(3, l) }},
+	{"caterpillar", 2, math.MaxInt, nodes, func(n int) *Graph { return Caterpillar(n, 0.75) }},
+	{"ccc", 3, 24, func(d int) int { return d << uint(d) }, CubeConnectedCycles},
+	{"debruijn", 1, 24, pow2, DeBruijn},
+}
+
+// FamilyNames lists the names Family accepts.
+func FamilyNames() []string {
+	names := make([]string, len(families))
+	for i, f := range families {
+		names[i] = f.name
+	}
+	return names
+}
+
+// Family builds the member of the named topology family with exactly n
+// nodes: complete, list, star and caterpillar (spine n^0.75) have one for
+// every n ≥ 2; mesh2d and mesh3d for squares and cubes, hypercube and
+// debruijn for powers of two, mary (3-ary perfect trees) for 4, 13, 40, …
+// and ccc for d·2^d, d ≥ 3. Any other n is an error naming the nearest
+// members below and above: a size is never rounded.
+func Family(name string, n int) (*Graph, error) {
+	for _, f := range families {
+		if f.name == name {
+			return f.member(n)
+		}
+	}
+	return nil, fmt.Errorf("graph: unknown topology %q (%s)", name, strings.Join(FamilyNames(), "|"))
+}
+
+func (f family) member(n int) (*Graph, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("graph: %s needs n ≥ 2 nodes, got %d", f.name, n)
+	}
+	// The first member with at least n nodes.
+	k := f.minK + sort.Search(f.maxK-f.minK+1, func(i int) bool { return f.size(f.minK+i) >= n })
+	switch {
+	case k > f.maxK:
+		return nil, fmt.Errorf("graph: %s has no member with %d nodes (largest: %d)", f.name, n, f.size(f.maxK))
+	case f.size(k) == n:
+		return f.build(k), nil
+	case k == f.minK:
+		return nil, fmt.Errorf("graph: %s has no member with %d nodes (smallest: %d)", f.name, n, f.size(k))
+	default:
+		return nil, fmt.Errorf("graph: %s has no member with %d nodes (nearest: %d or %d)", f.name, n, f.size(k-1), f.size(k))
+	}
+}
 
 // CubeConnectedCycles returns CCC(d): each vertex of the d-dimensional
 // hypercube is replaced by a cycle of d vertices, with cycle position p of

@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 func TestCubeConnectedCycles(t *testing.T) {
 	for _, d := range []int{3, 4, 5} {
@@ -66,5 +70,52 @@ func TestDeBruijnAdjacency(t *testing.T) {
 	}
 	if g.HasEdge(0, 0) {
 		t.Error("self loop present")
+	}
+}
+
+// TestFamilySizes holds the topology table to its one size rule: every
+// family, asked for n nodes, builds a connected graph of exactly n nodes
+// or returns an error — it never rounds, and never panics.
+func TestFamilySizes(t *testing.T) {
+	for _, name := range FamilyNames() {
+		built := 0
+		for n := -1; n <= 300; n++ {
+			g, err := Family(name, n)
+			if err != nil {
+				continue
+			}
+			built++
+			if g.N() != n || !g.IsConnected() {
+				t.Errorf("Family(%q, %d) = %v, connected %v", name, n, g, g.IsConnected())
+			}
+		}
+		if built == 0 {
+			t.Errorf("%s: no member with 2..300 nodes", name)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		n     int
+		names []string // what the error must mention
+	}{
+		{"mesh2d", 12, []string{"9", "16"}},
+		{"ccc", 5, []string{"24"}},
+		{"hypercube", 100, []string{"64", "128"}},
+		{"hypercube", math.MaxInt, []string{"1073741824"}},
+		{"debruijn", 1, []string{"2"}},
+		{"list", 0, []string{"2"}},
+		{"complete", -3, []string{"2"}},
+		{"klein-bottle", 10, FamilyNames()},
+	} {
+		_, err := Family(c.name, c.n)
+		if err == nil {
+			t.Errorf("Family(%q, %d) accepted", c.name, c.n)
+			continue
+		}
+		for _, s := range c.names {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("Family(%q, %d): error %q does not name %s", c.name, c.n, err, s)
+			}
+		}
 	}
 }

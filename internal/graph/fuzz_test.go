@@ -2,27 +2,21 @@ package graph
 
 import "testing"
 
-// FuzzParseDims hammers the topology-name parser: it must never panic and
-// must only accept well-formed dimension lists.
-func FuzzParseDims(f *testing.F) {
-	f.Add("mesh(3x4x5)")
-	f.Add("mesh()")
-	f.Add("mesh(x)")
-	f.Add("mesh(3x)")
-	f.Add("torus(2x2)")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, name string) {
-		dims, ok := parseDims(name, "mesh(")
-		if !ok {
-			return
-		}
-		if len(dims) == 0 {
-			t.Fatalf("accepted %q with no dimensions", name)
-		}
-		for _, d := range dims {
-			if d < 0 {
-				t.Fatalf("accepted %q with negative dimension", name)
-			}
+// FuzzFamily hammers the topology table with arbitrary names and sizes:
+// it must never panic, and whatever it builds has exactly the nodes asked
+// for.
+func FuzzFamily(f *testing.F) {
+	f.Add("mesh2d", 12)
+	f.Add("ccc", 5)
+	f.Add("list", 0)
+	f.Add("complete", -3)
+	f.Add("caterpillar", 1)
+	f.Add("klein-bottle", 10)
+	f.Fuzz(func(t *testing.T, name string, n int) {
+		n %= 1 << 10 // keep the complete graph small
+		g, err := Family(name, n)
+		if err == nil && g.N() != n {
+			t.Fatalf("Family(%q, %d) built %d nodes", name, n, g.N())
 		}
 	})
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"testing"
+	"unsafe"
 )
 
 func TestBuilderRejectsBadEdges(t *testing.T) {
@@ -285,5 +286,13 @@ func TestDegreeHistogram(t *testing.T) {
 	h := Star(5).DegreeHistogram()
 	if h[4] != 1 || h[1] != 4 {
 		t.Errorf("star(5) histogram = %v", h)
+	}
+}
+
+// TestGraphLayout holds Graph to six words, 48 bytes on 64-bit hosts (see
+// its doc comment).
+func TestGraphLayout(t *testing.T) {
+	if size, want := unsafe.Sizeof(Graph{}), 6*unsafe.Sizeof(uintptr(0)); size != want {
+		t.Errorf("Graph is %d bytes, want %d", size, want)
 	}
 }

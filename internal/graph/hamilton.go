@@ -3,33 +3,27 @@ package graph
 import "fmt"
 
 // HamiltonPath returns a Hamilton path — a permutation of the vertices in
-// which consecutive vertices are adjacent — for the topologies for which the
-// paper establishes one (Lemma 4.6): the complete graph, d-dimensional
-// meshes/tori, hypercubes, paths and rings. It reports an error for
-// topologies where no constructive path is implemented.
+// which consecutive vertices are adjacent. The constructors of the
+// topologies for which the paper establishes one (Lemma 4.6) record it:
+// the complete graph, the list and the ring (0, 1, …, n−1), d-dimensional
+// meshes and tori (MeshHamiltonPath) and hypercubes
+// (HypercubeHamiltonPath). Any other graph of at most 16 vertices is
+// searched by backtracking; larger ones report an error. The returned
+// slice is the caller's.
 //
 // The arrow protocol of Theorem 4.5 uses this path as its spanning tree;
 // combined with Lemma 4.3 (nearest-neighbour TSP on a list costs ≤ 3n) that
 // makes the queuing complexity O(n) on all of these graphs.
 func HamiltonPath(g *Graph) ([]int, error) {
-	switch {
-	case isCompleteShape(g):
-		return identityOrder(g.N()), nil
-	case isPathShape(g):
-		return pathEndpointsOrder(g)
-	default:
-		// Structured constructions first, then a generic search for
-		// small graphs.
-		if order, ok := hamiltonByName(g); ok {
+	if g.hamilton != nil && g.N() > 0 {
+		return g.hamilton(), nil
+	}
+	if g.N() <= 16 {
+		if order, ok := hamiltonBacktrack(g); ok {
 			return order, nil
 		}
-		if g.N() <= 16 {
-			if order, ok := hamiltonBacktrack(g); ok {
-				return order, nil
-			}
-		}
-		return nil, fmt.Errorf("graph: no Hamilton path construction for %s", g.Name())
 	}
+	return nil, fmt.Errorf("graph: no Hamilton path construction for %s", g.Name())
 }
 
 // VerifyHamiltonPath reports whether order is a Hamilton path of g: a
@@ -103,124 +97,9 @@ func identityOrder(n int) []int {
 	return order
 }
 
-// isCompleteShape reports whether every vertex has degree n-1.
-func isCompleteShape(g *Graph) bool {
-	n := g.N()
-	if n == 0 {
-		return false
-	}
-	for v := 0; v < n; v++ {
-		if g.Degree(v) != n-1 {
-			return false
-		}
-	}
-	return true
-}
-
-// isPathShape reports whether g is itself a path graph.
-func isPathShape(g *Graph) bool {
-	n := g.N()
-	if n == 1 {
-		return true
-	}
-	ones := 0
-	for v := 0; v < n; v++ {
-		switch g.Degree(v) {
-		case 1:
-			ones++
-		case 2:
-		default:
-			return false
-		}
-	}
-	return ones == 2 && g.IsConnected()
-}
-
-// pathEndpointsOrder walks a path graph from one endpoint to the other.
-func pathEndpointsOrder(g *Graph) ([]int, error) {
-	n := g.N()
-	if n == 1 {
-		return []int{0}, nil
-	}
-	start := -1
-	for v := 0; v < n; v++ {
-		if g.Degree(v) == 1 {
-			start = v
-			break
-		}
-	}
-	order := make([]int, 0, n)
-	prev, cur := -1, start
-	for len(order) < n {
-		order = append(order, cur)
-		next := -1
-		for _, w := range g.Neighbors(cur) {
-			if w != prev {
-				next = w
-				break
-			}
-		}
-		if next == -1 {
-			break
-		}
-		prev, cur = cur, next
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("graph: walk covered %d of %d vertices", len(order), n)
-	}
-	return order, nil
-}
-
-// hamiltonByName dispatches on the topology name for the structured
-// constructions (mesh, torus, hypercube, ring).
-func hamiltonByName(g *Graph) ([]int, bool) {
-	var d int
-	if n, _ := fmt.Sscanf(g.Name(), "hypercube(%d)", &d); n == 1 {
-		return HypercubeHamiltonPath(d), true
-	}
-	if dims, ok := parseDims(g.Name(), "mesh("); ok {
-		return MeshHamiltonPath(dims...), true
-	}
-	if dims, ok := parseDims(g.Name(), "torus("); ok {
-		return MeshHamiltonPath(dims...), true // mesh snake works on torus too
-	}
-	if n := g.N(); g.Name() == fmt.Sprintf("ring(%d)", n) {
-		return identityOrder(n), true
-	}
-	return nil, false
-}
-
-// parseDims parses "prefixAxBxC)" into []int{A,B,C}.
-func parseDims(name, prefix string) ([]int, bool) {
-	if len(name) < len(prefix) || name[:len(prefix)] != prefix {
-		return nil, false
-	}
-	body := name[len(prefix) : len(name)-1]
-	var dims []int
-	cur := 0
-	have := false
-	for i := 0; i < len(body); i++ {
-		c := body[i]
-		switch {
-		case c >= '0' && c <= '9':
-			cur = cur*10 + int(c-'0')
-			have = true
-		case c == 'x' && have:
-			dims = append(dims, cur)
-			cur, have = 0, false
-		default:
-			return nil, false
-		}
-	}
-	if !have {
-		return nil, false
-	}
-	dims = append(dims, cur)
-	return dims, true
-}
-
 // hamiltonBacktrack searches for a Hamilton path by depth-first backtracking.
-// Exponential; only used for small graphs in tests.
+// Exponential in n: HamiltonPath calls it only for graphs of at most 16
+// vertices whose constructor recorded no path (e.g. star(9), debruijn(4)).
 func hamiltonBacktrack(g *Graph) ([]int, bool) {
 	n := g.N()
 	used := make([]bool, n)

@@ -38,6 +38,19 @@ func TestHamiltonPathMesh(t *testing.T) {
 	}
 }
 
+func TestHamiltonPathKeepsItsDims(t *testing.T) {
+	dims := []int{3, 4}
+	g := Mesh(dims...)
+	dims[0], dims[1] = 4, 3 // the caller's slice is the caller's
+	order, err := HamiltonPath(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyHamiltonPath(g, order); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestHamiltonPathMeshProperty(t *testing.T) {
 	// Property: for random small dimension vectors, the snake order is a
 	// valid Hamilton path (Lemma 4.6's induction, checked exhaustively).
@@ -141,18 +154,5 @@ func TestVerifyHamiltonPathRejects(t *testing.T) {
 	}
 	if err := VerifyHamiltonPath(g, []int{0, 1, 2, 4}); err == nil {
 		t.Error("out-of-range vertex accepted")
-	}
-}
-
-func TestParseDims(t *testing.T) {
-	dims, ok := parseDims("mesh(3x4x5)", "mesh(")
-	if !ok || len(dims) != 3 || dims[0] != 3 || dims[1] != 4 || dims[2] != 5 {
-		t.Errorf("parseDims = %v, %v", dims, ok)
-	}
-	if _, ok := parseDims("mesh(x3)", "mesh("); ok {
-		t.Error("malformed dims accepted")
-	}
-	if _, ok := parseDims("torus(3)", "mesh("); ok {
-		t.Error("wrong prefix accepted")
 	}
 }

@@ -16,7 +16,7 @@ func Complete(n int) *Graph {
 			b.MustAddEdge(u, v)
 		}
 	}
-	return b.Build()
+	return b.Build().withPath(func() []int { return identityOrder(n) })
 }
 
 // Path returns the list (path graph) on n vertices: 0-1-2-…-(n-1).
@@ -27,7 +27,7 @@ func Path(n int) *Graph {
 	for v := 1; v < n; v++ {
 		b.MustAddEdge(v-1, v)
 	}
-	return b.Build()
+	return b.Build().withPath(func() []int { return identityOrder(n) })
 }
 
 // Ring returns the cycle on n vertices (n ≥ 3).
@@ -40,7 +40,7 @@ func Ring(n int) *Graph {
 		b.MustAddEdge(v-1, v)
 	}
 	b.MustAddEdge(n-1, 0)
-	return b.Build()
+	return b.Build().withPath(func() []int { return identityOrder(n) })
 }
 
 // Star returns the star on n vertices with center 0. The paper's conclusion
@@ -56,8 +56,8 @@ func Star(n int) *Graph {
 
 // Mesh returns the d-dimensional mesh with the given side lengths, e.g.
 // Mesh(8, 8) is the 8×8 two-dimensional mesh. Vertices are numbered in
-// row-major order. Every mesh has a Hamilton path (Lemma 4.6), constructed
-// by HamiltonPath.
+// row-major order. Every mesh has a Hamilton path (Lemma 4.6): the snake of
+// MeshHamiltonPath, which HamiltonPath returns.
 func Mesh(dims ...int) *Graph {
 	n := 1
 	for _, d := range dims {
@@ -84,7 +84,7 @@ func Mesh(dims ...int) *Graph {
 			}
 		}
 	}
-	return b.Build()
+	return b.Build().withPath(meshPath(dims))
 }
 
 // Torus returns the d-dimensional torus (mesh with wrap-around links).
@@ -118,7 +118,14 @@ func Torus(dims ...int) *Graph {
 			}
 		}
 	}
-	return b.Build()
+	return b.Build().withPath(meshPath(dims)) // the mesh snake runs on the torus too
+}
+
+// meshPath returns the builder of the snake Hamilton path of the mesh or
+// torus with the given side lengths, on its own copy of them.
+func meshPath(dims []int) func() []int {
+	dims = append([]int(nil), dims...)
+	return func() []int { return MeshHamiltonPath(dims...) }
 }
 
 // meshStride returns the vertex-number stride of one step along axis.
@@ -154,7 +161,7 @@ func Hypercube(d int) *Graph {
 			}
 		}
 	}
-	return b.Build()
+	return b.Build().withPath(func() []int { return HypercubeHamiltonPath(d) })
 }
 
 // PerfectMAryTree returns the perfect m-ary tree with the given number of

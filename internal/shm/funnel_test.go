@@ -522,6 +522,7 @@ func TestRendezvousCountersZeroAlloc(t *testing.T) {
 					partnered := partnered
 					stop := make(chan struct{})
 					done := make(chan struct{})
+					before := meetings(c.c)
 					go func() {
 						defer close(done)
 						for partnered {
@@ -530,6 +531,10 @@ func TestRendezvousCountersZeroAlloc(t *testing.T) {
 								return
 							default:
 								partnerInc()
+								// Leave the P to inc: a partner that never
+								// yields costs it a preemption tick per
+								// wait when goroutines outnumber Ps.
+								runtime.Gosched()
 							}
 						}
 					}()
@@ -541,10 +546,35 @@ func TestRendezvousCountersZeroAlloc(t *testing.T) {
 					}
 					close(stop)
 					<-done
+					if mode.pinned && partnered && meetings(c.c) == before {
+						t.Errorf("%s %s %s (partner=true): no operation met a partner, so the gate never priced the meeting path", mode.name, c.name, path)
+					}
 				}
 			}
 		}
 	}
+}
+
+// meetings counts the operations on c so far that met a partner instead of
+// touching the shared word alone: operations minus fetch-and-adds on the
+// funnel, balancer visits minus toggle moves on the diffracting tree. Call
+// it only while no Inc is running.
+func meetings(c rendezvousCounter) int64 {
+	switch c := c.(type) {
+	case *testFunnel:
+		_, adds := c.stats()
+		return c.v.Load() - adds
+	case *DiffractingCounter:
+		var visits, toggled int64
+		for i := range c.leaves {
+			visits += c.leaves[i].Load() * int64(bits.Len(uint(c.width-1)))
+		}
+		for i := 1; i < c.width; i++ {
+			toggled += int64(c.nodes[i].toggle.Load())
+		}
+		return visits - toggled
+	}
+	panic("meetings: unknown rendezvous counter")
 }
 
 // incOn returns one goroutine's increment of c through path: the direct

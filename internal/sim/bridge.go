@@ -162,12 +162,13 @@ type ProtoMaker func(g *graph.Graph, tr *tree.Tree, grants Grants) (BridgeProtoc
 
 // BridgeConfig describes a bridge instance.
 type BridgeConfig struct {
-	// Topo is the network topology: "star" (default; hub contention),
-	// "list" (diameter), or "mesh2d".
+	// Topo is the network topology, one of graph.FamilyNames(): "star"
+	// (default; hub contention), "list" (diameter), "mesh2d", … The
+	// protocols run on its BFS tree from node 0.
 	Topo string
 	// Nodes is the network size (default 9: a hub plus 8 leaves on the
-	// star). Must be ≥ 2; sessions are assigned round-robin to the
-	// non-root nodes.
+	// star): exactly a member of the Topo family, so ≥ 2. Sessions are
+	// assigned round-robin to the non-root nodes.
 	Nodes int
 	// HopLat is the wall-clock cost of one simulated round — one message
 	// hop (default 1µs). 0 advances rounds as fast as the pump can spin.
@@ -333,26 +334,13 @@ func NewBridge(cfg BridgeConfig) (*Bridge, error) {
 	if n == 0 {
 		n = 9
 	}
-	if n < 2 {
-		return nil, fmt.Errorf("sim: bridge needs ≥ 2 nodes (a root and a leaf), got %d", n)
+	topo := cfg.Topo
+	if topo == "" {
+		topo = "star"
 	}
-	var g *graph.Graph
-	switch cfg.Topo {
-	case "", "star":
-		g = graph.Star(n)
-	case "list":
-		g = graph.Path(n)
-	case "mesh2d":
-		side := 1
-		for (side+1)*(side+1) <= n {
-			side++
-		}
-		if side*side != n {
-			return nil, fmt.Errorf("sim: mesh2d needs a perfect-square node count, got %d (nearest: %d or %d)", n, side*side, (side+1)*(side+1))
-		}
-		g = graph.Mesh(side, side)
-	default:
-		return nil, fmt.Errorf("sim: unknown bridge topology topo=%q (star|list|mesh2d)", cfg.Topo)
+	g, err := graph.Family(topo, n)
+	if err != nil {
+		return nil, fmt.Errorf("sim: bridge topo=%q: %w", topo, err)
 	}
 	if cfg.Capacity < 0 {
 		return nil, fmt.Errorf("sim: negative bridge capacity %d", cfg.Capacity)

@@ -245,6 +245,7 @@ func TestBridgeThroughDriver(t *testing.T) {
 	for _, w := range []countq.Workload{
 		{Counter: "sim-counter?hoplat=0", Goroutines: 4, Ops: 600, Seed: 1},
 		{Counter: "sim-counter?hoplat=0&topo=list&nodes=5", Goroutines: 2, Ops: 300, Seed: 1},
+		{Queue: "sim-arrow-queue?hoplat=0&topo=hypercube&nodes=16", Goroutines: 4, Ops: 400, Seed: 1},
 		{Counter: "sim-counter?hoplat=0", Goroutines: 2, Ops: 512, Batch: 16, Seed: 1},
 		{Counter: "sim-counter?hoplat=0", Goroutines: 4, Ops: 600, Inflight: 8, Seed: 1},
 		{Queue: "sim-queue?hoplat=0", Goroutines: 4, Ops: 600, Seed: 1},

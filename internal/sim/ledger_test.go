@@ -24,15 +24,30 @@ import (
 // countq.Op documents N ≤ 1 as one count, so −2 and 0 must count once.
 var ledgerPayloads = []int64{-2, 0, 1, 3}
 
-// ledgerGraphs are the networks; each runs on the BFS tree the bridge
-// would build.
-func ledgerGraphs() []*graph.Graph {
+// ledgerSizes picks one small member of every topology family the bridge
+// accepts.
+var ledgerSizes = map[string]int{
+	"star": 9, "list": 16, "complete": 9, "caterpillar": 20, "mesh2d": 16,
+	"mesh3d": 27, "hypercube": 16, "debruijn": 16, "mary": 13, "ccc": 24,
+}
+
+// ledgerGraphs are the networks — one member of every family, and a random
+// 12-node tree; each runs on the BFS tree the bridge would build.
+func ledgerGraphs(t *testing.T) []*graph.Graph {
+	var gs []*graph.Graph
+	for _, name := range graph.FamilyNames() {
+		g, err := graph.Family(name, ledgerSizes[name])
+		if err != nil {
+			t.Fatalf("ledger graph for %s: %v", name, err)
+		}
+		gs = append(gs, g)
+	}
 	rng := rand.New(rand.NewSource(1))
 	b := graph.NewBuilder("rtree", 12)
 	for v := 1; v < 12; v++ {
 		b.MustAddEdge(v, rng.Intn(v))
 	}
-	return []*graph.Graph{graph.Star(9), graph.Path(16), graph.Mesh(4, 4), b.Build()}
+	return append(gs, b.Build())
 }
 
 // ledgerSchedule is one named arrival shape.
@@ -99,7 +114,7 @@ func TestGrantLedger(t *testing.T) {
 		{"jitter7", sim.JitterDelay{Seed: 7, Max: 3}},
 	}
 	for _, name := range names {
-		for _, g := range ledgerGraphs() {
+		for _, g := range ledgerGraphs(t) {
 			tr := mustBFS(t, g)
 			for _, sc := range ledgerSchedules(g.N()) {
 				ops := ledgerOps(queue[name], len(sc.arrivals))

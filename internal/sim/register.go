@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"strings"
 	"time"
 
 	"repro/countq"
+	"repro/internal/graph"
 )
 
 // The bridge structures register with the public countq registry v3, so
@@ -48,7 +50,7 @@ func RegisterBridge(name, summary string, kinds countq.Kind, caps countq.Caps, p
 		Params: []countq.ParamInfo{
 			{Name: "hoplat", Default: "1us", Doc: "wall-clock cost of one simulated round (one message hop); 0 = free-running"},
 			{Name: "nodes", Default: "9", Doc: "network size (root + leaves; sessions pin round-robin to non-root nodes)"},
-			{Name: "topo", Default: "star", Doc: "topology: star (hub contention) | list (diameter) | mesh2d"},
+			{Name: "topo", Default: "star", Doc: "topology: " + strings.Join(graph.FamilyNames(), "|") + " (star: hub contention, list: diameter); nodes must be a member's exact size"},
 			{Name: "cap", Default: "1", Doc: "per-node per-round send/receive capacity — the paper's c"},
 			{Name: "jitter", Default: "0", Doc: "max per-message link delay in rounds (0 = deterministic unit delay)"},
 			{Name: "seed", Default: "1", Doc: "seed for the jitter delay model (ignored when jitter=0)"},

@@ -18,7 +18,8 @@ import (
 )
 
 // Tree is a rooted spanning tree over vertices 0..N-1. Construct with
-// FromParents, BFSTree, PathTree, or Perfect; the zero value is not useful.
+// FromParents, BFSTree, PathTree, Perfect, ForQueuing or ForCounting; the
+// zero value is not useful.
 type Tree struct {
 	root     int
 	parent   []int   // parent[v]; parent[root] == root
@@ -122,6 +123,33 @@ func PathTree(order []int) (*Tree, error) {
 		parent[v] = order[i-1]
 	}
 	return FromParents(order[0], parent)
+}
+
+// ForQueuing returns the spanning tree the arrow protocol runs on: g's
+// Hamilton path when it has one (Theorem 4.5, Lemma 4.6), otherwise the
+// BFS tree from node 0, with the label a comparison table prints for it.
+func ForQueuing(g *graph.Graph) (*Tree, string, error) {
+	if order, err := graph.HamiltonPath(g); err == nil {
+		t, err := PathTree(order)
+		return t, "hamilton path", err
+	}
+	t, err := BFSTree(g, 0)
+	return t, "BFS tree", err
+}
+
+// ForCounting returns the spanning tree the counting protocols run on: on
+// a complete graph the balanced binary heap tree (parent(v) = ⌊(v−1)/2⌋,
+// constant degree and logarithmic depth, Theorem 3.5's setting),
+// otherwise the BFS tree from node 0.
+func ForCounting(g *graph.Graph) (*Tree, error) {
+	if n := g.N(); n > 1 && g.M() == n*(n-1)/2 {
+		parent := make([]int, n)
+		for v := 1; v < n; v++ {
+			parent[v] = (v - 1) / 2
+		}
+		return FromParents(0, parent)
+	}
+	return BFSTree(g, 0)
 }
 
 // Perfect returns the perfect m-ary tree with the given number of levels in

@@ -231,6 +231,54 @@ func TestIsSpanningOfRejectsForeignTree(t *testing.T) {
 	}
 }
 
+// TestTreePolicy checks the theorem trees: arrow gets the Hamilton path
+// where the graph has one and BFS elsewhere, counting gets the heap tree
+// on complete graphs and BFS elsewhere, and each is a spanning tree.
+func TestTreePolicy(t *testing.T) {
+	for _, c := range []struct {
+		g     *graph.Graph
+		label string // ForQueuing's
+		heap  bool   // ForCounting returns the heap tree
+	}{
+		{graph.Complete(10), "hamilton path", true},
+		{graph.Path(6), "hamilton path", false},
+		{graph.Mesh(5, 5), "hamilton path", false},
+		{graph.Hypercube(5), "hamilton path", false},
+		{graph.Star(20), "BFS tree", false},
+		{graph.PerfectMAryTree(3, 4), "BFS tree", false},
+	} {
+		q, label, err := ForQueuing(c.g)
+		if err != nil || label != c.label {
+			t.Fatalf("ForQueuing(%s) = %q, %v; want %q", c.g.Name(), label, err, c.label)
+		}
+		if label == "hamilton path" && q.Height() != c.g.N()-1 {
+			t.Errorf("ForQueuing(%s): height %d, want a path", c.g.Name(), q.Height())
+		}
+		ct, err := ForCounting(c.g)
+		if err != nil {
+			t.Fatalf("ForCounting(%s): %v", c.g.Name(), err)
+		}
+		bfs, err := BFSTree(c.g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < c.g.N(); v++ {
+			want := bfs.Parent(v)
+			if c.heap && v > 0 {
+				want = (v - 1) / 2
+			}
+			if ct.Parent(v) != want {
+				t.Errorf("ForCounting(%s): parent(%d) = %d, want %d", c.g.Name(), v, ct.Parent(v), want)
+			}
+		}
+		for _, tr := range []*Tree{q, ct} {
+			if err := tr.IsSpanningOf(c.g); err != nil {
+				t.Errorf("%s: %v", c.g.Name(), err)
+			}
+		}
+	}
+}
+
 // --- helpers ---
 
 func mustPathTree(t *testing.T, n int) *Tree {
