@@ -46,6 +46,7 @@ type core struct {
 	grants sim.Grants
 	link   []int   // arrow pointers: self at a sink, else the next hop tailward
 	lastID []int64 // lastID[v] = id of the last operation issued at v (Head at the initial tail); read only at a sink
+	root   int     // the spanning tree's root
 }
 
 // newCore points every arrow toward tail along t (initialization is free,
@@ -55,7 +56,7 @@ func newCore(t *tree.Tree, tail int, grants sim.Grants) (core, error) {
 	if tail < 0 || tail >= n {
 		return core{}, fmt.Errorf("arrow: initial tail %d out of range", tail)
 	}
-	c := core{grants: grants, link: make([]int, n), lastID: make([]int64, n)}
+	c := core{grants: grants, link: make([]int, n), lastID: make([]int64, n), root: t.Root()}
 	for v := 0; v < n; v++ {
 		c.link[v] = t.Parent(v)
 		c.lastID[v] = countq.Head
@@ -69,6 +70,10 @@ func newCore(t *tree.Tree, tail int, grants sim.Grants) (core, error) {
 }
 
 func (c *core) Start(*sim.Env, int) {}
+
+// Root returns the root of the tree the core runs on, which the sim bridge
+// keeps its sessions off.
+func (c *core) Root() int { return c.root }
 
 // Issue performs the atomic arrow issuance step for the operation at node:
 // flip the local arrow to self and chase the old target. If the node already

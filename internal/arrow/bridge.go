@@ -24,8 +24,14 @@ func init() {
 		countq.KindQueue, countq.CapAsync, newBridgeCore)
 }
 
-// newBridgeCore is the sim.ProtoMaker: the core with its tail at the root.
-func newBridgeCore(g *graph.Graph, tr *tree.Tree, grants sim.Grants) (sim.BridgeProtocol, error) {
+// newBridgeCore is the sim.ProtoMaker. Arrow runs on the queuing tree, not
+// the counting tree it is handed: tree.ForQueuing's Hamilton path where g
+// has one (Theorem 4.5), with the tail at its root.
+func newBridgeCore(g *graph.Graph, _ *tree.Tree, grants sim.Grants) (sim.BridgeProtocol, error) {
+	tr, _, err := tree.ForQueuing(g)
+	if err != nil {
+		return nil, err
+	}
 	c, err := newCore(tr, tr.Root(), grants)
 	return &c, err
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/tree"
 )
 
 // TestAllExperimentsQuick runs the entire experiment suite in quick mode.
@@ -79,6 +81,45 @@ func TestCompareOnDeterministic(t *testing.T) {
 			first = out
 		} else if out != first {
 			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i, out, first)
+		}
+	}
+}
+
+// TestCompareOnCountsFromTheCentre pins what rooting the counting tree at
+// a centre buys `countq topo`: the best counter's total delay with every
+// node requesting, from node 0 (an end of the list, a corner of the mesh)
+// and from the centre tree.ForCounting picks.
+func TestCompareOnCountsFromTheCentre(t *testing.T) {
+	for _, c := range []struct {
+		g              *graph.Graph
+		corner, centre string
+	}{
+		{graph.Path(64), "6048", "3104"},
+		{graph.Mesh(8, 8), "1393", "945"},
+	} {
+		bfs0, err := tree.BFSTree(c.g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, total, _, err := countingPortfolio(c.g, bfs0, allRequests(c.g.N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(total); got != c.corner {
+			t.Errorf("%s from node 0: best C_C %s, want %s", c.g.Name(), got, c.corner)
+		}
+		tbl, err := CompareOn(c.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := ""
+		for _, row := range tbl.Rows {
+			if strings.HasPrefix(row[0], "C_C best") {
+				best = row[1]
+			}
+		}
+		if best != c.centre {
+			t.Errorf("%s: CompareOn's best C_C %q, want %s", c.g.Name(), best, c.centre)
 		}
 	}
 }

@@ -77,7 +77,9 @@ func RunE2(cfg Config) (*Table, error) {
 	var listPts, meshPts []Point
 	for _, n := range listSizes {
 		g := graph.Path(n)
-		tr, err := tree.ForCounting(g)
+		// Rooted at an end, not at the centre tree.ForCounting picks: this
+		// table predates the centred policy and its golden is append-only.
+		tr, err := tree.BFSTree(g, 0)
 		if err != nil {
 			return nil, err
 		}

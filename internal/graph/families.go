@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -20,19 +19,28 @@ type family struct {
 func nodes(k int) int { return k }
 func pow2(k int) int  { return 1 << uint(k) }
 
+// The identity-sized families stop where a member is still cheap to
+// build: list, star and caterpillar (n−1 edges each) at maxSparseNodes,
+// complete, whose n(n−1)/2 edges take about 75 MB at its cap, at
+// maxCompleteNodes.
+const (
+	maxSparseNodes   = 1 << 16
+	maxCompleteNodes = 1 << 10
+)
+
 // families is the topology table: the one place a family name and a node
 // count become a graph, behind `countq topo -topo` and the sim bridges'
 // topo= option. Every member has at least 2 nodes; maxK keeps size(k)
 // inside an int.
 var families = []family{
-	{"complete", 2, math.MaxInt, nodes, Complete},
+	{"complete", 2, maxCompleteNodes, nodes, Complete},
 	{"mesh2d", 2, 1<<(bits.UintSize/2-1) - 1, func(s int) int { return s * s }, func(s int) *Graph { return Mesh(s, s) }},
 	{"mesh3d", 2, 1<<(bits.UintSize/3-1) - 1, func(s int) int { return s * s * s }, func(s int) *Graph { return Mesh(s, s, s) }},
 	{"hypercube", 1, 30, pow2, Hypercube},
-	{"list", 2, math.MaxInt, nodes, Path},
-	{"star", 2, math.MaxInt, nodes, Star},
+	{"list", 2, maxSparseNodes, nodes, Path},
+	{"star", 2, maxSparseNodes, nodes, Star},
 	{"mary", 2, 19, func(l int) int { return perfectTreeSize(3, l) }, func(l int) *Graph { return PerfectMAryTree(3, l) }},
-	{"caterpillar", 2, math.MaxInt, nodes, func(n int) *Graph { return Caterpillar(n, 0.75) }},
+	{"caterpillar", 2, maxSparseNodes, nodes, func(n int) *Graph { return Caterpillar(n, 0.75) }},
 	{"ccc", 3, 24, func(d int) int { return d << uint(d) }, CubeConnectedCycles},
 	{"debruijn", 1, 24, pow2, DeBruijn},
 }
@@ -47,35 +55,47 @@ func FamilyNames() []string {
 }
 
 // Family builds the member of the named topology family with exactly n
-// nodes: complete, list, star and caterpillar (spine n^0.75) have one for
-// every n ≥ 2; mesh2d and mesh3d for squares and cubes, hypercube and
-// debruijn for powers of two, mary (3-ary perfect trees) for 4, 13, 40, …
-// and ccc for d·2^d, d ≥ 3. Any other n is an error naming the nearest
-// members below and above: a size is never rounded.
+// nodes: complete has one for every n from 2 to 1 024, list, star and
+// caterpillar (spine n^0.75) for every n from 2 to 65 536; mesh2d and
+// mesh3d for squares and cubes, hypercube and debruijn for powers of two,
+// mary (3-ary perfect trees) for 4, 13, 40, … and ccc for d·2^d, d ≥ 3.
+// Any other n is an error naming the nearest members below and above: a
+// size is never rounded.
 func Family(name string, n int) (*Graph, error) {
-	for _, f := range families {
-		if f.name == name {
-			return f.member(n)
-		}
+	f, k, err := lookup(name, n)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("graph: unknown topology %q (%s)", name, strings.Join(FamilyNames(), "|"))
+	return f.build(k), nil
 }
 
-func (f family) member(n int) (*Graph, error) {
+// lookup finds the named family's member with exactly n nodes without
+// building it.
+func lookup(name string, n int) (family, int, error) {
+	for _, f := range families {
+		if f.name == name {
+			k, err := f.member(n)
+			return f, k, err
+		}
+	}
+	return family{}, 0, fmt.Errorf("graph: unknown topology %q (%s)", name, strings.Join(FamilyNames(), "|"))
+}
+
+func (f family) member(n int) (int, error) {
 	if n < 2 {
-		return nil, fmt.Errorf("graph: %s needs n ≥ 2 nodes, got %d", f.name, n)
+		return 0, fmt.Errorf("graph: %s needs n ≥ 2 nodes, got %d", f.name, n)
 	}
 	// The first member with at least n nodes.
 	k := f.minK + sort.Search(f.maxK-f.minK+1, func(i int) bool { return f.size(f.minK+i) >= n })
 	switch {
 	case k > f.maxK:
-		return nil, fmt.Errorf("graph: %s has no member with %d nodes (largest: %d)", f.name, n, f.size(f.maxK))
+		return 0, fmt.Errorf("graph: %s has no member with %d nodes (largest: %d)", f.name, n, f.size(f.maxK))
 	case f.size(k) == n:
-		return f.build(k), nil
+		return k, nil
 	case k == f.minK:
-		return nil, fmt.Errorf("graph: %s has no member with %d nodes (smallest: %d)", f.name, n, f.size(k))
+		return 0, fmt.Errorf("graph: %s has no member with %d nodes (smallest: %d)", f.name, n, f.size(k))
 	default:
-		return nil, fmt.Errorf("graph: %s has no member with %d nodes (nearest: %d or %d)", f.name, n, f.size(k-1), f.size(k))
+		return 0, fmt.Errorf("graph: %s has no member with %d nodes (nearest: %d or %d)", f.name, n, f.size(k-1), f.size(k))
 	}
 }
 

@@ -73,10 +73,24 @@ func TestDeBruijnAdjacency(t *testing.T) {
 	}
 }
 
+// familyCaps are the identity-sized families' caps.
+var familyCaps = map[string]int{
+	"list": maxSparseNodes, "star": maxSparseNodes, "caterpillar": maxSparseNodes, "complete": maxCompleteNodes,
+}
+
 // TestFamilySizes holds the topology table to its one size rule: every
 // family, asked for n nodes, builds a connected graph of exactly n nodes
-// or returns an error — it never rounds, and never panics.
+// or returns an error — it never rounds, and never panics. The
+// identity-sized families build at their cap and refuse one node more.
 func TestFamilySizes(t *testing.T) {
+	for name, cap := range familyCaps {
+		if g, err := Family(name, cap); err != nil || g.N() != cap {
+			t.Errorf("Family(%q, %d) at the cap = %v, %v", name, cap, g, err)
+		}
+		if _, err := Family(name, cap+1); err == nil {
+			t.Errorf("Family(%q, %d) accepted one node past the cap", name, cap+1)
+		}
+	}
 	for _, name := range FamilyNames() {
 		built := 0
 		for n := -1; n <= 300; n++ {
@@ -106,6 +120,10 @@ func TestFamilySizes(t *testing.T) {
 		{"list", 0, []string{"2"}},
 		{"complete", -3, []string{"2"}},
 		{"klein-bottle", 10, FamilyNames()},
+		{"list", maxSparseNodes + 1, []string{"65536"}},
+		{"star", math.MaxInt, []string{"65536"}},
+		{"caterpillar", maxSparseNodes + 1, []string{"65536"}},
+		{"complete", maxCompleteNodes + 1, []string{"1024"}},
 	} {
 		_, err := Family(c.name, c.n)
 		if err == nil {

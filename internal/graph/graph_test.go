@@ -35,6 +35,9 @@ func TestEmptyGraph(t *testing.T) {
 	if g.MaxDegree() != 0 {
 		t.Error("empty graph max degree should be 0")
 	}
+	if c := g.Center(); c != -1 {
+		t.Errorf("empty graph centre = %d, want -1", c)
+	}
 }
 
 func TestSingleVertex(t *testing.T) {
@@ -44,6 +47,9 @@ func TestSingleVertex(t *testing.T) {
 	}
 	if g.Diameter() != 0 {
 		t.Errorf("single-vertex diameter = %d, want 0", g.Diameter())
+	}
+	if c := g.Center(); c != 0 {
+		t.Errorf("single-vertex centre = %d, want 0", c)
 	}
 }
 
@@ -270,6 +276,9 @@ func TestDisconnected(t *testing.T) {
 	}
 	if g.Diameter() != -1 {
 		t.Errorf("disconnected diameter = %d, want -1", g.Diameter())
+	}
+	if c := g.Center(); c != -1 {
+		t.Errorf("disconnected centre = %d, want -1", c)
 	}
 }
 

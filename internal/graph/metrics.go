@@ -48,15 +48,68 @@ func (g *Graph) IsConnected() bool {
 // Eccentricity returns the maximum distance from v to any vertex, or -1 if
 // some vertex is unreachable from v.
 func (g *Graph) Eccentricity(v int) int {
-	dist, _ := g.BFS(v)
-	ecc := 0
-	for _, d := range dist {
-		if d < 0 {
+	dist, queue := g.searchBuffers()
+	return g.eccentricity(v, dist, queue, g.N())
+}
+
+// Center returns a vertex of least eccentricity, the smallest id among
+// ties, or -1 if g is empty or disconnected. It runs a BFS from every
+// vertex over one distance array and one queue, so it costs O(n·m) time
+// and two allocations; each search stops once it is as deep as the least
+// eccentricity found so far.
+func (g *Graph) Center() int {
+	dist, queue := g.searchBuffers()
+	center, best := -1, g.N()
+	for v := 0; v < g.N(); v++ {
+		ecc := g.eccentricity(v, dist, queue, best)
+		if ecc < 0 {
 			return -1
 		}
-		if d > ecc {
-			ecc = d
+		if ecc < best {
+			center, best = v, ecc
 		}
+	}
+	return center
+}
+
+// searchBuffers returns eccentricity's buffers: every distance unset, and
+// an empty queue with room for every vertex.
+func (g *Graph) searchBuffers() (dist, queue []int) {
+	dist = make([]int, g.N())
+	for i := range dist {
+		dist[i] = -1
+	}
+	return dist, make([]int, 0, g.N())
+}
+
+// eccentricity is Eccentricity over buffers from searchBuffers, which it
+// leaves as it found them. A search that reaches depth bound stops there
+// and returns bound, since its caller only needs to know the eccentricity
+// is at least that; only a search that completes can report -1.
+func (g *Graph) eccentricity(src int, dist, queue []int, bound int) int {
+	dist[src] = 0
+	queue = append(queue[:0], src)
+	ecc := 0
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		if ecc = dist[u]; ecc >= bound {
+			break
+		}
+		for _, v := range g.adj[u] {
+			if dist[v] < 0 {
+				dist[v] = ecc + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	for _, v := range queue {
+		dist[v] = -1
+	}
+	switch {
+	case ecc >= bound:
+		return bound
+	case len(queue) < len(dist):
+		return -1
 	}
 	return ecc
 }

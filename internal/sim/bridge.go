@@ -112,12 +112,13 @@ const pumpIdlePoll = 512
 // on the pump, on the 2-vCPU build VM), and it leaves the pump on the
 // global run queue for whichever thread takes it next. A counted yield
 // also comes round more often the cheaper a round is. Measured on
-// list64-pipe-tree (8 operations per 456-round cycle): yielding every 64
-// rounds, 81-101 k ops/s from one 100 ms window to the next, 0.27-0.49
-// thread sleeps per operation, 35 % of the pump's time in the kernel, and
-// 150-160 k while the kernel had both threads on one vCPU; every 4096
-// rounds, 120-125 k with dips to 113 k; never, 125-126 k (97-104 k on one
-// vCPU), one sleep per cycle, exactly 57 rounds per operation.
+// list64-pipe-tree while its tree was rooted at node 0 (8 operations per
+// 456-round cycle): yielding every 64 rounds, 81-101 k ops/s from one
+// 100 ms window to the next, 0.27-0.49 thread sleeps per operation, 35 %
+// of the pump's time in the kernel, and 150-160 k while the kernel had
+// both threads on one vCPU; every 4096 rounds, 120-125 k with dips to
+// 113 k; never, 125-126 k (97-104 k on one vCPU), one sleep per cycle,
+// exactly 57 rounds per operation.
 //
 // Those figures predate the O(1) round (a round nobody posted to costs
 // Network.Step and one load; Close and SimStats left the per-round path).
@@ -155,20 +156,34 @@ type BridgeProtocol interface {
 	Issue(env *Env, node int, token int, op countq.Op)
 }
 
-// ProtoMaker builds a BridgeProtocol for the bridge's graph and spanning
-// tree, resolving completions into grants. Packages register bridge specs
-// by passing a ProtoMaker in BridgeConfig.Proto.
+// ProtoMaker builds a BridgeProtocol for the bridge's graph, resolving
+// completions into grants. Packages register bridge specs by passing a
+// ProtoMaker in BridgeConfig.Proto. NewBridge hands it tr =
+// tree.ForCounting(g), the tree every rooted protocol runs on; a protocol
+// that belongs on another tree (arrow on tree.ForQueuing's) builds it from
+// g and reports that tree's root through a Root method.
 type ProtoMaker func(g *graph.Graph, tr *tree.Tree, grants Grants) (BridgeProtocol, error)
+
+// rooted is a protocol built on a tree other than the one its ProtoMaker
+// was handed. Sessions pin round-robin to every node but the root of the
+// protocol's tree.
+type rooted interface {
+	Root() int
+}
 
 // BridgeConfig describes a bridge instance.
 type BridgeConfig struct {
 	// Topo is the network topology, one of graph.FamilyNames(): "star"
 	// (default; hub contention), "list" (diameter), "mesh2d", … The
-	// protocols run on its BFS tree from node 0.
+	// central protocol runs on its tree.ForCounting tree: the BFS tree
+	// from a centre (the hub of the star, the middle of the list), or on
+	// complete the heap tree, where a request climbs up to ⌈log₂ n⌉ hops.
+	// A ProtoMaker picks its protocol's tree the same way.
 	Topo string
 	// Nodes is the network size (default 9: a hub plus 8 leaves on the
 	// star): exactly a member of the Topo family, so ≥ 2. Sessions are
-	// assigned round-robin to the non-root nodes.
+	// assigned round-robin to the nodes other than the protocol's root,
+	// in ascending order.
 	Nodes int
 	// HopLat is the wall-clock cost of one simulated round — one message
 	// hop (default 1µs). 0 advances rounds as fast as the pump can spin.
@@ -358,16 +373,11 @@ func NewBridge(cfg BridgeConfig) (*Bridge, error) {
 	if pipeline > maxPipeline {
 		return nil, fmt.Errorf("sim: bridge pipeline %d > %d", cfg.Pipeline, maxPipeline)
 	}
-	tr, err := tree.BFSTree(g, 0)
+	tr, err := tree.ForCounting(g)
 	if err != nil {
 		return nil, fmt.Errorf("sim: bridge spanning tree: %w", err)
 	}
-	leaves := make([]int, 0, n-1)
-	for v := 0; v < n; v++ {
-		if v != tr.Root() {
-			leaves = append(leaves, v)
-		}
-	}
+	leaves := make([]int, 0, n-1) // filled once the protocol names its root
 	b := &Bridge{
 		cfg:      cfg,
 		pipeline: pipeline,
@@ -392,6 +402,15 @@ func NewBridge(cfg BridgeConfig) (*Bridge, error) {
 	} else {
 		central := NewCentral(tr, cfg.Queue, table, 0)
 		bp = &central
+	}
+	root := tr.Root()
+	if r, ok := bp.(rooted); ok {
+		root = r.Root()
+	}
+	for v := 0; v < n; v++ {
+		if v != root {
+			b.leaves = append(b.leaves, v)
+		}
 	}
 	nw := New(Config{Graph: g, Capacity: cfg.Capacity, Delay: cfg.Delay}, bp)
 	go b.pump(nw, bp, table)

@@ -237,6 +237,75 @@ func TestBridgeConfigRejects(t *testing.T) {
 	}
 }
 
+// bridgePolicies is the tree each registered sim-* bridge's protocol runs
+// on: tree.ForQueuing's for arrow, tree.ForCounting's (a centre, or the
+// heap root on complete) for the rest.
+var bridgePolicies = map[string]func(*graph.Graph) (*tree.Tree, error){
+	"sim-arrow-queue": func(g *graph.Graph) (*tree.Tree, error) {
+		tr, _, err := tree.ForQueuing(g)
+		return tr, err
+	},
+	"sim-counter":      tree.ForCounting,
+	"sim-queue":        tree.ForCounting,
+	"sim-tree-counter": tree.ForCounting,
+}
+
+// TestBridgeRootsAtItsPolicy builds every registered sim-* bridge on one
+// member of every topology family and opens a session per non-root node:
+// the one node no session is pinned to must be the root of its policy's
+// tree.
+func TestBridgeRootsAtItsPolicy(t *testing.T) {
+	checked := 0
+	for _, info := range countq.Structures() {
+		if !strings.HasPrefix(info.Name, "sim-") {
+			continue
+		}
+		checked++
+		policy, ok := bridgePolicies[info.Name]
+		if !ok {
+			t.Errorf("%s: no tree policy listed for it", info.Name)
+			continue
+		}
+		kind := countq.KindCounter
+		if info.Kinds.Has(countq.KindQueue) {
+			kind = countq.KindQueue
+		}
+		for _, family := range graph.FamilyNames() {
+			g, err := graph.Family(family, ledgerSizes[family])
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := policy(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := fmt.Sprintf("%s?topo=%s&nodes=%d&hoplat=0&pipeline=1", info.Name, family, g.N())
+			st, err := countq.NewStructure(spec, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned := make([]bool, g.N())
+			for i := 0; i < g.N()-1; i++ {
+				sess, err := st.NewSession()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pinned[sim.SessionNode(sess)] = true
+				sess.Close()
+			}
+			for v, p := range pinned {
+				if p == (v == tr.Root()) {
+					t.Errorf("%s: node %d pinned %v; the policy's root is %d", spec, v, p, tr.Root())
+				}
+			}
+			st.(io.Closer).Close()
+		}
+	}
+	if checked < len(bridgePolicies) {
+		t.Errorf("registry has %d sim-* bridges, want at least %d", checked, len(bridgePolicies))
+	}
+}
+
 // TestBridgeThroughDriver runs the registered sim structures end to end
 // through the countq scenario engine — sync, batched, async, and the
 // queue side — proving the bridge is a full citizen of the workload
@@ -464,12 +533,15 @@ func TestBridgeCloseSubmitRace(t *testing.T) {
 	}
 }
 
-// treeList64 is the combining tree on the 64-node list, free-running: an
-// operation takes 57 rounds, so a Close almost always lands mid-chain.
+// treeList64 is the combining tree on the 64-node list, free-running and
+// rooted at the centre (node 31): an operation of the benchmark's
+// pipelined shape takes about 12 rounds, so a Close almost always lands
+// mid-chain.
 const treeList64 = "sim-tree-counter?topo=list&nodes=64&hoplat=0"
 
 // TestBridgeCloseMidChain closes the tree while eight pipelined sessions
-// (nodes 7, 14, …, 56 of 63 open) keep operations in flight. The pump
+// (nodes 6, 13, 20, 27, 35, 42, 49 and 56 of 63 open) keep operations in
+// flight. The pump
 // observes the close only once it has drained to idle, never in the middle
 // of a chain. Close must return, which it does only after the pump has
 // exited, and every accepted Submit must get exactly one Completion: a

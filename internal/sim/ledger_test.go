@@ -32,7 +32,7 @@ var ledgerSizes = map[string]int{
 }
 
 // ledgerGraphs are the networks — one member of every family, and a random
-// 12-node tree; each runs on the BFS tree the bridge would build.
+// 12-node tree; each core runs on the tree its bridge would build.
 func ledgerGraphs(t *testing.T) []*graph.Graph {
 	var gs []*graph.Graph
 	for _, name := range graph.FamilyNames() {
@@ -56,13 +56,14 @@ type ledgerSchedule struct {
 	arrivals []sim.Arrival
 }
 
-// ledgerSchedules are the arrival shapes on an n-node network rooted at 0:
-// two bursts from every node, repeats at one node (arrow's local fast path,
-// the combining tree's batching), and ops at the root (the central root's
-// serve-on-the-spot path, arrow's initial tail) around one from a leaf.
-// The repeat and root shapes give their node every payload in turn; no
-// bridge session is ever pinned to the root, so only this test reaches it.
-func ledgerSchedules(n int) []ledgerSchedule {
+// ledgerSchedules are the arrival shapes on an n-node network rooted at
+// root: two bursts from every node, repeats at one node (arrow's local fast
+// path, the combining tree's batching), and ops at the root (the central
+// root's serve-on-the-spot path, arrow's initial tail) around one from
+// another node. The repeat and root shapes give their node every payload
+// in turn; no bridge session is ever pinned to the root, so only this test
+// reaches it.
+func ledgerSchedules(n, root int) []ledgerSchedule {
 	var burst, repeat []sim.Arrival
 	for _, round := range []int{0, 4} {
 		for v := 0; v < n; v++ {
@@ -72,8 +73,12 @@ func ledgerSchedules(n int) []ledgerSchedule {
 	for _, round := range []int{0, 0, 0, 0, 0, 1, 2, 3} {
 		repeat = append(repeat, sim.Arrival{Node: n - 1, Time: round})
 	}
-	root := []sim.Arrival{{0, 0}, {0, 0}, {0, 0}, {0, 0}, {n - 1, 1}, {0, 2}, {0, 2}, {0, 2}}
-	return []ledgerSchedule{{"burst", burst}, {"repeat", repeat}, {"root", root}}
+	other := n - 1
+	if other == root {
+		other = 0
+	}
+	atRoot := []sim.Arrival{{root, 0}, {root, 0}, {root, 0}, {root, 0}, {other, 1}, {root, 2}, {root, 2}, {root, 2}}
+	return []ledgerSchedule{{"burst", burst}, {"repeat", repeat}, {"root", atRoot}}
 }
 
 // ledgerOps gives op i the payload ledgerPayloads[i mod 4], or (queue) the
@@ -114,9 +119,16 @@ func TestGrantLedger(t *testing.T) {
 		{"jitter7", sim.JitterDelay{Seed: 7, Max: 3}},
 	}
 	for _, name := range names {
+		policy, ok := bridgePolicies[name]
+		if !ok {
+			t.Fatalf("%s: no tree policy listed for it in bridgePolicies", name)
+		}
 		for _, g := range ledgerGraphs(t) {
-			tr := mustBFS(t, g)
-			for _, sc := range ledgerSchedules(g.N()) {
+			tr, err := policy(g)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, g.Name(), err)
+			}
+			for _, sc := range ledgerSchedules(g.N(), tr.Root()) {
 				ops := ledgerOps(queue[name], len(sc.arrivals))
 				for capacity := 1; capacity <= 2; capacity++ {
 					for _, delay := range delays {

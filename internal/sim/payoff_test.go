@@ -23,12 +23,13 @@ import (
 	"repro/internal/counting"
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/tree"
 )
 
 // payoffScript is the node each scripted operation is issued at: repeats
-// (arrow's local-tail fast path), near and far nodes, and returns to a node
-// after the tail moved away.
-var payoffScript = []int{5, 5, 2, 1, 5, 3, 3, 3, 1, 4, 2, 2, 5, 1, 1, 4, 3, 5, 2, 4}
+// (arrow's local-tail fast path), near and far nodes on both sides of the
+// counters' root, and returns to a node after the tail moved away.
+var payoffScript = []int{5, 5, 2, 1, 5, 3, 3, 3, 1, 4, 2, 2, 5, 1, 1, 4, 3, 5, 2, 4, 12, 9, 9, 15, 1}
 
 // payoffGap spaces the offline arrivals so every operation completes before
 // the next is issued, as a synchronous session's do: more than any round
@@ -44,10 +45,20 @@ type offlineRun struct {
 
 func TestLiveBridgeEqualsOfflineRun(t *testing.T) {
 	g := graph.Path(16)
-	tr := mustBFS(t, g)
 	arrivals := make([]sim.Arrival, len(payoffScript))
 	for op, node := range payoffScript {
 		arrivals[op] = sim.Arrival{Node: node, Time: op * payoffGap}
+	}
+	// Each offline run takes the tree its bridge runs on: the Hamilton path
+	// from node 0 for arrow, the BFS tree from the centre (node 7) for the
+	// counters.
+	queuing, _, err := tree.ForQueuing(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	centred, err := tree.ForCounting(g)
+	if err != nil {
+		t.Fatal(err)
 	}
 	run := func(t *testing.T, p sim.Protocol, value func(op int) int64, done func(op int) int) offlineRun {
 		t.Helper()
@@ -67,6 +78,7 @@ func TestLiveBridgeEqualsOfflineRun(t *testing.T) {
 		name string
 		spec string
 		kind countq.Kind
+		tr   *tree.Tree
 		// extra is the rounds a live operation costs beyond its offline
 		// latency. An operation is injected between rounds; arrow and central
 		// send from Issue, so the message travels as if issued in the round
@@ -74,35 +86,37 @@ func TestLiveBridgeEqualsOfflineRun(t *testing.T) {
 		// round later than a scheduled issue, which shares its Tick.
 		extra int64
 		// seq is the sequential specification of op at node, given the node
-		// of the operation before it (the root before the first): the value
-		// granted and the hops travelled, one round and one message each.
-		seq     func(op, node, prev int) (value int64, hops int)
-		offline func(t *testing.T) offlineRun
+		// of the operation before it (the root before the first) and the
+		// root: the value granted and the hops travelled, one round and one
+		// message each.
+		seq     func(op, node, prev, root int) (value int64, hops int)
+		offline func(t *testing.T, tr *tree.Tree) offlineRun
 	}{
-		{"arrow", "sim-arrow-queue", countq.KindQueue, 0, chaseSpec, func(t *testing.T) offlineRun {
+		{"arrow", "sim-arrow-queue", countq.KindQueue, queuing, 0, chaseSpec, func(t *testing.T, tr *tree.Tree) offlineRun {
 			p, err := arrow.NewLongLived(tr, tr.Root(), arrivals)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return run(t, p, func(op int) int64 { return int64(p.Pred(op)) }, p.CompletedAt)
 		}},
-		{"combining", "sim-tree-counter", countq.KindCounter, 1, rootTripSpec, func(t *testing.T) offlineRun {
+		{"combining", "sim-tree-counter", countq.KindCounter, centred, 1, rootTripSpec, func(t *testing.T, tr *tree.Tree) offlineRun {
 			p, err := counting.NewCombining(tr, arrivals)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return run(t, p, func(op int) int64 { return int64(p.CountOf(op)) }, p.CompletedAt)
 		}},
-		{"central", "sim-counter", countq.KindCounter, 0, rootTripSpec, func(t *testing.T) offlineRun {
+		{"central", "sim-counter", countq.KindCounter, centred, 0, rootTripSpec, func(t *testing.T, tr *tree.Tree) offlineRun {
 			p := newScheduled(t, g, tr, nil, false, arrivals, nil)
 			return run(t, p, func(op int) int64 { return p.value[op] }, func(op int) int { return p.done[op] })
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			off := tc.offline(t)
-			prev, hopsTotal := tr.Root(), 0
+			off := tc.offline(t, tc.tr)
+			root := tc.tr.Root()
+			prev, hopsTotal := root, 0
 			for op, node := range payoffScript {
-				value, hops := tc.seq(op, node, prev)
+				value, hops := tc.seq(op, node, prev, root)
 				if off.value[op] != value || off.latency[op] != hops {
 					t.Errorf("op %d at node %d: offline granted %d after %d rounds, the sequential spec says %d after %d",
 						op, node, off.value[op], off.latency[op], value, hops)
@@ -119,23 +133,32 @@ func TestLiveBridgeEqualsOfflineRun(t *testing.T) {
 			}
 			br := st.(*sim.Bridge)
 			defer br.Close()
-			// Sessions pin round-robin to nodes 1..k in creation order.
-			sessions := make([]countq.Session, 6)
-			for node := 1; node < len(sessions); node++ {
-				if sessions[node], err = br.NewSession(); err != nil {
+			// Sessions pin round-robin to the nodes other than the root;
+			// open them until every node of the script has one.
+			sessions := make(map[int]countq.Session)
+			for opened := 0; opened < g.N()-1; opened++ {
+				sess, err := br.NewSession()
+				if err != nil {
 					t.Fatal(err)
 				}
-				defer sessions[node].Close()
+				defer sess.Close()
+				if _, ok := sessions[sim.SessionNode(sess)]; !ok {
+					sessions[sim.SessionNode(sess)] = sess
+				}
 			}
 
 			ctx := context.Background()
 			var rounds, msgs int64
 			for op, node := range payoffScript {
+				sess, ok := sessions[node]
+				if !ok {
+					t.Fatalf("no session is pinned to node %d", node)
+				}
 				var got int64
 				if tc.kind == countq.KindQueue {
-					got, err = sessions[node].Enqueue(ctx, int64(op))
+					got, err = sess.Enqueue(ctx, int64(op))
 				} else {
-					got, err = sessions[node].Inc(ctx)
+					got, err = sess.Inc(ctx)
 				}
 				if err != nil {
 					t.Fatalf("op %d at node %d: %v", op, node, err)
@@ -158,16 +181,21 @@ func TestLiveBridgeEqualsOfflineRun(t *testing.T) {
 
 // chaseSpec is arrow's: op is queued behind the one before it, whose node
 // holds the tail, after chasing there along the list.
-func chaseSpec(op, node, prev int) (int64, int) {
+func chaseSpec(op, node, prev, _ int) (int64, int) {
 	if node < prev {
 		return int64(op - 1), prev - node
 	}
 	return int64(op - 1), node - prev
 }
 
-// rootTripSpec is both counters': the op-th count, after a round trip to the
-// root at node 0.
-func rootTripSpec(op, node, _ int) (int64, int) { return int64(op + 1), 2 * node }
+// rootTripSpec is both counters': the op-th count, after a round trip
+// along the list to the root.
+func rootTripSpec(op, node, _, root int) (int64, int) {
+	if node < root {
+		return int64(op + 1), 2 * (root - node)
+	}
+	return int64(op + 1), 2 * (node - root)
+}
 
 // settledSimStats reads the bridge's simulated rounds and messages once they
 // have stopped moving: the pump publishes them after a round that granted

@@ -49,8 +49,8 @@ func RegisterBridge(name, summary string, kinds countq.Kind, caps countq.Caps, p
 		Linearizable: true,
 		Params: []countq.ParamInfo{
 			{Name: "hoplat", Default: "1us", Doc: "wall-clock cost of one simulated round (one message hop); 0 = free-running"},
-			{Name: "nodes", Default: "9", Doc: "network size (root + leaves; sessions pin round-robin to non-root nodes)"},
-			{Name: "topo", Default: "star", Doc: "topology: " + strings.Join(graph.FamilyNames(), "|") + " (star: hub contention, list: diameter); nodes must be a member's exact size"},
+			{Name: "nodes", Default: "9", Doc: "network size (root + the rest; sessions pin round-robin to the nodes other than the protocol's root)"},
+			{Name: "topo", Default: "star", Doc: "topology: " + strings.Join(graph.FamilyNames(), "|") + " (star: hub contention, list: diameter); nodes must be a member's exact size. Arrow runs on the Hamilton path where there is one; the rooted protocols on the BFS tree from a centre (least eccentricity), or on complete the heap tree"},
 			{Name: "cap", Default: "1", Doc: "per-node per-round send/receive capacity — the paper's c"},
 			{Name: "jitter", Default: "0", Doc: "max per-message link delay in rounds (0 = deterministic unit delay)"},
 			{Name: "seed", Default: "1", Doc: "seed for the jitter delay model (ignored when jitter=0)"},

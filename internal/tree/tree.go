@@ -137,10 +137,13 @@ func ForQueuing(g *graph.Graph) (*Tree, string, error) {
 	return t, "BFS tree", err
 }
 
-// ForCounting returns the spanning tree the counting protocols run on: on
-// a complete graph the balanced binary heap tree (parent(v) = ⌊(v−1)/2⌋,
-// constant degree and logarithmic depth, Theorem 3.5's setting),
-// otherwise the BFS tree from node 0.
+// ForCounting returns the spanning tree the rooted protocols (every
+// counter, and the central queue) run on: on a complete graph the balanced
+// binary heap tree (parent(v) = ⌊(v−1)/2⌋, constant degree and logarithmic
+// depth, Theorem 3.5's setting), otherwise the BFS tree from a centre of
+// g (graph.Center: least eccentricity, smallest id among ties), so the
+// root that serializes the operations sits as close to every requester
+// as any node can.
 func ForCounting(g *graph.Graph) (*Tree, error) {
 	if n := g.N(); n > 1 && g.M() == n*(n-1)/2 {
 		parent := make([]int, n)
@@ -149,7 +152,11 @@ func ForCounting(g *graph.Graph) (*Tree, error) {
 		}
 		return FromParents(0, parent)
 	}
-	return BFSTree(g, 0)
+	c := g.Center()
+	if c < 0 {
+		return nil, fmt.Errorf("tree: %s has no centre (empty or disconnected)", g.Name())
+	}
+	return BFSTree(g, c)
 }
 
 // Perfect returns the perfect m-ary tree with the given number of levels in

@@ -231,51 +231,76 @@ func TestIsSpanningOfRejectsForeignTree(t *testing.T) {
 	}
 }
 
-// TestTreePolicy checks the theorem trees: arrow gets the Hamilton path
-// where the graph has one and BFS elsewhere, counting gets the heap tree
-// on complete graphs and BFS elsewhere, and each is a spanning tree.
+// TestTreePolicy checks the theorem trees on two members of every
+// topology family: arrow gets the Hamilton path where the graph has one
+// and BFS elsewhere; counting gets the heap tree on complete graphs and
+// elsewhere the BFS tree from a node of least eccentricity, the smallest
+// id among ties; and each is a spanning tree.
 func TestTreePolicy(t *testing.T) {
-	for _, c := range []struct {
-		g     *graph.Graph
-		label string // ForQueuing's
-		heap  bool   // ForCounting returns the heap tree
-	}{
-		{graph.Complete(10), "hamilton path", true},
-		{graph.Path(6), "hamilton path", false},
-		{graph.Mesh(5, 5), "hamilton path", false},
-		{graph.Hypercube(5), "hamilton path", false},
-		{graph.Star(20), "BFS tree", false},
-		{graph.PerfectMAryTree(3, 4), "BFS tree", false},
-	} {
-		q, label, err := ForQueuing(c.g)
-		if err != nil || label != c.label {
-			t.Fatalf("ForQueuing(%s) = %q, %v; want %q", c.g.Name(), label, err, c.label)
-		}
-		if label == "hamilton path" && q.Height() != c.g.N()-1 {
-			t.Errorf("ForQueuing(%s): height %d, want a path", c.g.Name(), q.Height())
-		}
-		ct, err := ForCounting(c.g)
-		if err != nil {
-			t.Fatalf("ForCounting(%s): %v", c.g.Name(), err)
-		}
-		bfs, err := BFSTree(c.g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < c.g.N(); v++ {
-			want := bfs.Parent(v)
-			if c.heap && v > 0 {
-				want = (v - 1) / 2
+	sizes := map[string][2]int{
+		"complete": {10, 33}, "list": {6, 64}, "mesh2d": {25, 64}, "mesh3d": {27, 64},
+		"hypercube": {32, 64}, "star": {20, 64}, "mary": {13, 40}, "caterpillar": {20, 64},
+		"ccc": {24, 64}, "debruijn": {16, 64},
+	}
+	// ForQueuing's label where the family decides it: a Hamilton path is
+	// recorded on these, and a star or a 3-ary tree has none.
+	labels := map[string]string{
+		"complete": "hamilton path", "list": "hamilton path", "mesh2d": "hamilton path",
+		"mesh3d": "hamilton path", "hypercube": "hamilton path", "star": "BFS tree", "mary": "BFS tree",
+	}
+	for _, name := range graph.FamilyNames() {
+		for _, n := range sizes[name] {
+			g, err := graph.Family(name, n)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ct.Parent(v) != want {
-				t.Errorf("ForCounting(%s): parent(%d) = %d, want %d", c.g.Name(), v, ct.Parent(v), want)
+			q, label, err := ForQueuing(g)
+			if err != nil {
+				t.Fatalf("ForQueuing(%s): %v", g.Name(), err)
+			}
+			if want, ok := labels[name]; ok && label != want {
+				t.Errorf("ForQueuing(%s) = %q, want %q", g.Name(), label, want)
+			}
+			if label == "hamilton path" && q.Height() != n-1 {
+				t.Errorf("ForQueuing(%s): height %d, want a path", g.Name(), q.Height())
+			}
+			ct, err := ForCounting(g)
+			if err != nil {
+				t.Fatalf("ForCounting(%s): %v", g.Name(), err)
+			}
+			center := 0
+			for v := 1; v < n; v++ {
+				if g.Eccentricity(v) < g.Eccentricity(center) {
+					center = v
+				}
+			}
+			bfs, err := BFSTree(g, center)
+			if err != nil {
+				t.Fatal(err)
+			}
+			heap := name == "complete"
+			if !heap && ct.Root() != center {
+				t.Errorf("ForCounting(%s): root %d (eccentricity %d), want %d (eccentricity %d)",
+					g.Name(), ct.Root(), g.Eccentricity(ct.Root()), center, g.Eccentricity(center))
+			}
+			for v := 0; v < n; v++ {
+				want := bfs.Parent(v)
+				if heap {
+					want = (v - 1) / 2
+				}
+				if ct.Parent(v) != want {
+					t.Errorf("ForCounting(%s): parent(%d) = %d, want %d", g.Name(), v, ct.Parent(v), want)
+				}
+			}
+			for _, tr := range []*Tree{q, ct} {
+				if err := tr.IsSpanningOf(g); err != nil {
+					t.Errorf("%s: %v", g.Name(), err)
+				}
 			}
 		}
-		for _, tr := range []*Tree{q, ct} {
-			if err := tr.IsSpanningOf(c.g); err != nil {
-				t.Errorf("%s: %v", c.g.Name(), err)
-			}
-		}
+	}
+	if _, err := ForCounting(graph.NewBuilder("islands", 2).Build()); err == nil {
+		t.Error("ForCounting accepted a disconnected graph")
 	}
 }
 
