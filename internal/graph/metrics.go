@@ -49,31 +49,74 @@ func (g *Graph) IsConnected() bool {
 // some vertex is unreachable from v.
 func (g *Graph) Eccentricity(v int) int {
 	dist, queue := g.searchBuffers()
-	return g.eccentricity(v, dist, queue, g.N())
+	queue = g.search(v, dist, queue)
+	if len(queue) < g.N() {
+		return -1
+	}
+	return dist[queue[len(queue)-1]]
 }
 
 // Center returns a vertex of least eccentricity, the smallest id among
-// ties, or -1 if g is empty or disconnected. It runs a BFS from every
-// vertex over one distance array and one queue, so it costs O(n·m) time
-// and two allocations; each search stops once it is as deep as the least
-// eccentricity found so far.
+// ties, or -1 if g is empty or disconnected. It searches from as few
+// sources as it can prove it needs: a completed search from s shows that
+// every vertex v has ecc(v) ≥ max(d(s,v), ecc(s) − d(s,v)), so the next
+// source is the unsearched vertex of least such bound (the smaller id on
+// ties), and the search ends when that vertex could neither beat the best
+// eccentricity found nor tie it with a smaller id. The second and third
+// searches instead start where the one before ended, its last vertex
+// reached (a double sweep): on a tree the two ends of a longest path that
+// gives bound every eccentricity exactly, so a tree takes at most four
+// searches. The worst case is a search from every vertex, O(n·m) time;
+// on a hypercube, where every vertex has one eccentricity, it is half of
+// them. Three allocations.
 func (g *Graph) Center() int {
-	dist, queue := g.searchBuffers()
-	center, best := -1, g.N()
-	for v := 0; v < g.N(); v++ {
-		ecc := g.eccentricity(v, dist, queue, best)
-		if ecc < 0 {
-			return -1
-		}
-		if ecc < best {
-			center, best = v, ecc
-		}
-	}
+	center, _ := g.center()
 	return center
 }
 
-// searchBuffers returns eccentricity's buffers: every distance unset, and
-// an empty queue with room for every vertex.
+// center is Center, also reporting how many searches it ran.
+func (g *Graph) center() (center, searches int) {
+	n := g.N()
+	dist, queue := g.searchBuffers()
+	// lb[v] is a proven lower bound on ecc(v); a searched vertex's is n,
+	// above any eccentricity, so it is never chosen again.
+	lb := make([]int, n)
+	center, best := -1, n
+	far := 0 // the vertex the last search reached last
+	for {
+		s := -1
+		for v, b := range lb {
+			if s < 0 || b < lb[s] {
+				s = v
+			}
+		}
+		if s < 0 || lb[s] > best || (lb[s] == best && s > center) {
+			return center, searches
+		}
+		if searches < 3 && lb[far] < n {
+			s = far
+		}
+		searches++
+		queue = g.search(s, dist, queue)
+		if len(queue) < n {
+			return -1, searches
+		}
+		far = queue[len(queue)-1]
+		ecc := dist[far]
+		if ecc < best || (ecc == best && s < center) {
+			center, best = s, ecc
+		}
+		for _, v := range queue {
+			d := dist[v]
+			lb[v] = max(lb[v], d, ecc-d)
+			dist[v] = -1
+		}
+		lb[s] = n
+	}
+}
+
+// searchBuffers returns search's buffers: every distance unset, and an
+// empty queue with room for every vertex.
 func (g *Graph) searchBuffers() (dist, queue []int) {
 	dist = make([]int, g.N())
 	for i := range dist {
@@ -82,36 +125,23 @@ func (g *Graph) searchBuffers() (dist, queue []int) {
 	return dist, make([]int, 0, g.N())
 }
 
-// eccentricity is Eccentricity over buffers from searchBuffers, which it
-// leaves as it found them. A search that reaches depth bound stops there
-// and returns bound, since its caller only needs to know the eccentricity
-// is at least that; only a search that completes can report -1.
-func (g *Graph) eccentricity(src int, dist, queue []int, bound int) int {
+// search runs a BFS from src over buffers from searchBuffers: it sets the
+// distance of every vertex it reaches and returns those vertices in the
+// order it reached them, so the last is a farthest one. A caller that
+// searches again first unsets the distances of the returned vertices.
+func (g *Graph) search(src int, dist, queue []int) []int {
 	dist[src] = 0
 	queue = append(queue[:0], src)
-	ecc := 0
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		if ecc = dist[u]; ecc >= bound {
-			break
-		}
 		for _, v := range g.adj[u] {
 			if dist[v] < 0 {
-				dist[v] = ecc + 1
+				dist[v] = dist[u] + 1
 				queue = append(queue, v)
 			}
 		}
 	}
-	for _, v := range queue {
-		dist[v] = -1
-	}
-	switch {
-	case ecc >= bound:
-		return bound
-	case len(queue) < len(dist):
-		return -1
-	}
-	return ecc
+	return queue
 }
 
 // Diameter returns the exact diameter by running a BFS from every vertex

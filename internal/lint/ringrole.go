@@ -36,7 +36,7 @@ const ringPath = "repro/internal/ring"
 var RingRoleAnalyzer = &Analyzer{
 	Name: "ringrole",
 	Doc: "functions reaching ring.SPSC/Lanes/Event producer-only methods (Push, Wake) or " +
-		"consumer-only methods (Pop, DrainTo, Snapshot, Claim, Prepare, WakeChan, Unpark) must carry a " +
+		"consumer-only methods (Pop, Peek, DrainTo, Snapshot, Claim, Prepare, WakeChan, Unpark) must carry a " +
 		"matching //countq:role=producer|consumer annotation; mixed or unannotated reachability " +
 		"is flagged, and WakeChan receives must be dominated by Prepare with a re-check between",
 	Run: runRingRole,
@@ -50,6 +50,7 @@ var ringMethodRoles = map[string]string{
 	"Lanes.Wake": "producer",
 
 	"SPSC.Pop":       "consumer",
+	"SPSC.Peek":      "consumer",
 	"SPSC.DrainTo":   "consumer",
 	"SPSC.Len":       "", // racy-read; legal from either side, exact from the consumer
 	"Event.Prepare":  "consumer",

@@ -102,6 +102,21 @@ func (r *SPSC[T]) Pop() (T, bool) {
 	return v, true
 }
 
+// Peek returns the oldest entry without removing it. Consumer-side only:
+// the entry stays where it is until the consumer's next Pop or DrainTo,
+// so a consumer can act on it first and take it only once that succeeds.
+//
+//countq:hotpath
+//countq:role=consumer
+func (r *SPSC[T]) Peek() (T, bool) {
+	h := r.head.Load()
+	if h == r.tail.Load() {
+		var zero T
+		return zero, false
+	}
+	return r.buf[h&r.mask], true
+}
+
 // DrainTo appends every entry published before the call to buf and
 // returns the extended slice, zeroing the consumed slots and advancing
 // head once for the whole batch — the consumer's amortized sweep path.

@@ -38,6 +38,28 @@ func TestSPSCPushPop(t *testing.T) {
 	}
 }
 
+// TestSPSCPeek: Peek shows the entry the next Pop takes and leaves it
+// there.
+func TestSPSCPeek(t *testing.T) {
+	r := New[int](2)
+	if _, ok := r.Peek(); ok {
+		t.Fatal("Peek on empty ring reported ok")
+	}
+	r.Push(7)
+	r.Push(8)
+	for i := 0; i < 2; i++ {
+		if v, ok := r.Peek(); !ok || v != 7 || r.Len() != 2 {
+			t.Fatalf("Peek = (%d, %v) with Len %d, want (7, true) with Len 2", v, ok, r.Len())
+		}
+	}
+	if v, _ := r.Pop(); v != 7 {
+		t.Fatalf("Pop after Peek = %d, want 7", v)
+	}
+	if v, ok := r.Peek(); !ok || v != 8 {
+		t.Fatalf("Peek = (%d, %v), want (8, true)", v, ok)
+	}
+}
+
 // TestSPSCWrap cycles far past the buffer length so the masked cursors
 // wrap many times, in mixed-size batches that are coprime with the
 // capacity.

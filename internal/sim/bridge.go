@@ -103,15 +103,18 @@ const pumpIdlePoll = 512
 // that withholds a grant for many rounds still lets waiters run every
 // freeRunYield rounds instead of starving them until the runtime preempts.
 //
-// With more than one P the free-running pump does not yield between rounds
-// (yieldEvery stays 0; the runtime's 10 ms preemption is the backstop). A
-// waiter whose grant landed is started on another P by the send that
-// readied it, so a yield buys it nothing, and runtime.Gosched is not free
-// there: it ends in wakep, which with an idle P is a futex wake of a
-// thread that finds nothing to run and sleeps again (5-8 µs of system time
-// on the pump, on the 2-vCPU build VM), and it leaves the pump on the
-// global run queue for whichever thread takes it next. A counted yield
-// also comes round more often the cheaper a round is. Measured on
+// With more than one P the free-running pump does not yield on a round
+// count (yieldEvery stays 0; the runtime's 10 ms preemption is the
+// backstop). It yields once after a round that handed a completion to a
+// reaper parked on Completions (yieldsOnHandoff): the send that readied
+// the reaper left it in the pump's P's runnext slot, where another P takes
+// it only after about 3 µs. Any other yield buys a waiter nothing, and
+// runtime.Gosched is not free there: it ends in wakep, which with an idle
+// P is a futex wake of a thread that finds nothing to run and sleeps again
+// (5-8 µs of system time on the pump, on the 2-vCPU build VM), and it
+// leaves the pump on the global run queue for whichever thread takes it
+// next. A counted yield also comes round more often the cheaper a round
+// is. Measured on
 // list64-pipe-tree while its tree was rooted at node 0 (8 operations per
 // 456-round cycle): yielding every 64 rounds, 81-101 k ops/s from one
 // 100 ms window to the next, 0.27-0.49 thread sleeps per operation, 35 %
@@ -152,7 +155,10 @@ type BridgeProtocol interface {
 	Protocol
 	// Issue injects the operation op, identified by token, at node. The
 	// protocol must eventually Grant the token, exactly once (the pump
-	// keeps stepping rounds while any token is outstanding).
+	// keeps stepping rounds while any token is outstanding). Issue sees
+	// only op's Kind, N and ID: behind the bridge op is rebuilt from the
+	// bridge's kind and the operation's argument, and the caller's Token
+	// and timestamps stay with the session for its Completion.
 	Issue(env *Env, node int, token int, op countq.Op)
 }
 
@@ -242,12 +248,16 @@ type Bridge struct {
 	closed  bool
 }
 
-// bridgeOp is one operation in flight from a session to the pump.
+// bridgeOp is one operation in flight from a session to the pump: four
+// words, which is all a lane, the pump's sweep buffer and the grant table
+// carry per operation. Issue sees the Op that issueOp rebuilds from the
+// bridge's kind and arg; an async operation's full Op, which only its
+// Completion echoes, waits in its session's slot table under seq.
 type bridgeOp struct {
-	node  int
-	op    countq.Op
 	sess  *bridgeSession
-	seq   uint64 // sync round-trip sequence; 0 for async ops
+	arg   int64  // the Inc block size N, or the Enqueue id
+	seq   uint64 // sync round-trip sequence, or the async operation's slot
+	node  int32
 	async bool
 }
 
@@ -259,31 +269,46 @@ type syncGrant struct {
 	err error
 }
 
-// settle resolves o with c: async completions go to the session's
-// completion channel (buffered to the pipeline depth, so this never
-// blocks the pump); sync grants ride the session's grant ring and wake
-// the parked waiter. A sync grant whose round trip was already abandoned
-// (ctx cancellation) is dropped here — the drop is counted so the
-// session's straggler window stays balanced.
+// settle resolves o with the value val or the error err: an async
+// completion takes the Op out of the operation's slot, hands the slot back
+// on the session's free ring and then sends the Completion to the
+// session's completion channel (buffered to the pipeline depth); a sync
+// grant rides the session's grant ring and wakes the parked waiter. The
+// slot goes back first so that a reaper holding every Completion it is
+// owed can always submit again: freed after the send, a slot could still
+// be missing when the reaper, woken by that send, submits. A sync grant
+// whose round trip was already abandoned (ctx cancellation) is dropped
+// here — the drop is counted so the session's straggler window stays
+// balanced.
+//
+// settle reports whether the completion was handed straight to a reaper
+// parked on Completions. A send to a buffered channel that a receiver is
+// blocked on copies the value to that receiver and leaves the buffer
+// empty; any other send leaves it in the buffer.
 //
 //countq:hotpath
 //countq:role=producer
-func settle(o bridgeOp, c countq.Completion) {
+func settle(o bridgeOp, val int64, err error) (handoff bool) {
 	s := o.sess
 	if o.async {
+		c := countq.Completion{Op: s.slots[o.seq], Value: val, Err: err}
+		// The push cannot fail: the ring holds pipeline+1 entries, one more
+		// than there are slots, for the slot Submit has peeked but not yet
+		// taken.
+		s.free.Push(uint32(o.seq))
 		s.out <- c
-		s.outstanding.Add(-1)
-		return
+		return len(s.out) == 0
 	}
 	if o.seq <= s.abandonSeq.Load() {
 		s.dropped.Add(1)
-		return
+		return false
 	}
 	// The push cannot fail: the ring holds one live round trip plus
 	// abandoned stragglers, and waitStragglers keeps those under
 	// syncWindow-1 before a new op is sent.
-	s.grants.Push(syncGrant{seq: o.seq, val: c.Value, err: c.Err})
+	s.grants.Push(syncGrant{seq: o.seq, val: val, err: err})
 	s.ev.Wake()
+	return false
 }
 
 // grantTable is the pump's pending-operation store: a slot slice indexed
@@ -293,6 +318,9 @@ type grantTable struct {
 	slots []bridgeOp
 	free  []int
 	live  int
+	// handoff is set when a grant is handed straight to a parked reaper
+	// (settle's report); the pump clears it before each round.
+	handoff bool
 }
 
 // add stores o and returns its token.
@@ -324,7 +352,9 @@ func (t *grantTable) Grant(tok int, val int64) {
 	t.slots[tok] = bridgeOp{}
 	t.free = append(t.free, tok)
 	t.live--
-	settle(o, countq.Completion{Op: o.op, Value: val})
+	if settle(o, val, nil) {
+		t.handoff = true
+	}
 }
 
 // failAll resolves every pending operation with err — the pump's
@@ -338,7 +368,7 @@ func (t *grantTable) failAll(err error) {
 		t.slots[tok] = bridgeOp{}
 		t.free = append(t.free, tok)
 		t.live--
-		settle(o, countq.Completion{Op: o.op, Err: err})
+		settle(o, 0, err)
 	}
 }
 
@@ -474,13 +504,22 @@ func (s *bridgeSession) send(ctx context.Context, o bridgeOp) error {
 
 // NewSession pins a new session to the next leaf node round-robin. Several
 // sessions may share a leaf; their operations are distinguished by token.
+// It fills the session's free ring before anyone else can see the ring;
+// from then on the pump (or Close, once the pump is gone) is its producer.
+//
+//countq:role=producer
 func (b *Bridge) NewSession() (countq.Session, error) {
 	i := b.nextLeaf.Add(1) - 1
 	s := &bridgeSession{
 		b:      b,
 		node:   b.leaves[int(i%uint64(len(b.leaves)))],
 		out:    make(chan countq.Completion, b.pipeline),
+		slots:  make([]countq.Op, b.pipeline),
+		free:   ring.New[uint32](b.pipeline + 1),
 		grants: ring.New[syncGrant](syncWindow),
+	}
+	for slot := 0; slot < b.pipeline; slot++ {
+		s.free.Push(uint32(slot))
 	}
 	s.ev.Init()
 	s.lane = b.sub.NewLane(b.pipeline)
@@ -515,12 +554,24 @@ func (b *Bridge) inject(env *Env, bp BridgeProtocol, table *grantTable) int {
 		b.scratch = lane.DrainTo(b.scratch[:0])
 		for i := range b.scratch {
 			o := &b.scratch[i]
-			bp.Issue(env, o.node, table.add(*o), o.op)
-			env.Wake(o.node)
+			node := int(o.node)
+			bp.Issue(env, node, table.add(*o), b.issueOp(o.arg))
+			env.Wake(node)
 		}
 		injected += len(b.scratch)
 	}
 	return injected
+}
+
+// issueOp rebuilds the Op an operation is issued as from the bridge's
+// kind and the operation's argument: Issue reads only Kind, N and ID.
+//
+//countq:hotpath
+func (b *Bridge) issueOp(arg int64) countq.Op {
+	if b.cfg.Queue {
+		return countq.Op{Kind: countq.OpEnqueue, ID: arg}
+	}
+	return countq.Op{Kind: countq.OpInc, N: arg}
 }
 
 // pollLanes sweeps the session lanes for a submission until it finds one
@@ -634,6 +685,7 @@ func (b *Bridge) pumpLoop(nw *Network, bp BridgeProtocol, table *grantTable) {
 		idle = 0
 		b.sleepHop()
 		live := table.live
+		table.handoff = false
 		if err := nw.Step(); err != nil {
 			b.fail(table, err)
 			return
@@ -645,8 +697,26 @@ func (b *Bridge) pumpLoop(nw *Network, bp BridgeProtocol, table *grantTable) {
 		if !stale {
 			b.publishStats(nw)
 		}
+		if table.handoff && b.yieldsOnHandoff() {
+			runtime.Gosched()
+		}
 	}
 }
+
+// yieldsOnHandoff reports whether the pump yields once after a round in
+// which a grant was handed straight to a reaper parked on Completions
+// (settle's report). The send that readied the reaper put it in the runnext
+// slot of the pump's P, and another P steals from a running P's runnext
+// only after a usleep(3) (runqgrab in runtime/proc.go): left alone, the
+// reaper waits about 3 µs for its completion, or until the pump goes idle.
+// The yield runs it on the pump's P at once, and the pump carries on from
+// the global run queue on the other P. Like the idle poll this needs a
+// second P; on one P the reaper runs when the pump gives the P up, which
+// freeRunYield and the idle branch already arrange. Grants made inside
+// inject (a protocol that serves an operation on the spot) do not count:
+// yielding after them too read 1-3 % fewer list64-pipe-queue operations
+// per second (three alternating 3 s pairs on a 2-vCPU host).
+func (b *Bridge) yieldsOnHandoff() bool { return b.idlePoll > 0 }
 
 // publishStats mirrors the network's round and message counts into the
 // fields SimStats reads.
@@ -667,7 +737,7 @@ func (b *Bridge) failLanes(err error) {
 	for _, lane := range b.sub.Snapshot() {
 		b.scratch = lane.DrainTo(b.scratch[:0])
 		for i := range b.scratch {
-			settle(b.scratch[i], countq.Completion{Op: b.scratch[i].op, Err: err})
+			settle(b.scratch[i], 0, err)
 		}
 	}
 }
@@ -736,6 +806,11 @@ type bridgeSession struct {
 	// round after some session posted to the bridge's lanes.
 	lane *ring.SPSC[bridgeOp]
 	out  chan countq.Completion
+	// slots holds each accepted async operation's Op until settle echoes
+	// it in the Completion; free carries the unused slot indices back from
+	// the pump, so an empty free ring is a full pipeline.
+	slots []countq.Op
+	free  *ring.SPSC[uint32]
 	// grants carries sync round-trip results back from the pump; ev is
 	// the parked-waiter signal for it. One op is live at a time (sessions
 	// are single-owner), so the ring holds that op's grant plus at most
@@ -748,12 +823,11 @@ type bridgeSession struct {
 	// straggler window: abandoned counts cancelled round trips, reaped
 	// the stale grants this session discarded from its ring, dropped the
 	// ones the pump discarded before the push.
-	syncSeq     uint64
-	abandoned   int
-	reaped      int
-	dropped     atomic.Int64
-	abandonSeq  atomic.Uint64
-	outstanding atomic.Int64
+	syncSeq    uint64
+	abandoned  int
+	reaped     int
+	dropped    atomic.Int64
+	abandonSeq atomic.Uint64
 }
 
 // errBridgeClosed reports operations against a closed bridge.
@@ -793,14 +867,14 @@ func (s *bridgeSession) waitStragglers(ctx context.Context) error {
 	return nil
 }
 
-// roundTrip submits op and blocks for its grant — the synchronous view of
-// the asynchronous protocol. The wait spins through the pump's turn
-// first (the uncontended path completes without parking), then parks on
-// the session eventcount.
+// roundTrip submits the operation with argument arg and blocks for its
+// grant — the synchronous view of the asynchronous protocol. The wait
+// spins through the pump's turn first (the uncontended path completes
+// without parking), then parks on the session eventcount.
 //
 //countq:hotpath
 //countq:role=consumer
-func (s *bridgeSession) roundTrip(ctx context.Context, op countq.Op) (int64, error) {
+func (s *bridgeSession) roundTrip(ctx context.Context, arg int64) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -819,7 +893,7 @@ func (s *bridgeSession) roundTrip(ctx context.Context, op countq.Op) (int64, err
 	}
 	s.syncSeq++
 	seq := s.syncSeq
-	if err := s.send(ctx, bridgeOp{node: s.node, op: op, sess: s, seq: seq}); err != nil {
+	if err := s.send(ctx, bridgeOp{sess: s, arg: arg, seq: seq, node: int32(s.node)}); err != nil {
 		// Not accepted: no grant will ever carry this sequence, so it
 		// needs no abandon accounting.
 		return 0, err
@@ -885,7 +959,7 @@ func (s *bridgeSession) Inc(ctx context.Context) (int64, error) {
 	if s.b.cfg.Queue {
 		return 0, s.wrongKind(countq.Op{Kind: countq.OpInc})
 	}
-	return s.roundTrip(ctx, countq.Op{Kind: countq.OpInc, N: 1})
+	return s.roundTrip(ctx, 1)
 }
 
 // IncN implements countq.BatchSession: one request message grants the
@@ -901,7 +975,7 @@ func (s *bridgeSession) IncN(ctx context.Context, n int64) (int64, error) {
 	if int64(int(n)) != n {
 		return 0, fmt.Errorf("sim: IncN(%d): block size overflows the message payload", n)
 	}
-	return s.roundTrip(ctx, countq.Op{Kind: countq.OpInc, N: n})
+	return s.roundTrip(ctx, n)
 }
 
 // Enqueue implements countq.Session (queue bridges only).
@@ -914,7 +988,7 @@ func (s *bridgeSession) Enqueue(ctx context.Context, id int64) (int64, error) {
 	if int64(int(id)) != id || id < 0 {
 		return 0, s.badID(id)
 	}
-	return s.roundTrip(ctx, countq.Op{Kind: countq.OpEnqueue, ID: id})
+	return s.roundTrip(ctx, id)
 }
 
 // wrongKind reports an operation the bridge side does not serve: the
@@ -934,9 +1008,12 @@ func (s *bridgeSession) badID(id int64) error {
 
 // Submit implements countq.AsyncSession: the operation is queued for
 // injection and its Completion arrives on Completions. An error means the
-// operation was not accepted.
+// operation was not accepted. The operation's Op waits in a free slot,
+// which Submit takes off the free ring only once the operation is
+// accepted, so a rejected one leaves the ring as it was.
 //
 //countq:hotpath
+//countq:role=consumer
 func (s *bridgeSession) Submit(ctx context.Context, op countq.Op) error {
 	want := countq.OpInc
 	if s.b.cfg.Queue {
@@ -954,15 +1031,28 @@ func (s *bridgeSession) Submit(ctx context.Context, op countq.Op) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if s.outstanding.Load() >= int64(s.b.pipeline) {
+	slot, ok := s.free.Peek()
+	if !ok {
 		return fmt.Errorf("sim: bridge session pipeline full (%d operations outstanding)", s.b.pipeline)
 	}
-	s.outstanding.Add(1)
-	if err := s.send(ctx, bridgeOp{node: s.node, op: op, sess: s, async: true}); err != nil {
-		s.outstanding.Add(-1)
+	s.slots[slot] = op
+	arg := op.N
+	if s.b.cfg.Queue {
+		arg = op.ID
+	}
+	if err := s.send(ctx, bridgeOp{sess: s, arg: arg, seq: uint64(slot), node: int32(s.node), async: true}); err != nil {
 		return err
 	}
+	// The pump may already have settled the operation and pushed the slot
+	// back behind the others; this takes the copy at the head.
+	s.free.Pop()
 	return nil
+}
+
+// outstanding is how many accepted async operations are not yet settled:
+// the slots not on the free ring.
+func (s *bridgeSession) outstanding() int {
+	return s.b.pipeline - s.free.Len()
 }
 
 // Completions implements countq.AsyncSession.
@@ -974,15 +1064,17 @@ func (s *bridgeSession) Completions() <-chan countq.Completion {
 // executed; abandoning them is the caller's choice), unregisters the
 // session's lane from the pump's sweep set and detaches the session. The
 // channel itself is never closed — consumers track their own outstanding
-// count.
+// count. It waits until every slot is back on the free ring; the pump
+// sends the last completion a moment after freeing its slot, so that one
+// can land in the channel after Close has drained it.
 func (s *bridgeSession) Close() error {
-	if s.outstanding.Load() > 0 {
-		// outstanding is decremented after the completion push, so a brief
-		// wait between observing the count and the arrival is expected;
-		// re-check on a reused timer rather than allocating one per poll.
+	if s.outstanding() > 0 {
+		// The outstanding completions arrive as the pump settles their
+		// operations; re-check on a reused timer rather than allocating one
+		// per poll.
 		timer := time.NewTimer(10 * time.Millisecond)
 		defer timer.Stop()
-		for s.outstanding.Load() > 0 {
+		for s.outstanding() > 0 {
 			select {
 			case <-s.out:
 				if !timer.Stop() {

@@ -440,26 +440,28 @@ func TestBridgeCancelThenReuse(t *testing.T) {
 // must reach the session's outstanding bound, and bad values must be
 // rejected at construction.
 func TestBridgePipelineParam(t *testing.T) {
-	st, err := countq.NewStructure("sim-counter?hoplat=100ms&pipeline=2", countq.KindCounter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.(io.Closer).Close()
-	sess, err := st.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	as := sess.(countq.AsyncSession)
-	ctx := context.Background()
-	// With a 100ms hop nothing completes during the test, so the third
-	// submit must trip the configured bound of 2.
-	for i := 0; i < 2; i++ {
-		if err := as.Submit(ctx, countq.Op{Kind: countq.OpInc, N: 1}); err != nil {
-			t.Fatalf("submit %d within the pipeline bound: %v", i, err)
+	for _, pipeline := range []int{1, 2} {
+		st, err := countq.NewStructure(fmt.Sprintf("sim-counter?hoplat=100ms&pipeline=%d", pipeline), countq.KindCounter)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := as.Submit(ctx, countq.Op{Kind: countq.OpInc, N: 1}); err == nil {
-		t.Error("third submit accepted past pipeline=2")
+		sess, err := st.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		as := sess.(countq.AsyncSession)
+		ctx := context.Background()
+		// With a 100ms hop nothing completes during the test, so the
+		// submit after the first pipeline ones must trip the bound.
+		for i := 0; i < pipeline; i++ {
+			if err := as.Submit(ctx, countq.Op{Kind: countq.OpInc, N: 1}); err != nil {
+				t.Fatalf("pipeline=%d: submit %d within the bound: %v", pipeline, i, err)
+			}
+		}
+		if err := as.Submit(ctx, countq.Op{Kind: countq.OpInc, N: 1}); err == nil {
+			t.Errorf("pipeline=%d: submit accepted with %d operations outstanding", pipeline, pipeline)
+		}
+		st.(io.Closer).Close()
 	}
 	for _, spec := range []string{
 		"sim-counter?pipeline=-1",
@@ -468,6 +470,114 @@ func TestBridgePipelineParam(t *testing.T) {
 		if st, err := countq.NewStructure(spec, countq.KindCounter); err == nil {
 			st.(io.Closer).Close()
 			t.Errorf("NewStructure(%q) accepted", spec)
+		}
+	}
+}
+
+// pairProto holds each issued operation until the next one arrives, then
+// grants the later one first: at pipeline=2 every pair completes in
+// reverse issue order, so the session's two slots trade places each pair.
+// It records the Op every Issue saw. Once release is set its Tick grants a
+// held operation, so a test that stops mid-pair can still Close.
+type pairProto struct {
+	grants  sim.Grants
+	issued  []countq.Op
+	held    int
+	holding bool
+	n       int64
+	release atomic.Bool
+}
+
+func (p *pairProto) Tick(env *sim.Env, node int) {
+	if p.holding && p.release.Load() {
+		p.holding = false
+		p.n++
+		p.grants.Grant(p.held, p.n)
+	}
+}
+
+func (p *pairProto) Start(env *sim.Env, node int)                  {}
+func (p *pairProto) Deliver(env *sim.Env, node int, m sim.Message) {}
+func (p *pairProto) Issue(env *sim.Env, node int, token int, op countq.Op) {
+	p.issued = append(p.issued, op)
+	if !p.holding {
+		p.held, p.holding = token, true
+		return
+	}
+	p.holding = false
+	p.n++
+	p.grants.Grant(token, p.n)
+	p.n++
+	p.grants.Grant(p.held, p.n)
+}
+
+// TestBridgeCompletionEchoesOp: an async Completion carries back every
+// field of the Op its Submit was given, Token and both timestamps
+// included, while the session's slots are recycled in reverse order 150
+// times; Issue sees only the Op's kind and argument, rebuilt.
+func TestBridgeCompletionEchoesOp(t *testing.T) {
+	const pairs = 150
+	base := time.Date(2006, 4, 25, 0, 0, 0, 0, time.UTC)
+	for _, queue := range []bool{false, true} {
+		proto := &pairProto{}
+		maker := func(g *graph.Graph, tr *tree.Tree, grants sim.Grants) (sim.BridgeProtocol, error) {
+			proto.grants = grants
+			return proto, nil
+		}
+		b, err := sim.NewBridge(sim.BridgeConfig{Queue: queue, Pipeline: 2, Proto: maker})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			proto.release.Store(true)
+			b.Close()
+		})
+		sess, err := b.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		as := sess.(countq.AsyncSession)
+		ctx := context.Background()
+		var want []countq.Op
+		for i := 0; i < 2*pairs; i++ {
+			op := countq.Op{
+				Kind:      countq.OpInc,
+				N:         int64(i%5 + 1),
+				ID:        int64(1000 + i), // not the counter's to read
+				Token:     uint64(7*i + 3),
+				Start:     base.Add(time.Duration(i) * time.Second),
+				Submitted: base.Add(time.Duration(i)*time.Second + time.Millisecond),
+			}
+			if queue {
+				op.Kind, op.N = countq.OpEnqueue, int64(i%3) // N is not the queue's to read
+			}
+			want = append(want, op)
+			if err := as.Submit(ctx, op); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				continue
+			}
+			for k, w := range []countq.Op{want[i], want[i-1]} {
+				c := <-as.Completions()
+				if c.Err != nil || c.Op != w || c.Value != int64(i+k) {
+					t.Fatalf("queue=%v, pair %d, completion %d = %+v; want value %d for %+v", queue, i/2, k, c, i+k, w)
+				}
+			}
+		}
+		sess.Close()
+		b.Close()
+		for i, got := range proto.issued {
+			w := countq.Op{Kind: countq.OpInc, N: want[i].N}
+			if queue {
+				w = countq.Op{Kind: countq.OpEnqueue, ID: want[i].ID}
+			}
+			if got != w {
+				t.Fatalf("queue=%v: Issue %d saw %+v, want %+v", queue, i, got, w)
+			}
+		}
+		if len(proto.issued) != 2*pairs {
+			t.Errorf("queue=%v: %d operations issued, want %d", queue, len(proto.issued), 2*pairs)
 		}
 	}
 }

@@ -32,3 +32,18 @@ func TestBridgeLayout(t *testing.T) {
 		t.Errorf("Bridge is %d bytes, want 264", got)
 	}
 }
+
+// TestBridgeOpLayout holds bridgeOp to four words on 64-bit hosts. Every
+// operation's record crosses its session's lane, the pump's sweep buffer
+// and the grant table; the Op a Completion echoes waits in the session's
+// slot table instead, so a field added here is paid three times per
+// operation.
+func TestBridgeOpLayout(t *testing.T) {
+	const word = unsafe.Sizeof(uintptr(0))
+	if word != 8 {
+		t.Skip("the figure is for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(bridgeOp{}); got != 4*word {
+		t.Errorf("bridgeOp is %d bytes, want 4 words (%d bytes)", got, 4*word)
+	}
+}
