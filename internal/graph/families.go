@@ -123,7 +123,7 @@ func CubeConnectedCycles(d int) *Graph {
 			}
 		}
 	}
-	return b.Build()
+	return b.Build().with(known{transitive: true})
 }
 
 // DeBruijn returns the undirected binary de Bruijn graph on 2^d vertices:

@@ -21,9 +21,19 @@ import (
 // star9 bridge round trip by 6–8 % on a 2-vCPU host, through the heap
 // placement of what is allocated after it (no code path changed).
 type Graph struct {
-	name     string
-	adj      [][]int      // adjacency lists, each sorted ascending
-	hamilton func() []int // builds the constructor's Hamilton path; nil when it knows none
+	name  string
+	adj   [][]int // adjacency lists, each sorted ascending
+	known *known  // what the constructor knows by construction; nil when nothing
+}
+
+// known is what a topology constructor knows about its graph by
+// construction, so that no search has to find it.
+type known struct {
+	hamilton func() []int // builds a Hamilton path; nil when the constructor knows none
+	// transitive is set on a vertex-transitive graph: every vertex looks
+	// like every other, so each has the same eccentricity and vertex 0
+	// is the centre Center reports.
+	transitive bool
 }
 
 // Builder accumulates edges for a Graph. Duplicate edges and self-loops are
@@ -87,11 +97,10 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
-// withPath records path as the builder of g's Hamilton path, the one
-// HamiltonPath returns. Only constructors that know a path by
-// construction call it.
-func (g *Graph) withPath(path func() []int) *Graph {
-	g.hamilton = path
+// with records what g's constructor knows: the builder of the Hamilton
+// path that HamiltonPath returns, and whether g is vertex-transitive.
+func (g *Graph) with(k known) *Graph {
+	g.known = &k
 	return g
 }
 

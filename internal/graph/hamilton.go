@@ -15,8 +15,8 @@ import "fmt"
 // combined with Lemma 4.3 (nearest-neighbour TSP on a list costs ≤ 3n) that
 // makes the queuing complexity O(n) on all of these graphs.
 func HamiltonPath(g *Graph) ([]int, error) {
-	if g.hamilton != nil && g.N() > 0 {
-		return g.hamilton(), nil
+	if g.known != nil && g.known.hamilton != nil && g.N() > 0 {
+		return g.known.hamilton(), nil
 	}
 	if g.N() <= 16 {
 		if order, ok := hamiltonBacktrack(g); ok {

@@ -66,9 +66,11 @@ func (g *Graph) Eccentricity(v int) int {
 // searches instead start where the one before ended, its last vertex
 // reached (a double sweep): on a tree the two ends of a longest path that
 // gives bound every eccentricity exactly, so a tree takes at most four
-// searches. The worst case is a search from every vertex, O(n·m) time;
-// on a hypercube, where every vertex has one eccentricity, it is half of
-// them. Three allocations.
+// searches. A graph its constructor knows to be vertex-transitive
+// (hypercube, cube-connected cycles) takes none: every vertex has one
+// eccentricity, so the answer is vertex 0. The worst case is a search
+// from every vertex, O(n·m) time; on a vertex-transitive graph nobody
+// marked, no bound prunes and it is half of them. Three allocations.
 func (g *Graph) Center() int {
 	center, _ := g.center()
 	return center
@@ -77,6 +79,9 @@ func (g *Graph) Center() int {
 // center is Center, also reporting how many searches it ran.
 func (g *Graph) center() (center, searches int) {
 	n := g.N()
+	if g.known != nil && g.known.transitive && n > 0 {
+		return 0, 0
+	}
 	dist, queue := g.searchBuffers()
 	// lb[v] is a proven lower bound on ecc(v); a searched vertex's is n,
 	// above any eccentricity, so it is never chosen again.

@@ -16,7 +16,7 @@ func Complete(n int) *Graph {
 			b.MustAddEdge(u, v)
 		}
 	}
-	return b.Build().withPath(func() []int { return identityOrder(n) })
+	return b.Build().with(known{hamilton: func() []int { return identityOrder(n) }})
 }
 
 // Path returns the list (path graph) on n vertices: 0-1-2-…-(n-1).
@@ -27,7 +27,7 @@ func Path(n int) *Graph {
 	for v := 1; v < n; v++ {
 		b.MustAddEdge(v-1, v)
 	}
-	return b.Build().withPath(func() []int { return identityOrder(n) })
+	return b.Build().with(known{hamilton: func() []int { return identityOrder(n) }})
 }
 
 // Ring returns the cycle on n vertices (n ≥ 3).
@@ -40,7 +40,7 @@ func Ring(n int) *Graph {
 		b.MustAddEdge(v-1, v)
 	}
 	b.MustAddEdge(n-1, 0)
-	return b.Build().withPath(func() []int { return identityOrder(n) })
+	return b.Build().with(known{hamilton: func() []int { return identityOrder(n) }})
 }
 
 // Star returns the star on n vertices with center 0. The paper's conclusion
@@ -84,7 +84,7 @@ func Mesh(dims ...int) *Graph {
 			}
 		}
 	}
-	return b.Build().withPath(meshPath(dims))
+	return b.Build().with(known{hamilton: meshPath(dims)})
 }
 
 // Torus returns the d-dimensional torus (mesh with wrap-around links).
@@ -118,7 +118,7 @@ func Torus(dims ...int) *Graph {
 			}
 		}
 	}
-	return b.Build().withPath(meshPath(dims)) // the mesh snake runs on the torus too
+	return b.Build().with(known{hamilton: meshPath(dims)}) // the mesh snake runs on the torus too
 }
 
 // meshPath returns the builder of the snake Hamilton path of the mesh or
@@ -161,7 +161,7 @@ func Hypercube(d int) *Graph {
 			}
 		}
 	}
-	return b.Build().withPath(func() []int { return HypercubeHamiltonPath(d) })
+	return b.Build().with(known{hamilton: func() []int { return HypercubeHamiltonPath(d) }, transitive: true})
 }
 
 // PerfectMAryTree returns the perfect m-ary tree with the given number of

@@ -35,8 +35,8 @@ const ringPath = "repro/internal/ring"
 // without Prepare (or immediately after it) loses wakeups.
 var RingRoleAnalyzer = &Analyzer{
 	Name: "ringrole",
-	Doc: "functions reaching ring.SPSC/Lanes/Event producer-only methods (Push, Wake) or " +
-		"consumer-only methods (Pop, Peek, DrainTo, Snapshot, Claim, Prepare, WakeChan, Unpark) must carry a " +
+	Doc: "functions reaching ring.SPSC/Mailbox/Lanes/Event producer-only methods (Push, Post, Wake, WakeMailbox) or " +
+		"consumer-only methods (Pop, Peek, DrainTo, Take, Read, Snapshot, Mailboxes, Claim, Prepare, WakeChan, Unpark) must carry a " +
 		"matching //countq:role=producer|consumer annotation; mixed or unannotated reachability " +
 		"is flagged, and WakeChan receives must be dominated by Prepare with a re-check between",
 	Run: runRingRole,
@@ -45,22 +45,28 @@ var RingRoleAnalyzer = &Analyzer{
 // ringMethodRoles hardcodes each primitive's side. The names are
 // Type.Method on internal/ring's exported types.
 var ringMethodRoles = map[string]string{
-	"SPSC.Push":  "producer",
-	"Event.Wake": "producer",
-	"Lanes.Wake": "producer",
+	"SPSC.Push":         "producer",
+	"Mailbox.Post":      "producer",
+	"Event.Wake":        "producer",
+	"Lanes.Wake":        "producer",
+	"Lanes.WakeMailbox": "producer",
 
-	"SPSC.Pop":       "consumer",
-	"SPSC.Peek":      "consumer",
-	"SPSC.DrainTo":   "consumer",
-	"SPSC.Len":       "", // racy-read; legal from either side, exact from the consumer
-	"Event.Prepare":  "consumer",
-	"Event.WakeChan": "consumer",
-	"Event.Unpark":   "consumer",
-	"Lanes.Snapshot": "consumer",
-	"Lanes.Claim":    "consumer",
-	"Lanes.Prepare":  "consumer",
-	"Lanes.WakeChan": "consumer",
-	"Lanes.Unpark":   "consumer",
+	"SPSC.Pop":        "consumer",
+	"SPSC.Peek":       "consumer",
+	"SPSC.DrainTo":    "consumer",
+	"SPSC.Len":        "", // racy-read; legal from either side, exact from the consumer
+	"Mailbox.Take":    "consumer",
+	"Mailbox.Read":    "consumer",
+	"Mailbox.Taken":   "", // the consumer's own word, which the producer reads to post again
+	"Event.Prepare":   "consumer",
+	"Event.WakeChan":  "consumer",
+	"Event.Unpark":    "consumer",
+	"Lanes.Snapshot":  "consumer",
+	"Lanes.Claim":     "consumer",
+	"Lanes.Mailboxes": "consumer",
+	"Lanes.Prepare":   "consumer",
+	"Lanes.WakeChan":  "consumer",
+	"Lanes.Unpark":    "consumer",
 }
 
 // ringPrimitive classifies fn as one of internal/ring's role-carrying

@@ -21,7 +21,7 @@ const simPath = "repro/internal/sim"
 // its code lives. Traversal follows
 // the CHA call graph and stops at //countq:role-annotated functions:
 // the role annotation marks the boundary where the deterministic core
-// hands a result to the concurrent transport (grant rings, completion
+// hands a result to the concurrent transport (reply mailboxes, completion
 // channels), and the transport's own discipline is ringrole's job.
 //
 // Banned inside the deterministic region:

@@ -45,7 +45,32 @@ func wrongSide(q *queues) {
 //countq:role=producer
 func claimer(q *queues) bool {
 	q.in.Push(1)
-	return q.l.Claim() // want "claimer is annotated //countq:role=producer but calls the consumer-only method ring.Lanes.Claim"
+	lanes, _ := q.l.Claim() // want "claimer is annotated //countq:role=producer but calls the consumer-only method ring.Lanes.Claim"
+	return lanes
+}
+
+// replyLoose posts to a mailbox with no role declaration.
+func replyLoose(m *ring.Mailbox[int]) {
+	m.Post(1, 7) // want "replyLoose reaches the producer-only ring method ring.Mailbox.Post but carries no //countq:role annotation"
+}
+
+// echo declares the producer side of a mailbox but takes from it too:
+// a second consumer beside the one that owns Take.
+//
+//countq:role=producer
+func echo(m *ring.Mailbox[int], l *ring.Lanes[int]) {
+	m.Post(2, 8)
+	l.WakeMailbox()
+	m.Take() // want "echo is annotated //countq:role=producer but calls the consumer-only method ring.Mailbox.Take"
+}
+
+// peekReply reads a reply from the producer side.
+//
+//countq:role=producer
+func peekReply(m *ring.Mailbox[int]) int {
+	m.Post(3, 9)
+	v, _ := m.Read(3) // want "peekReply is annotated //countq:role=producer but calls the consumer-only method ring.Mailbox.Read"
+	return v
 }
 
 // relay declares producer but reaches Pop through an unannotated helper.

@@ -28,13 +28,74 @@ func produce(p *pipe, v int) bool {
 //
 //countq:role=consumer
 func sweep(p *pipe, buf []int) []int {
-	if !p.l.Claim() {
+	if lanes, _ := p.l.Claim(); !lanes {
 		return buf
 	}
 	for _, lane := range p.l.Snapshot() {
 		buf = lane.DrainTo(buf)
 	}
 	return buf
+}
+
+// call is a request/reply round trip over two mailboxes: the client is
+// the request's producer (ask) and the reply's consumer (this function),
+// and waits for its own sequence with the lossless park shape; Taken is
+// legal from either side.
+//
+//countq:role=consumer
+func call(c *client, seq uint64, v int) int {
+	for c.req.Taken() < seq-1 {
+	}
+	ask(c, seq, v)
+	for {
+		if r, ok := c.reply.Read(seq); ok {
+			return r
+		}
+		c.ev.Prepare()
+		if r, ok := c.reply.Read(seq); ok {
+			c.ev.Unpark()
+			return r
+		}
+		<-c.ev.WakeChan()
+	}
+}
+
+type client struct {
+	req, reply *ring.Mailbox[int]
+	l          *ring.Lanes[int]
+	ev         ring.Event
+}
+
+// ask posts the request and marks the mailbox set posted.
+//
+//countq:role=producer
+func ask(c *client, seq uint64, v int) {
+	c.req.Post(seq, v)
+	c.l.WakeMailbox()
+}
+
+// serve is the other end: it takes requests from every registered
+// mailbox once a Claim reports them, and answers through the
+// producer-annotated reply path.
+//
+//countq:role=consumer
+func serve(c *client) {
+	if _, boxes := c.l.Claim(); !boxes {
+		return
+	}
+	for _, box := range c.l.Mailboxes() {
+		if seq, v, ok := box.Take(); ok {
+			answer(c, seq, 2*v)
+		}
+	}
+}
+
+// answer posts a reply and wakes the parked client.
+//
+//countq:role=producer
+func answer(c *client, seq uint64, v int) {
+	c.reply.Post(seq, v)
+	c.ev.Wake()
 }
 
 // pump parks losslessly: Prepare, re-check the lanes, Unpark on the

@@ -1,10 +1,10 @@
 // Package ring provides the repo's one audited single-producer
 // single-consumer ring implementation: a bounded, allocation-free SPSC
-// ring (SPSC), a multi-lane one-lane-per-producer aggregate (Lanes) whose
-// consumer sweeps every lane with a batched drain — but only after a
-// producer posted since the last sweep, so an idle check costs one load —
-// and an eventcount-style park/wake protocol (Event) so that consumer can
-// sleep on empty lanes without losing wakeups.
+// ring (SPSC), a single-entry cell (Mailbox), a one-lane-per-producer
+// aggregate (Lanes) whose consumer sweeps every lane, or every mailbox,
+// only after a producer posted to one since the last sweep, so an idle
+// check costs one load, and an eventcount-style park/wake protocol (Event)
+// so that consumer can sleep on empty lanes without losing wakeups.
 //
 // The design follows the memory-bounded discipline of Aksenov et al.'s
 // memory-optimal bounded queues (arXiv:2104.15003, PAPERS.md): every lane
@@ -21,11 +21,12 @@
 //     DrainTo, at any point in time. The roles may migrate (e.g. a pump
 //     handing its consumer role to Close after it exits) as long as the
 //     handoff itself synchronizes.
-//   - Lanes: NewLane/Remove/Snapshot may be called from any goroutine
-//     (registration is copy-on-write under a mutex); each returned lane
-//     then follows the SPSC contract. A producer calls Wake after every
-//     successful Push; then a consumer that sweeps after every true Claim
-//     misses nothing (it may also sweep without one).
+//   - Mailbox: like SPSC, with Post on the producer side and Take or
+//     Read on the consumer side; see Mailbox for when to post again.
+//   - Lanes: registration and Snapshot/Mailboxes may be called from any
+//     goroutine (copy-on-write under a mutex). A producer calls Wake after
+//     every successful Push, WakeMailbox after every Post; then a consumer
+//     that sweeps what every Claim reports misses nothing.
 //   - Event: one consumer parks (Prepare/WakeChan/Unpark); any number of
 //     producers call Wake. Wakeups are never lost if the consumer
 //     re-checks for work between Prepare and blocking on WakeChan;
@@ -238,31 +239,94 @@ func (e *Event) Unpark() {
 	e.parked.Store(0)
 }
 
+// Mailbox is a single-entry, sequence-numbered cell from one producer to
+// one consumer: a bounded queue of capacity one, all that a conversation
+// with one value in flight needs. Post writes the value, then its
+// sequence. The consumer either takes each new value once (Take, which
+// publishes its sequence as Taken; the producer posts again only once the
+// last value is taken), or reads only the value posted under the sequence
+// it expects (Read; the producer may overwrite any other, but not that
+// one while it is read). Pads keep the sequence and value, and the
+// consumer's taken sequence, off every other field's cache lines.
+type Mailbox[T any] struct {
+	_     [64]byte
+	seq   atomic.Uint64
+	val   T
+	_     [64]byte
+	taken atomic.Uint64
+	_     [56]byte
+}
+
+// Post publishes v under seq, which must exceed every sequence posted
+// before (a fresh mailbox holds the zero value under 0).
+//
+//countq:hotpath
+//countq:role=producer
+func (m *Mailbox[T]) Post(seq uint64, v T) {
+	m.val = v
+	m.seq.Store(seq)
+}
+
+// Take returns the posted value and its sequence if it is newer than the
+// last one taken, and records it as taken.
+//
+//countq:hotpath
+//countq:role=consumer
+func (m *Mailbox[T]) Take() (seq uint64, v T, ok bool) {
+	if seq = m.seq.Load(); seq > m.taken.Load() {
+		v, ok = m.val, true
+		m.taken.Store(seq)
+	}
+	return seq, v, ok
+}
+
+// Read returns the value posted under seq, if that is the one posted now.
+//
+//countq:hotpath
+//countq:role=consumer
+func (m *Mailbox[T]) Read(seq uint64) (v T, ok bool) {
+	if m.seq.Load() == seq {
+		v, ok = m.val, true
+	}
+	return v, ok
+}
+
+// Taken reports the sequence of the last value Take returned.
+//
+//countq:hotpath
+func (m *Mailbox[T]) Taken() uint64 { return m.taken.Load() }
+
 // Lanes is the one-lane-per-producer aggregate: each producer publishes
-// into a private SPSC lane, and one consumer sweeps a copy-on-write
-// snapshot of all lanes without taking the registration lock. The
-// embedded Event lets the consumer park between sweeps; producers wake it
-// after publishing.
+// into a private SPSC lane or Mailbox, and one consumer sweeps a
+// copy-on-write snapshot of all lanes or all mailboxes without taking the
+// registration lock. The embedded Event lets the consumer park between
+// sweeps; producers wake it after publishing.
 //
 // The posted mark lets the consumer skip a sweep that would find nothing:
-// Wake sets it after the producer's Push, Claim clears it before the
-// consumer's sweep, so one load of the mark answers "did anyone publish
-// since I last looked" however many lanes are registered. It sits next to
-// Event.parked, which Wake loads anyway, so a Wake still touches one cache
-// line (the 16-byte block holding the two words never straddles a line;
-// TestLanesMarkLayout checks it by address).
+// Wake sets its lane bit after the producer's Push, WakeMailbox its
+// mailbox bit after a Post, and Claim clears it before the consumer's
+// sweep, so one load of the mark answers "did anyone publish since I last
+// looked" however many lanes and mailboxes are registered, and the bits
+// say which set to sweep. It sits next to Event.parked, which the wakes
+// load anyway, so a wake still touches one cache line (the 16-byte block
+// holding the two words never straddles a line; TestLanesMarkLayout checks
+// it by address).
 type Lanes[T any] struct {
 	regMu  sync.Mutex
 	set    atomic.Pointer[[]*SPSC[T]]
 	posted atomic.Uint32
 	ev     Event
+	boxes  atomic.Pointer[[]*Mailbox[T]]
 }
+
+const postedLane, postedMailbox uint32 = 1, 2 // the posted mark's bits
 
 // NewLanes builds an empty aggregate.
 func NewLanes[T any]() *Lanes[T] {
 	l := &Lanes[T]{}
-	empty := make([]*SPSC[T], 0)
-	l.set.Store(&empty)
+	lanes, boxes := make([]*SPSC[T], 0), make([]*Mailbox[T], 0)
+	l.set.Store(&lanes)
+	l.boxes.Store(&boxes)
 	l.ev.Init()
 	return l
 }
@@ -272,30 +336,37 @@ func NewLanes[T any]() *Lanes[T] {
 // deterministic for a fixed producer set.
 func (l *Lanes[T]) NewLane(capacity int) *SPSC[T] {
 	lane := New[T](capacity)
-	l.regMu.Lock()
-	old := *l.set.Load()
-	next := make([]*SPSC[T], len(old)+1)
-	copy(next, old)
-	next[len(old)] = lane
-	l.set.Store(&next)
-	l.regMu.Unlock()
+	register(&l.regMu, &l.set, lane, nil)
 	return lane
 }
 
 // Remove unregisters a lane so producer after producer of a phased
 // workload does not grow the sweep set without bound. Entries still
 // buffered in the lane are the caller's to settle.
-func (l *Lanes[T]) Remove(lane *SPSC[T]) {
-	l.regMu.Lock()
-	old := *l.set.Load()
-	next := make([]*SPSC[T], 0, len(old))
-	for _, s := range old {
-		if s != lane {
-			next = append(next, s)
+func (l *Lanes[T]) Remove(lane *SPSC[T]) { register(&l.regMu, &l.set, nil, lane) }
+
+// AddMailbox registers box, swept in registration order like the lanes.
+// The caller allocates it, so it can place it where its lines fall.
+func (l *Lanes[T]) AddMailbox(box *Mailbox[T]) { register(&l.regMu, &l.boxes, box, nil) }
+
+// RemoveMailbox unregisters a mailbox, like Remove a lane.
+func (l *Lanes[T]) RemoveMailbox(box *Mailbox[T]) { register(&l.regMu, &l.boxes, nil, box) }
+
+// register replaces the set with a copy that lacks drop and ends with add
+// (either may be nil).
+func register[E any](mu *sync.Mutex, set *atomic.Pointer[[]*E], add, drop *E) {
+	mu.Lock()
+	next := make([]*E, 0, len(*set.Load())+1)
+	for _, e := range *set.Load() {
+		if e != drop {
+			next = append(next, e)
 		}
 	}
-	l.set.Store(&next)
-	l.regMu.Unlock()
+	if add != nil {
+		next = append(next, add)
+	}
+	set.Store(&next)
+	mu.Unlock()
 }
 
 // Snapshot returns the current lane set. The slice is immutable — a
@@ -308,49 +379,68 @@ func (l *Lanes[T]) Snapshot() []*SPSC[T] {
 	return *l.set.Load()
 }
 
-// Wake posts the mark and signals the parked consumer; producers call it
-// after every successful Push. The mark is loaded before it is stored, so
-// a burst of publishes writes the line once per sweep, not once per item.
+// Mailboxes returns the current mailbox set, immutable like Snapshot's.
+//
+//countq:hotpath
+//countq:role=consumer
+func (l *Lanes[T]) Mailboxes() []*Mailbox[T] { return *l.boxes.Load() }
+
+// Wake posts the lane bit and signals the parked consumer; producers call
+// it after every successful Push.
 //
 //countq:hotpath
 //countq:role=producer
-func (l *Lanes[T]) Wake() {
-	if l.posted.Load() == 0 {
-		l.posted.Store(1)
+func (l *Lanes[T]) Wake() { l.post(postedLane) }
+
+// WakeMailbox posts the mailbox bit and signals the parked consumer;
+// producers call it after every Post to a registered mailbox.
+//
+//countq:hotpath
+//countq:role=producer
+func (l *Lanes[T]) WakeMailbox() { l.post(postedMailbox) }
+
+// post sets bit in the mark and wakes the consumer. The mark is loaded
+// before it is written, so a burst of publishes writes the line once per
+// sweep, not once per item.
+//
+//countq:hotpath
+//countq:role=producer
+func (l *Lanes[T]) post(bit uint32) {
+	for p := l.posted.Load(); p&bit == 0 && !l.posted.CompareAndSwap(p, p|bit); p = l.posted.Load() {
 	}
 	l.ev.Wake()
 }
 
-// Claim clears the posted mark and reports whether a producer has called
-// Wake since the last Claim, i.e. whether a sweep can find anything. A
-// false Claim lets the consumer skip the sweep at the cost of one load; a
-// true one obliges it to sweep every lane, since the mark does not say
-// which lane was published to.
+// Claim clears the posted mark and reports which sets a producer posted
+// to since the last Claim, i.e. which sweeps can find anything; a set it
+// reports must be swept whole, since the mark does not say which lane or
+// mailbox was published to. Reporting neither costs one load.
 //
 // Nothing published is skipped. Go's atomics are sequentially consistent,
 // and each side orders its two accesses the other way round: a producer
-// stores the lane's tail (Push), then loads the mark (Wake); the consumer
-// clears the mark (here), then loads the tails (the sweep). Take one item
-// and the mark load L of the Wake after its Push. If the consumer clears
-// the mark after L, the sweep after that clear loads the tail after the
-// Push and takes the item. If it does not, the mark is still 1 at its next
-// Claim — L read a 1, or the producer stored one right after L — so that
-// Claim reports true, and its sweep again comes after the Push.
+// stores the lane's tail (Push) or the mailbox's sequence (Post), then
+// loads the mark (the wake); the consumer clears the mark (here, one swap
+// that returns every bit it clears), then loads the tails or sequences
+// (the sweep). Take one item and the mark load L of the wake after it. If
+// L finds the item's bit set, the next swap after L returns it; if not,
+// the producer sets it after L and the next swap after that returns it.
+// Either way the sweep of the item's set follows a swap that comes after
+// the item, and takes it.
 //
 // The same pair of orderings keeps parking lossless when the consumer's
-// re-check between Prepare and WakeChan starts with Claim: Wake touches
+// re-check between Prepare and WakeChan starts with Claim: a wake touches
 // the mark and then loads Event.parked, Prepare stores parked and then
-// Claim loads the mark. Either Wake sees the flag and signals, or the
+// Claim loads the mark. Either the wake sees the flag and signals, or the
 // re-check's Claim sees the mark and sweeps.
 //
 //countq:hotpath
 //countq:role=consumer
-func (l *Lanes[T]) Claim() bool {
+func (l *Lanes[T]) Claim() (lanes, mailboxes bool) {
 	if l.posted.Load() == 0 {
-		return false
+		return false, false
 	}
-	l.posted.Store(0)
-	return true
+	p := l.posted.Swap(0)
+	return p&postedLane != 0, p&postedMailbox != 0
 }
 
 // Prepare announces the consumer's intent to park; see Event.Prepare.

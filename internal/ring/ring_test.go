@@ -171,24 +171,134 @@ func TestLanesRegisterRemove(t *testing.T) {
 	}
 }
 
-// TestLanesClaim pins the posted mark's three states: nothing posted on a
-// fresh aggregate, posted after a Wake (however many), and cleared by the
-// Claim that reported it.
+// TestLanesClaim pins the posted mark's states: nothing posted on a fresh
+// aggregate, the lane bit after a Wake (however many), the mailbox bit
+// after a WakeMailbox, both after both, and nothing after the Claim that
+// reported them.
 func TestLanesClaim(t *testing.T) {
 	l := NewLanes[int]()
-	if l.Claim() {
-		t.Fatal("Claim on a fresh Lanes reported a post")
+	claim := func(wantLanes, wantBoxes bool) {
+		t.Helper()
+		if lanes, boxes := l.Claim(); lanes != wantLanes || boxes != wantBoxes {
+			t.Fatalf("Claim() = (%v, %v), want (%v, %v)", lanes, boxes, wantLanes, wantBoxes)
+		}
 	}
-	lane := l.NewLane(4)
+	claim(false, false)
+	lane, box := l.NewLane(4), new(Mailbox[int])
+	l.AddMailbox(box)
 	lane.Push(1)
 	l.Wake()
 	lane.Push(2)
 	l.Wake()
-	if !l.Claim() {
-		t.Fatal("Claim after Wake reported nothing posted")
+	claim(true, false)
+	claim(false, false)
+	box.Post(1, 10)
+	l.WakeMailbox()
+	claim(false, true)
+	box.Post(2, 20)
+	l.WakeMailbox()
+	lane.Push(3)
+	l.Wake()
+	claim(true, true)
+	claim(false, false)
+}
+
+// TestMailbox pins both ways of reading a mailbox: Take returns each new
+// value once and publishes its sequence through Taken; Read returns a
+// value only under the sequence it was posted with, and marks nothing.
+func TestMailbox(t *testing.T) {
+	var m Mailbox[string]
+	if _, _, ok := m.Take(); ok {
+		t.Fatal("Take on a fresh mailbox reported a value")
 	}
-	if l.Claim() {
-		t.Fatal("second Claim reported a post the first one cleared")
+	if v, ok := m.Read(0); !ok || v != "" {
+		t.Fatalf("Read(0) on a fresh mailbox = (%q, %v), want the zero value", v, ok)
+	}
+	m.Post(1, "a")
+	if v, ok := m.Read(1); !ok || v != "a" {
+		t.Fatalf("Read(1) = (%q, %v), want (a, true)", v, ok)
+	}
+	if _, ok := m.Read(2); ok {
+		t.Fatal("Read(2) returned the value posted under 1")
+	}
+	if m.Taken() != 0 {
+		t.Fatalf("Taken() = %d after Read only, want 0", m.Taken())
+	}
+	if seq, v, ok := m.Take(); !ok || seq != 1 || v != "a" {
+		t.Fatalf("Take = (%d, %q, %v), want (1, a, true)", seq, v, ok)
+	}
+	if _, _, ok := m.Take(); ok {
+		t.Fatal("second Take returned the value again")
+	}
+	if m.Taken() != 1 {
+		t.Fatalf("Taken() = %d, want 1", m.Taken())
+	}
+	m.Post(3, "c") // sequences may skip
+	if seq, v, ok := m.Take(); !ok || seq != 3 || v != "c" || m.Taken() != 3 {
+		t.Fatalf("Take = (%d, %q, %v) with Taken %d, want (3, c, true) with Taken 3", seq, v, ok, m.Taken())
+	}
+}
+
+// TestMailboxLayout checks by address that a mailbox's sequence and value
+// share no line with its taken sequence or with anything outside the
+// mailbox, for mailboxes at every offset the allocator hands out.
+func TestMailboxLayout(t *testing.T) {
+	const line = 64
+	keep := make([]*Mailbox[[3]int64], 0, 256)
+	for i := 0; i < cap(keep); i++ {
+		m := new(Mailbox[[3]int64])
+		keep = append(keep, m)
+		first := uintptr(unsafe.Pointer(&m.seq)) / line
+		last := (uintptr(unsafe.Pointer(&m.val)) + unsafe.Sizeof(m.val) - 1) / line
+		lo, hi := uintptr(unsafe.Pointer(m)), uintptr(unsafe.Pointer(m))+unsafe.Sizeof(*m)
+		if first <= lo/line || last >= (hi-1)/line {
+			t.Fatalf("Mailbox at %#x..%#x: value lines %d..%d reach a line outside it", lo, hi, first, last)
+		}
+		if taken := uintptr(unsafe.Pointer(&m.taken)) / line; taken >= first && taken <= last {
+			t.Fatalf("Mailbox at %#x: taken sequence on value line %d", lo, taken)
+		}
+	}
+}
+
+// TestMailboxRoundTrip runs the request/reply shape the bridge builds from
+// two mailboxes under -race: a client posts request k once Taken says the
+// server took k-1, and waits on the reply by Read(k); the server takes
+// each request and replies, but first replies to every third one twice —
+// once under the previous sequence, a stale reply the client must never
+// return — so a Read of the wrong sequence that touched the value would
+// race with the server's next Post.
+func TestMailboxRoundTrip(t *testing.T) {
+	const n = 20000
+	var req, reply Mailbox[int64]
+	go func() {
+		for served := uint64(0); served < n; {
+			seq, v, ok := req.Take()
+			if !ok {
+				runtime.Gosched()
+				continue
+			}
+			if seq%3 == 0 {
+				reply.Post(seq-1, -1)
+			}
+			reply.Post(seq, 2*v)
+			served = seq
+		}
+	}()
+	for k := uint64(1); k <= n; k++ {
+		for req.Taken() < k-1 {
+			runtime.Gosched()
+		}
+		req.Post(k, int64(k))
+		for {
+			v, ok := reply.Read(k)
+			if ok {
+				if v != 2*int64(k) {
+					t.Fatalf("reply %d = %d, want %d", k, v, 2*k)
+				}
+				break
+			}
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -209,52 +319,69 @@ func TestLanesMarkLayout(t *testing.T) {
 }
 
 // TestLanesClaimNoStrand runs the bridge pump's consumer shape under load:
-// sweep only after a true Claim, and park only after Prepare and a second
-// Claim both came up empty. Each producer waits for its last value to be
-// swept before it pushes the next, so the consumer parks between most
-// values and every Wake races a park. Every pushed value must be swept
-// exactly once and in its lane's order, and the consumer must never stay
-// parked on a lane whose producer's Wake has returned: a park that
-// outlives the watchdog with such a lane and no signal buffered is a
-// stranded item. Run it with -race too.
+// sweep the lanes only after a Claim that reports them, the mailboxes only
+// after one that reports those, and park only after Prepare and a second
+// Claim both came up empty. Two producers push to lanes and two post to
+// mailboxes; each waits for its last value to be swept before it
+// publishes the next, so the consumer parks between most values and every
+// wake races a park and the other kind's Claim. Every value must be swept
+// exactly once and in its producer's order, and the consumer must never
+// stay parked on a producer whose wake has returned: a park that outlives
+// the watchdog with such a producer and no signal buffered is a stranded
+// item. Run it with -race too.
 func TestLanesClaimNoStrand(t *testing.T) {
-	const producers = 4
+	const producers = 4 // 0 and 1 push to lanes, 2 and 3 post to mailboxes
 	const perProducer = 5000
 	const watchdog = 50 * time.Millisecond
 	l := NewLanes[int]()
-	lanes := make([]*SPSC[int], producers)
-	var woken, swept [producers]atomic.Int64
-	for i := range lanes {
-		lanes[i] = l.NewLane(16)
+	lanes := []*SPSC[int]{l.NewLane(16), l.NewLane(16)}
+	boxes := []*Mailbox[int]{new(Mailbox[int]), new(Mailbox[int])}
+	for _, box := range boxes {
+		l.AddMailbox(box)
 	}
+	var woken, swept [producers]atomic.Int64
 	seen := make([]int, producers*perProducer)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		var scratch []int
 		total := 0
-		sweep := func() {
+		take := func(p, v int) {
+			seen[v]++
+			if want := p*perProducer + int(swept[p].Load()); v != want {
+				t.Errorf("producer %d delivered %d, want %d", p, v, want)
+			}
+			swept[p].Add(1)
+			total++
+		}
+		sweep := func(sweepLanes, sweepBoxes bool) {
 			for i, lane := range l.Snapshot() {
+				if !sweepLanes {
+					break
+				}
 				scratch = lane.DrainTo(scratch[:0])
 				for _, v := range scratch {
-					seen[v]++
-					if want := i*perProducer + int(swept[i].Load()); v != want {
-						t.Errorf("lane %d delivered %d, want %d", i, v, want)
-					}
-					swept[i].Add(1)
+					take(i, v)
 				}
-				total += len(scratch)
+			}
+			for i, box := range l.Mailboxes() {
+				if !sweepBoxes {
+					break
+				}
+				if _, v, ok := box.Take(); ok {
+					take(len(lanes)+i, v)
+				}
 			}
 		}
 		for total < producers*perProducer {
-			if l.Claim() {
-				sweep()
+			if ln, bx := l.Claim(); ln || bx {
+				sweep(ln, bx)
 				continue
 			}
 			l.Prepare()
-			if l.Claim() {
+			if ln, bx := l.Claim(); ln || bx {
 				l.Unpark()
-				sweep()
+				sweep(ln, bx)
 				continue
 			}
 			select {
@@ -275,21 +402,25 @@ func TestLanesClaimNoStrand(t *testing.T) {
 			}
 			for i, n := range owed {
 				if n > 0 {
-					t.Errorf("consumer parked with %d woken items in lane %d and no signal", n, i)
+					t.Errorf("consumer parked with %d woken items from producer %d and no signal", n, i)
 				}
 			}
 			l.Unpark()
-			sweep()
+			sweep(true, true)
 		}
 	}()
 	for p := 0; p < producers; p++ {
 		go func(p int) {
-			lane := lanes[p]
 			for i := 0; i < perProducer; i++ {
-				for !lane.Push(p*perProducer + i) {
-					runtime.Gosched()
+				if p < len(lanes) {
+					for !lanes[p].Push(p*perProducer + i) {
+						runtime.Gosched()
+					}
+					l.Wake()
+				} else {
+					boxes[p-len(lanes)].Post(uint64(i+1), p*perProducer+i)
+					l.WakeMailbox()
 				}
-				l.Wake()
 				woken[p].Add(1)
 				for swept[p].Load() <= int64(i) {
 					runtime.Gosched()
@@ -404,4 +535,60 @@ func TestEventStaleToken(t *testing.T) {
 		t.Fatal("Wake after Prepare did not signal")
 	}
 	e.Unpark()
+}
+
+// BenchmarkRoundTrip prices one request/reply round trip between two
+// goroutines that poll (yielding every 64 empty polls, so one P also
+// works): through two Mailboxes, as the sim bridge's sync path, and
+// through two one-entry SPSC rings, as its lanes and grant ring did.
+func BenchmarkRoundTrip(b *testing.B) {
+	poll := func(ok func() bool) {
+		for i := 1; !ok(); i++ {
+			if i%64 == 0 {
+				runtime.Gosched()
+			}
+		}
+	}
+	b.Run("mailbox", func(b *testing.B) {
+		var req, reply Mailbox[int64]
+		go func() {
+			for {
+				var seq uint64
+				var v int64
+				poll(func() (ok bool) { seq, v, ok = req.Take(); return ok })
+				reply.Post(seq, v+1)
+				if v < 0 {
+					return
+				}
+			}
+		}()
+		for i := 1; i <= b.N; i++ {
+			seq := uint64(i)
+			req.Post(seq, int64(i))
+			poll(func() bool { _, ok := reply.Read(seq); return ok })
+		}
+		b.StopTimer()
+		req.Post(uint64(b.N+1), -1)
+		poll(func() bool { _, ok := reply.Read(uint64(b.N + 1)); return ok })
+	})
+	b.Run("spsc", func(b *testing.B) {
+		req, reply := New[int64](1), New[int64](1)
+		go func() {
+			for {
+				var v int64
+				poll(func() (ok bool) { v, ok = req.Pop(); return ok })
+				reply.Push(v + 1)
+				if v < 0 {
+					return
+				}
+			}
+		}()
+		for i := 1; i <= b.N; i++ {
+			req.Push(int64(i))
+			poll(func() bool { _, ok := reply.Pop(); return ok })
+		}
+		b.StopTimer()
+		req.Push(-1)
+		poll(func() bool { _, ok := reply.Pop(); return ok })
+	})
 }

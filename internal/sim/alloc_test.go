@@ -13,6 +13,7 @@ package sim_test
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/countq"
@@ -38,11 +39,27 @@ func (p stepEcho) Deliver(env *sim.Env, node int, m sim.Message) {
 }
 
 // allocsPerOp is testing.AllocsPerRun without its integer floor: at
-// GOMAXPROCS(1), after one warm-up call, the exact malloc count over runs
-// calls of body, divided as floats.
+// GOMAXPROCS(1) and with the GC off, after runs warm-up calls, the exact
+// malloc count over runs calls of body, divided as floats.
+//
+// The count is process-wide, so it also sees what the runtime allocates
+// for itself, and two of its allocations used to land in the window after
+// a collection: the background scavenger, re-arming its timer once it had
+// returned the freed memory, grew the timer heap of the only P (16 bytes),
+// and a goroutine blocking on a channel took a new sudog (96 bytes) when
+// the collection had emptied the central sudog cache and this P's own
+// cache was empty, since the earlier blocks ran on a P that GOMAXPROCS(1)
+// dropped. Turning the GC off waits out a collection in progress and
+// starts none (which also leaves the scavenger without a goal), and the
+// warm-up calls run every blocking path the window will on this P first.
+// Under two busy loops, a runtime.GC() before the window failed the gate
+// in 18 of 22 test processes without this, and in none of 35 with it.
 func allocsPerOp(runs int, body func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	body()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < runs; i++ {
+		body()
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

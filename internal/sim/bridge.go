@@ -39,13 +39,14 @@ import (
 // AsyncSession (Submit/Completions — the pipeline that overlaps round
 // trips, which no synchronous interface could express).
 //
-// Transport (see DESIGN.md, "Bridge transport"): sessions publish
-// operations into private SPSC lanes (internal/ring) that the pump sweeps
-// in session-registration order in any round a session has posted to, and
-// sync grants return through a per-session completion ring with an
+// Transport (see DESIGN.md, "Bridge transport"): sessions publish async
+// operations into private SPSC lanes and sync requests into private
+// single-entry mailboxes (internal/ring), which the pump sweeps in
+// session-registration order in any round a session has posted to them;
+// a sync grant returns through a per-session reply mailbox with an
 // eventcount park/wake — the uncontended sync round trip spins through the
-// pump's turn instead of paying two channel handoffs and a scheduler
-// wakeup per op.
+// pump's turn, one cache line each way, instead of paying two channel
+// handoffs and a scheduler wakeup per op.
 
 // defaultPipeline is the default per-session transport depth: the submit
 // lane capacity, the async completion buffer, and the cap on operations
@@ -56,44 +57,32 @@ const defaultPipeline = 1024
 // lanes (mirrors the shm combining backends' bound).
 const maxPipeline = 1 << 15
 
-// syncWindow sizes the per-session sync-grant ring: one live round trip
-// plus up to syncWindow-1 abandoned stragglers whose grants are still in
-// flight after their round trips were cancelled.
-const syncWindow = 8
-
 // syncSpin is how many scheduler yields a sync round trip spends polling
-// its grant ring before parking on the eventcount — enough for the pump
-// to take its turn on a busy machine, so the steady uncontended path
-// never parks.
+// its reply mailbox, after b.idlePoll polls without yielding, before
+// parking on the eventcount — enough for the pump to take its turn on a
+// busy machine, so the steady uncontended path never parks.
 const syncSpin = 128
 
 // pumpIdleSpin is how many scheduler yields an idle pump spends polling
-// its lanes before parking — back-to-back sync ops from a spinning
-// session land within the budget, so neither side pays a wakeup.
-//
-// The yields are counted, not timed, so the idle loop's phase against a
-// spinning sync session is set by what one iteration costs: any change to
-// the sweep's cost moves it. The cautionary measurement (star9, one sync
-// session, 2 vCPUs; the parent read 0.91-0.97 M ops/s): making the sweep
-// of an empty lane two loads instead of a 112-byte stack clear read
-// 0.94-1.03 M as built, but 0.85 M with two counters added to this loop
-// and 0.86-0.90 M with a re-poll too short to catch anything in front of
-// it — three costs a few nanoseconds apart, a 15 % spread. (All three with
-// the free-running pump still yielding every 64 rounds on every P; see
-// freeRunYield. Without that yield the build reads 1.14-1.17 M.) Treat any
-// edit to inject, pollLanes or this loop as a change to star9-sync-counter.
+// the posted mark before parking — back-to-back sync ops from a spinning
+// session land within the budget, so neither side pays a wakeup. The
+// yields are counted, not timed, so the loop's phase against a spinning
+// session moves with what one iteration costs: on the lane path that sync
+// ops took before the mailboxes, edits a few nanoseconds apart (two
+// counters in this loop, a shorter re-poll) spread star9-sync-counter by
+// 15 %. Treat any edit to inject or this loop as a change to
+// that workload.
 const pumpIdleSpin = 128
 
-// pumpIdlePoll is how many lane checks (≈ 1.3 ns each) a pump that has
-// just gone idle spends re-polling, without yielding, before its first
-// runtime.Gosched: long enough to cover a spinning sync session's
-// turnaround from grant to next submit, so in that steady state the pump
-// never yields between operations and the phase above stops mattering.
-// Measured on the same host: 64 checks caught 2 % of next operations (and
-// cost what they took), 256 caught 92 %, 512 and up 99 %, with p90 falling
-// 1.6 → 1.05 µs. The poll only helps if a session can run meanwhile; on
-// one P it is pure delay (+85 ns per sync op at 64 checks, +650 at 512),
-// so NewBridge enables it only when GOMAXPROCS > 1.
+// pumpIdlePoll is how many polls, without yielding, a pump that has just
+// gone idle spends on the posted mark before its first runtime.Gosched,
+// and a sync session on its reply: enough to cover the other side's turn
+// (a session's from reply to next request, the pump's from request to
+// reply), so in the steady state neither yields between operations and
+// the phase above stops mattering. Sized on the lane path (lane checks of
+// ≈ 1.3 ns: 64 caught 2 % of next operations, 256 92 %, 512 99 %). On
+// one P a poll is pure delay, so NewBridge enables it only when
+// GOMAXPROCS > 1.
 const pumpIdlePoll = 512
 
 // freeRunYield is how many back-to-back rounds a free-running (hoplat=0)
@@ -215,44 +204,52 @@ type BridgeConfig struct {
 // stops the network pump; the workload driver closes it when a run
 // finishes.
 type Bridge struct {
-	cfg      BridgeConfig
-	pipeline int
-	// sub aggregates the per-session submit lanes; the pump sweeps a
-	// snapshot of them in a round where a session has posted since the last
-	// sweep, and parks on the aggregate's eventcount when everything is
-	// idle.
+	// The fields run from what sessions write (closeMu) through cold
+	// fields, then what both sides only read, to what the pump writes
+	// (scratch on growth, spinRounds, simRounds, simMsgs), so that at either
+	// of the two offsets mod 64 a Bridge gets in its size class no line
+	// holds a field one side writes per operation and a field the other
+	// touches per operation (TestBridgeLinesLayout).
+	//
+	// closeMu fences submission against Close: senders hold the read
+	// side across the closed-flag check and the publish, so once Close
+	// holds the write side no publish can be in flight — every accepted
+	// operation is then either with the pump or in a lane or mailbox the
+	// close path sweeps, and the AsyncSession contract (one Completion
+	// per accepted Submit) holds through shutdown.
+	closeMu   sync.RWMutex
+	closed    bool
+	stop      sync.Once
+	drainOnce sync.Once
+	nextLeaf  atomic.Uint64
+	leaves    []int
+	cfg       BridgeConfig
+	pipeline  int
+	// sub aggregates the per-session submit lanes and request mailboxes;
+	// the pump sweeps a snapshot of them in a round where a session has
+	// posted since the last sweep, and parks on the aggregate's eventcount
+	// when everything is idle.
 	sub        *ring.Lanes[bridgeOp]
-	scratch    []bridgeOp    // pump-owned sweep buffer, reused across rounds
-	idlePoll   int           // lane checks an idle pump spends before its first yield
+	idlePoll   int           // polls an idle pump, or a waiting session, spends before its first yield
 	yieldEvery int           // free-running rounds between yields; 0 never yields
-	spinRounds int           // pump-owned: free-running rounds since last yield
 	done       chan struct{} // closed by Close: stop accepting, drain, exit
 	pumpExit   chan struct{} // closed when the pump has exited
-	stop       sync.Once
-	drainOnce  sync.Once
-	nextLeaf   atomic.Uint64
-	leaves     []int
+	scratch    []bridgeOp    // pump-owned sweep buffer, reused across rounds
+	spinRounds int           // pump-owned: free-running rounds since last yield
 	// Simulated-time mirror of the network stats, refreshed by the pump
 	// after a round that granted an operation and when it goes idle, so
 	// callers can report simulated rounds and message counts alongside
 	// wall latency without touching pump-owned state.
 	simRounds atomic.Int64
 	simMsgs   atomic.Int64
-	// closeMu fences submission against Close: senders hold the read
-	// side across the closed-flag check and the lane publish, so once
-	// Close holds the write side no publish can be in flight — every
-	// accepted operation is then either with the pump or in a lane the
-	// close path sweeps, and the AsyncSession contract (one Completion
-	// per accepted Submit) holds through shutdown.
-	closeMu sync.RWMutex
-	closed  bool
 }
 
 // bridgeOp is one operation in flight from a session to the pump: four
-// words, which is all a lane, the pump's sweep buffer and the grant table
-// carry per operation. Issue sees the Op that issueOp rebuilds from the
-// bridge's kind and arg; an async operation's full Op, which only its
-// Completion echoes, waits in its session's slot table under seq.
+// words, which is all a lane or request mailbox, the pump's sweep buffer
+// and the grant table carry per operation. Issue sees the Op that issueOp
+// rebuilds from the bridge's kind and arg; an async operation's full Op,
+// which only its Completion echoes, waits in its session's slot table
+// under seq.
 type bridgeOp struct {
 	sess  *bridgeSession
 	arg   int64  // the Inc block size N, or the Enqueue id
@@ -261,10 +258,9 @@ type bridgeOp struct {
 	async bool
 }
 
-// syncGrant is one granted sync round trip riding the session's grant
-// ring back from the pump.
-type syncGrant struct {
-	seq uint64
+// syncReply is a granted sync round trip, posted to the session's reply
+// mailbox under the request's sequence.
+type syncReply struct {
 	val int64
 	err error
 }
@@ -273,13 +269,13 @@ type syncGrant struct {
 // completion takes the Op out of the operation's slot, hands the slot back
 // on the session's free ring and then sends the Completion to the
 // session's completion channel (buffered to the pipeline depth); a sync
-// grant rides the session's grant ring and wakes the parked waiter. The
-// slot goes back first so that a reaper holding every Completion it is
-// owed can always submit again: freed after the send, a slot could still
-// be missing when the reaper, woken by that send, submits. A sync grant
-// whose round trip was already abandoned (ctx cancellation) is dropped
-// here — the drop is counted so the session's straggler window stays
-// balanced.
+// grant is posted to the session's reply mailbox and wakes the parked
+// waiter, but only if its request is the last one the pump took from the
+// session: an older one's round trip was abandoned (ctx cancellation), and
+// its grant must not overwrite the newer request's reply. The slot goes
+// back first so that a reaper holding every Completion it is owed can
+// always submit again: freed after the send, a slot could still be missing
+// when the reaper, woken by that send, submits.
 //
 // settle reports whether the completion was handed straight to a reaper
 // parked on Completions. A send to a buffered channel that a receiver is
@@ -299,15 +295,10 @@ func settle(o bridgeOp, val int64, err error) (handoff bool) {
 		s.out <- c
 		return len(s.out) == 0
 	}
-	if o.seq <= s.abandonSeq.Load() {
-		s.dropped.Add(1)
-		return false
+	if o.seq == s.req.Taken() {
+		s.reply.Post(o.seq, syncReply{val: val, err: err})
+		s.ev.Wake()
 	}
-	// The push cannot fail: the ring holds one live round trip plus
-	// abandoned stragglers, and waitStragglers keeps those under
-	// syncWindow-1 before a new op is sent.
-	s.grants.Push(syncGrant{seq: o.seq, val: val, err: err})
-	s.ev.Wake()
 	return false
 }
 
@@ -466,17 +457,17 @@ func (b *Bridge) Close() error {
 	<-b.pumpExit
 	// No sender can be mid-publish now (the closed flag is checked under
 	// closeMu before every publish, and the pump stayed alive until the
-	// flag flipped), so the lanes hold only operations that beat the
-	// flag; complete them with the close error. The pump is gone, so this
-	// goroutine is the lanes' consumer; drainOnce keeps concurrent Close
-	// calls from sweeping the same lanes twice.
+	// flag flipped), so the lanes and request mailboxes hold only
+	// operations that beat the flag; complete them with the close error.
+	// The pump is gone, so this goroutine is their consumer; drainOnce
+	// keeps concurrent Close calls from sweeping them twice.
 	b.drainOnce.Do(func() { b.failLanes(errBridgeClosed) })
 	return nil
 }
 
-// send publishes an operation into the session's lane, fenced against
-// Close. An error means the operation was not accepted and no Completion
-// will arrive.
+// send publishes an operation, fenced against Close: an async one into
+// the session's lane, a sync one into its request mailbox. An error means
+// the operation was not accepted and no grant will arrive.
 //
 //countq:hotpath
 //countq:role=producer
@@ -486,18 +477,24 @@ func (s *bridgeSession) send(ctx context.Context, o bridgeOp) error {
 		s.b.closeMu.RUnlock()
 		return errBridgeClosed
 	}
-	// The pump is alive for as long as this read lock is held (Close
-	// flips the flag before signalling it to exit), so a full lane
-	// drains and this publish cannot spin indefinitely.
-	for !s.lane.Push(o) {
-		if err := ctx.Err(); err != nil {
-			s.b.closeMu.RUnlock()
-			return err
+	if o.async {
+		// The pump is alive for as long as this read lock is held (Close
+		// flips the flag before signalling it to exit), so a full lane
+		// drains and this publish cannot spin indefinitely.
+		for !s.lane.Push(o) {
+			if err := ctx.Err(); err != nil {
+				s.b.closeMu.RUnlock()
+				return err
+			}
+			s.b.sub.Wake()
+			runtime.Gosched()
 		}
 		s.b.sub.Wake()
-		runtime.Gosched()
+	} else {
+		// The mailbox is free: roundTrip waits for the last request's take.
+		s.req.Post(o.seq, o)
+		s.b.sub.WakeMailbox()
 	}
-	s.b.sub.Wake()
 	s.b.closeMu.RUnlock()
 	return nil
 }
@@ -511,18 +508,18 @@ func (s *bridgeSession) send(ctx context.Context, o bridgeOp) error {
 func (b *Bridge) NewSession() (countq.Session, error) {
 	i := b.nextLeaf.Add(1) - 1
 	s := &bridgeSession{
-		b:      b,
-		node:   b.leaves[int(i%uint64(len(b.leaves)))],
-		out:    make(chan countq.Completion, b.pipeline),
-		slots:  make([]countq.Op, b.pipeline),
-		free:   ring.New[uint32](b.pipeline + 1),
-		grants: ring.New[syncGrant](syncWindow),
+		b:     b,
+		node:  b.leaves[int(i%uint64(len(b.leaves)))],
+		out:   make(chan countq.Completion, b.pipeline),
+		slots: make([]countq.Op, b.pipeline),
+		free:  ring.New[uint32](b.pipeline + 1),
 	}
 	for slot := 0; slot < b.pipeline; slot++ {
 		s.free.Push(uint32(slot))
 	}
 	s.ev.Init()
 	s.lane = b.sub.NewLane(b.pipeline)
+	b.sub.AddMailbox(&s.req)
 	return s, nil
 }
 
@@ -534,33 +531,54 @@ func (b *Bridge) pump(nw *Network, bp BridgeProtocol, table *grantTable) {
 	b.pumpLoop(nw, bp, table)
 }
 
-// inject sweeps every session lane once — in lane-registration order,
-// which is session-creation order, so injection stays deterministic for a
-// fixed session set — and issues the swept batch into the protocol. When
-// no session has posted since the last sweep it returns 0 after one load
-// of the lanes' mark, touching no lane.
+// inject sweeps what sessions posted since the last sweep and issues it
+// into the protocol. When nothing was posted it returns 0 after one load
+// of the mark, touching no lane and no mailbox.
 //
 //countq:hotpath
 //countq:role=consumer
 func (b *Bridge) inject(env *Env, bp BridgeProtocol, table *grantTable) int {
-	if !b.sub.Claim() {
+	lanes, boxes := b.sub.Claim()
+	if !lanes && !boxes {
 		return 0
 	}
-	injected := 0
-	for _, lane := range b.sub.Snapshot() {
-		if lane.Empty() {
-			continue
-		}
-		b.scratch = lane.DrainTo(b.scratch[:0])
-		for i := range b.scratch {
-			o := &b.scratch[i]
-			node := int(o.node)
-			bp.Issue(env, node, table.add(*o), b.issueOp(o.arg))
-			env.Wake(node)
-		}
-		injected += len(b.scratch)
+	ops := b.sweep(lanes, boxes)
+	for i := range ops {
+		o := &ops[i]
+		node := int(o.node)
+		bp.Issue(env, node, table.add(*o), b.issueOp(o.arg))
+		env.Wake(node)
 	}
-	return injected
+	return len(ops)
+}
+
+// sweep drains into the scratch buffer every session lane (if lanes), then
+// every request mailbox (if boxes), each in registration order, which is
+// session-creation order, so injection stays deterministic for a fixed
+// session set. The returned slice is valid until the next sweep.
+//
+//countq:hotpath
+//countq:role=consumer
+func (b *Bridge) sweep(lanes, boxes bool) []bridgeOp {
+	ops := b.scratch[:0]
+	if lanes {
+		for _, lane := range b.sub.Snapshot() {
+			if !lane.Empty() {
+				ops = lane.DrainTo(ops)
+			}
+		}
+	}
+	if boxes {
+		for _, box := range b.sub.Mailboxes() {
+			if _, o, ok := box.Take(); ok {
+				ops = append(ops, o)
+			}
+		}
+	}
+	if cap(ops) > cap(b.scratch) {
+		b.scratch = ops // written only when it grew: sessions read this line
+	}
+	return ops
 }
 
 // issueOp rebuilds the Op an operation is issued as from the bridge's
@@ -572,27 +590,6 @@ func (b *Bridge) issueOp(arg int64) countq.Op {
 		return countq.Op{Kind: countq.OpEnqueue, ID: arg}
 	}
 	return countq.Op{Kind: countq.OpInc, N: arg}
-}
-
-// pollLanes sweeps the session lanes for a submission until it finds one
-// or has spent about checks lane checks — two cursor loads each and no
-// other memory traffic, so the pump can afford it without yielding.
-//
-//countq:hotpath
-//countq:role=consumer
-func (b *Bridge) pollLanes(checks int) bool {
-	lanes := b.sub.Snapshot()
-	if len(lanes) == 0 {
-		return false
-	}
-	for ; checks > 0; checks -= len(lanes) {
-		for _, lane := range lanes {
-			if !lane.Empty() {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // pumpLoop is the pump's steady state: allocation-free once the grant
@@ -652,10 +649,10 @@ func (b *Bridge) pumpLoop(nw *Network, bp BridgeProtocol, table *grantTable) {
 				continue
 			default:
 			}
-			if idle == 0 && b.pollLanes(b.idlePoll) {
-				// The lane's producer posts the mark a few instructions
-				// after its Push; until it has, inject finds nothing and
-				// this poll hits again.
+			for polls := 0; idle == 0 && polls < b.idlePoll && injected == 0; polls++ {
+				injected = b.inject(env, bp, table)
+			}
+			if injected > 0 {
 				continue
 			}
 			if idle < pumpIdleSpin {
@@ -728,17 +725,12 @@ func (b *Bridge) publishStats(nw *Network) {
 	b.simMsgs.Store(int64(st.MessagesSent))
 }
 
-// failLanes sweeps every session lane and resolves the swept operations
-// with err. Runs on whichever goroutine currently owns the consumer role
-// (the pump, or Close after the pump exited).
-//
-//countq:role=consumer
+// failLanes sweeps every session lane and request mailbox and resolves
+// what it takes with err. Runs on whichever goroutine currently owns the
+// consumer role (the pump, or Close after the pump exited).
 func (b *Bridge) failLanes(err error) {
-	for _, lane := range b.sub.Snapshot() {
-		b.scratch = lane.DrainTo(b.scratch[:0])
-		for i := range b.scratch {
-			settle(b.scratch[i], 0, err)
-		}
+	for _, o := range b.sweep(true, true) {
+		settle(o, 0, err)
 	}
 }
 
@@ -811,49 +803,31 @@ type bridgeSession struct {
 	// the pump, so an empty free ring is a full pipeline.
 	slots []countq.Op
 	free  *ring.SPSC[uint32]
-	// grants carries sync round-trip results back from the pump; ev is
-	// the parked-waiter signal for it. One op is live at a time (sessions
-	// are single-owner), so the ring holds that op's grant plus at most
-	// syncWindow-1 stragglers from abandoned round trips.
-	grants *ring.SPSC[syncGrant]
-	ev     ring.Event
-	// syncSeq numbers sync round trips; abandonSeq is the highest
-	// abandoned sequence, published to the pump so straggler grants are
-	// dropped at the source. abandoned/reaped/dropped balance the
-	// straggler window: abandoned counts cancelled round trips, reaped
-	// the stale grants this session discarded from its ring, dropped the
-	// ones the pump discarded before the push.
-	syncSeq    uint64
-	abandoned  int
-	reaped     int
-	dropped    atomic.Int64
-	abandonSeq atomic.Uint64
+	// syncSeq is the sequence of the last accepted sync request.
+	syncSeq uint64
+	// req carries the session's one live sync request to the pump (a
+	// session has one owner, so one round trip at a time); reply carries
+	// its grant back under the same sequence, and ev is the parked
+	// waiter's signal for it. The fields above fill the first 72 bytes, so
+	// in a session (576-byte size class, so 64-byte aligned) each
+	// mailbox's sequence and value sit on one line, and ev on a line the
+	// session writes only to park (TestMailboxLinesLayout).
+	req   ring.Mailbox[bridgeOp]
+	ev    ring.Event
+	reply ring.Mailbox[syncReply]
+	// abandoned is set when the last round trip returned before its
+	// grant, so its request may still wait for the pump.
+	abandoned bool
 }
 
 // errBridgeClosed reports operations against a closed bridge.
 var errBridgeClosed = fmt.Errorf("sim: bridge is closed")
 
-// abandon records a cancelled round trip: its grant, when it arrives, is
-// dropped by the pump or reaped from the ring by a later round trip.
-func (s *bridgeSession) abandon(seq uint64) {
-	s.abandoned++
-	s.abandonSeq.Store(seq)
-}
-
-// waitStragglers keeps the sync-grant ring from overflowing after a burst
-// of cancellations: it blocks a new round trip until enough abandoned
-// grants have resolved (dropped or reaped) that the live grant plus every
-// straggler still in flight fits the ring. Cold — only runs after
-// syncWindow-1 round trips were cancelled with their grants unresolved.
-//
-//countq:role=consumer
-func (s *bridgeSession) waitStragglers(ctx context.Context) error {
-	for s.abandoned-s.reaped-int(s.dropped.Load()) >= syncWindow {
-		if _, ok := s.grants.Pop(); ok {
-			// Whatever is buffered here is stale: no round trip is live.
-			s.reaped++
-			continue
-		}
+// awaitTaken waits until the pump has taken the request of the last
+// round trip, which returned before its grant: posting over it would lose
+// an accepted operation. Cold — only after a cancelled round trip.
+func (s *bridgeSession) awaitTaken(ctx context.Context) error {
+	for s.req.Taken() < s.syncSeq {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -864,13 +838,14 @@ func (s *bridgeSession) waitStragglers(ctx context.Context) error {
 		}
 		runtime.Gosched()
 	}
+	s.abandoned = false
 	return nil
 }
 
 // roundTrip submits the operation with argument arg and blocks for its
 // grant — the synchronous view of the asynchronous protocol. The wait
-// spins through the pump's turn first (the uncontended path completes
-// without parking), then parks on the session eventcount.
+// polls the reply mailbox through the pump's turn first (the uncontended
+// path completes without parking), then parks on the session eventcount.
 //
 //countq:hotpath
 //countq:role=consumer
@@ -878,33 +853,23 @@ func (s *bridgeSession) roundTrip(ctx context.Context, arg int64) (int64, error)
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	// Whatever is buffered here is a straggler from an abandoned round
-	// trip (no round trip is live); reap before reusing the ring.
-	for {
-		if _, ok := s.grants.Pop(); !ok {
-			break
-		}
-		s.reaped++
-	}
-	if s.abandoned-s.reaped-int(s.dropped.Load()) >= syncWindow {
-		if err := s.waitStragglers(ctx); err != nil {
+	if s.abandoned {
+		if err := s.awaitTaken(ctx); err != nil {
 			return 0, err
 		}
 	}
-	s.syncSeq++
-	seq := s.syncSeq
+	seq := s.syncSeq + 1
 	if err := s.send(ctx, bridgeOp{sess: s, arg: arg, seq: seq, node: int32(s.node)}); err != nil {
-		// Not accepted: no grant will ever carry this sequence, so it
-		// needs no abandon accounting.
 		return 0, err
 	}
-	spins := 0
+	s.syncSeq = seq
+	polls, spins := s.b.idlePoll, 0
 	for {
-		if g, ok := s.grants.Pop(); ok {
-			if g.seq == seq {
-				return g.val, g.err
-			}
-			s.reaped++
+		if r, ok := s.reply.Read(seq); ok {
+			return r.val, r.err
+		}
+		if polls > 0 {
+			polls--
 			continue
 		}
 		if spins < syncSpin {
@@ -913,40 +878,27 @@ func (s *bridgeSession) roundTrip(ctx context.Context, arg int64) (int64, error)
 			continue
 		}
 		s.ev.Prepare()
-		if g, ok := s.grants.Pop(); ok {
+		if r, ok := s.reply.Read(seq); ok {
 			// The grant raced in before the parked flag was visible.
 			s.ev.Unpark()
-			if g.seq == seq {
-				return g.val, g.err
-			}
-			s.reaped++
-			spins = 0
-			continue
+			return r.val, r.err
 		}
 		select {
 		case <-s.ev.WakeChan():
 			spins = 0
 		case <-ctx.Done():
 			// The operation was accepted and will still execute; its grant
-			// is abandoned (see AsyncSession's contract on cancellation)
-			// and dropped or reaped when it lands.
+			// is abandoned (see AsyncSession's contract on cancellation).
 			s.ev.Unpark()
-			s.abandon(seq)
+			s.abandoned = true
 			return 0, ctx.Err()
 		case <-s.b.pumpExit:
 			// The pump exited; prefer a grant that beat it out the door.
 			s.ev.Unpark()
-			for {
-				g, ok := s.grants.Pop()
-				if !ok {
-					break
-				}
-				if g.seq == seq {
-					return g.val, g.err
-				}
-				s.reaped++
+			if r, ok := s.reply.Read(seq); ok {
+				return r.val, r.err
 			}
-			s.abandon(seq)
+			s.abandoned = true
 			return 0, errBridgeClosed
 		}
 	}
@@ -1049,10 +1001,15 @@ func (s *bridgeSession) Submit(ctx context.Context, op countq.Op) error {
 	return nil
 }
 
-// outstanding is how many accepted async operations are not yet settled:
-// the slots not on the free ring.
+// outstanding is how many accepted operations the pump has not yet
+// settled or taken: the slots not on the free ring, and a sync request
+// still waiting in the mailbox.
 func (s *bridgeSession) outstanding() int {
-	return s.b.pipeline - s.free.Len()
+	n := s.b.pipeline - s.free.Len()
+	if s.req.Taken() < s.syncSeq {
+		n++
+	}
+	return n
 }
 
 // Completions implements countq.AsyncSession.
@@ -1061,8 +1018,10 @@ func (s *bridgeSession) Completions() <-chan countq.Completion {
 }
 
 // Close drains any unconsumed async completions (their operations have
-// executed; abandoning them is the caller's choice), unregisters the
-// session's lane from the pump's sweep set and detaches the session. The
+// executed; abandoning them is the caller's choice), waits for the pump to
+// take a sync request a cancelled round trip left behind, unregisters the
+// session's lane and mailbox from the pump's sweep set and detaches the
+// session. The
 // channel itself is never closed — consumers track their own outstanding
 // count. It waits until every slot is back on the free ring; the pump
 // sends the last completion a moment after freeing its slot, so that one
@@ -1082,7 +1041,7 @@ func (s *bridgeSession) Close() error {
 				}
 			case <-s.b.pumpExit:
 				// Pump gone; the bridge's close sweep settles whatever is
-				// still in the lane, so leave it registered.
+				// still in the lane or mailbox, so leave them registered.
 				return nil
 			case <-timer.C:
 			}
@@ -1094,6 +1053,7 @@ func (s *bridgeSession) Close() error {
 		case <-s.out:
 		default:
 			s.b.sub.Remove(s.lane)
+			s.b.sub.RemoveMailbox(&s.req)
 			return nil
 		}
 	}
